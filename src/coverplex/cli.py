@@ -47,6 +47,8 @@ def _read_doc(args):
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON at line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg))
+    except ValueError as exc:  # undecodable bytes, over-long integer literal
+        raise InputError("unreadable JSON: %s" % exc)
 
 
 def _write(args, text):
@@ -116,7 +118,7 @@ def cmd_decomp_translates(args):
     try:
         poly = jsonio.polygon_from_json(doc["polygon"])
         centers = [jsonio.point_from_json(p) for p in doc["centers"]]
-        k = int(doc["k"])
+        k = jsonio.int_from_json(doc["k"], "k")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("expected {polygon, centers, k}: %s" % exc)
     classes, info = cover.decompose_translates(poly, centers, k,
@@ -139,7 +141,7 @@ def cmd_decomp_verify(args):
     try:
         poly = jsonio.polygon_from_json(doc["polygon"])
         points = [jsonio.point_from_json(p) for p in doc["points"]]
-        k = int(doc["k"])
+        k = jsonio.int_from_json(doc["k"], "k")
         asg = jsonio.coloring_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("expected {polygon, points, k, colors, T}: %s" % exc)
@@ -201,8 +203,8 @@ def cmd_gen_planar(args):
 def cmd_plot_curve(args):
     doc = _read_doc(args)
     poly, points, k = jsonio.decomp_instance_from_json(doc)
-    r = doc.get("r", k)
-    i = doc.get("i", 0)
+    r = jsonio.int_from_json(doc.get("r", k), "r")
+    i = jsonio.int_from_json(doc.get("i", 0), "i")
     if args.format == "json":
         from .levelcurve import WedgeFrame, LevelCurve
         frame = WedgeFrame(poly, i)

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import (ConvexPolygon, cell_partition, dot, grid_spec,
-                       perturbation_direction, reflect, strict_support_edges)
+                       int_scaled, perturbation_direction, reflect,
+                       strict_support_edges)
 from .levelcurve import (LevelCurve, WedgeFrame, min_load_on_curve,
                          position_index_ranges)
-
-_NEG = (float("-inf"), 0)
 
 
 class CoverPreconditionError(ValueError):
@@ -144,13 +143,16 @@ def compute_cover(curve: LevelCurve, items, t: int):
     return colors
 
 
-def _order_keys(poly, j, delta, points, ids):
-    """Symbolic sort keys along the inward normal of edge j; the epsilon term
-    applies the same general-position shift the wedge frames use."""
-    nj = poly.inward_normal(j)
+def _order_ranks(poly, j, delta, points, ids):
+    """Rank 1..len(ids) of each point id along the inward normal of edge j,
+    ties broken by the same symbolic general-position shift the wedge frames
+    use.  The normal is scaled to an integer vector, which keeps the order."""
+    nj = int_scaled(*poly.inward_normal(j))
     shift = dot(delta, nj)
-    return {pid: (dot(points[idx], nj), (pid + 1) * shift)
-            for idx, pid in enumerate(ids)}
+    order = sorted(range(len(ids)),
+                   key=lambda idx: (dot(points[idx], nj),
+                                    (ids[idx] + 1) * shift))
+    return {ids[idx]: r for r, idx in enumerate(order, 1)}
 
 
 def _reserved_filter(poly, i, delta, curve, items, points, target):
@@ -167,11 +169,10 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
     K = len(positions)
     ids = [pid for (_, _, pid, _w) in items]
     weight = {pid: w for (_, _, pid, w) in items}
-    pts = {pid: points[idx] for idx, pid in enumerate(ids)}
     if not support or target <= 0:
         return {pid for pid in ids if ranges[pid] is not None}
-    keymaps = [_order_keys(poly, j, delta, [pts[pid] for pid in ids], ids)
-               for j in support]
+    rankmaps = [_order_ranks(poly, j, delta, points, ids) for j in support]
+    R = len(ids)
     add_at = [[] for _ in range(K)]
     rem_after = [[] for _ in range(K)]
     for pid in ids:
@@ -181,14 +182,10 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
         add_at[rng[0]].append(pid)
         rem_after[rng[1]].append(pid)
 
-    def thresholds(km):
-        """Per position: smallest key of the reserved top group, or None when
+    def thresholds(rank):
+        """Per position: smallest rank of the reserved top group, or 0 when
         the whole membership is reserved.  A member is reserved at c iff its
-        key >= thresholds[c]."""
-        rank = {key: idx + 1 for idx, key in
-                enumerate(sorted(km[pid] for pid in ids))}
-        by_rank = sorted(rank, key=rank.get)
-        R = len(rank)
+        rank >= thresholds[c], so nothing survives a 0 threshold."""
         tree = [0] * (R + 1)
 
         def upd(r, w):
@@ -197,10 +194,10 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
                 r += r & -r
 
         total = 0
-        thr = [None] * K
+        thr = [0] * K
         for c in range(K):
             for pid in add_at[c]:
-                upd(rank[km[pid]], weight[pid])
+                upd(rank[pid], weight[pid])
                 total += weight[pid]
             if total >= target:
                 # largest rank x with prefix(x) <= total - target; the
@@ -214,18 +211,17 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
                         rem -= tree[nxt]
                         pos = nxt
                     step >>= 1
-                thr[c] = by_rank[pos]  # key at rank pos + 1
+                thr[c] = pos + 1
             for pid in rem_after[c]:
-                upd(rank[km[pid]], -weight[pid])
+                upd(rank[pid], -weight[pid])
                 total -= weight[pid]
         return thr
 
-    all_thr = [thresholds(km) for km in keymaps]
+    all_thr = [thresholds(rank) for rank in rankmaps]
     if len(support) == 1:
-        km = keymaps[0]
+        rank = rankmaps[0]
         # sparse table for range maxima over thresholds
-        vals = [v if v is not None else _NEG for v in all_thr[0]]
-        table = [vals]
+        table = [all_thr[0]]
         span = 1
         while span * 2 <= K:
             prev = table[-1]
@@ -243,7 +239,7 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
             rng = ranges[pid]
             if rng is None:
                 continue
-            if km[pid] < range_max(rng[0], rng[1]):
+            if rank[pid] < range_max(rng[0], rng[1]):
                 out.add(pid)
         return out
 
@@ -253,10 +249,10 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
     for c in range(K):
         members.update(add_at[c])
         thrs = [thr[c] for thr in all_thr]
-        if all(th is not None for th in thrs):
+        if all(thrs):
             for pid in members:
                 if pid not in out and all(
-                        km[pid] < th for km, th in zip(keymaps, thrs)):
+                        rank[pid] < th for rank, th in zip(rankmaps, thrs)):
                     out.add(pid)
         for pid in rem_after[c]:
             members.discard(pid)

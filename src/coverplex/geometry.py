@@ -2,15 +2,17 @@
 
 All predicates run over integers / fractions.Fraction only; nothing here
 touches floating point, because every downstream sweep is ordering-sensitive.
-Input points and polygon vertices have integer coordinates.  Derived values
-(centroid, reflected vertices, cell side) may be rational.
+Input points and polygon vertices have integer or rational coordinates;
+derived values (centroid, reflected vertices, cell side) may be rational.
+Translate membership, the hottest predicate, is scaled to integer
+half-planes once per polygon, so integer inputs never build a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 Vec = tuple  # (x, y) with int or Fraction entries
 
@@ -35,6 +37,14 @@ def _norm(v):
     """Keep coordinates as plain ints where possible, exact Fractions else."""
     f = Fraction(v)
     return int(f) if f.denominator == 1 else f
+
+
+def int_scaled(*vals):
+    """The rationals times the smallest positive integer that makes them all
+    integral; a positive scale keeps every sign and every ordering."""
+    fs = [Fraction(v) for v in vals]
+    den = lcm(*(f.denominator for f in fs))
+    return tuple(int(f * den) for f in fs)
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,16 @@ class ConvexPolygon:
         self.vertices = vs
         self.n = n
         self.centroid = _area_centroid(vs)
+        # integer half-planes of the translate centered at c: a point p is
+        # inside iff cross((a, b), p - c) >= off on every edge, where (a, b)
+        # is the edge vector and off = cross(edge, v_i - centroid), all three
+        # scaled by one positive integer per edge
+        halfplanes = []
+        for i in range(n):
+            e = self.edge_vec(i)
+            off = cross(e, sub(vs[i], self.centroid))
+            halfplanes.append(int_scaled(e[0], e[1], off))
+        self._halfplanes = tuple(halfplanes)
 
     def __eq__(self, other):
         return isinstance(other, ConvexPolygon) and self.vertices == other.vertices
@@ -104,15 +124,16 @@ class ConvexPolygon:
 
     def contains(self, p, center=None):
         """Exact closed membership of p in the translate centered at `center`
-        (defaults to the polygon as given)."""
+        (defaults to the polygon as given, i.e. centered at its centroid).
+
+        Coordinates are ints or Fractions; with ints the test is pure
+        integer arithmetic."""
         if center is None:
-            off = (0, 0)
-        else:
-            off = (Fraction(center[0]) - self.centroid[0],
-                   Fraction(center[1]) - self.centroid[1])
-        q = (Fraction(p[0]) - off[0], Fraction(p[1]) - off[1])
-        for i in range(self.n):
-            if cross(self.edge_vec(i), sub(q, self.vertex(i))) < 0:
+            center = self.centroid
+        dx = p[0] - center[0]
+        dy = p[1] - center[1]
+        for a, b, off in self._halfplanes:
+            if a * dy - b * dx < off:
                 return False
         return True
 
@@ -149,13 +170,6 @@ def reflect(poly: ConvexPolygon) -> ConvexPolygon:
     refl = [(2 * ox - x, 2 * oy - y) for x, y in poly.vertices]
     k = min(range(len(refl)), key=lambda i: (refl[i][1], refl[i][0]))
     return ConvexPolygon(refl[k:] + refl[:k])
-
-
-def canonicalize(poly: ConvexPolygon) -> ConvexPolygon:
-    """Same polygon with index 0 at the lowest-then-leftmost vertex."""
-    vs = poly.vertices
-    k = min(range(len(vs)), key=lambda i: (vs[i][1], vs[i][0]))
-    return ConvexPolygon(vs[k:] + vs[:k])
 
 
 def wedge_contains(poly: ConvexPolygon, i: int, apex, p) -> bool:

@@ -1,13 +1,16 @@
 """JSON serialization for every instance and result type.
 
 Rational numbers are serialized as "p/q" strings so round-trips stay exact;
-plain integers stay integers.  All dumps use sorted keys and a fixed
-separator style, so identical values serialize to identical bytes.
+plain integers stay integers.  Readers accept nothing else: a float, a
+boolean or any other string is an InputError, so no inexact value reaches
+the exact predicates.  All dumps use sorted keys and a fixed separator
+style, so identical values serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .geometry import ConvexPolygon
@@ -27,11 +30,28 @@ def num_to_json(v):
     return v
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def num_from_json(v):
-    if isinstance(v, str):
-        p, _, q = v.partition("/")
-        return Fraction(int(p), int(q or 1))
-    return v
+    """A JSON integer, or an exact "p/q" string with q != 0."""
+    if type(v) is int:  # bool is a subclass of int, not int itself
+        return v
+    match = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
+    try:
+        if match and int(match[2]) != 0:
+            return Fraction(int(match[1]), int(match[2]))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise InputError('number must be an integer or a "p/q" string with '
+                     'q != 0, got %r' % (v,))
+
+
+def int_from_json(v, name):
+    """A JSON integer; booleans, floats and strings are rejected."""
+    if type(v) is int:
+        return v
+    raise InputError("%s must be an integer, got %r" % (name, v))
 
 
 def point_to_json(p):
@@ -76,9 +96,14 @@ def rsc_instance_to_json(inst: RscInstance):
 
 def rsc_instance_from_json(doc):
     try:
-        return RscInstance(doc["m"],
-                           [Sensor(s["id"], s["l"], s["r"], s["d"])
-                            for s in doc["sensors"]])
+        sensors = [Sensor(s["id"], s["l"], s["r"], s["d"])
+                   for s in doc["sensors"]]
+        for s in sensors:
+            # one cheap test per sensor; name the field only on failure
+            if not type(s.id) is type(s.l) is type(s.r) is type(s.d) is int:
+                for key in ("id", "l", "r", "d"):
+                    int_from_json(getattr(s, key), key)
+        return RscInstance(int_from_json(doc["m"], "m"), sensors)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad scheduling instance: %s" % exc) from exc
 
@@ -97,9 +122,10 @@ def schedule_from_json(doc, stop_at=None):
     try:
         sched = Schedule(stop_at=stop_at)
         for a in doc["assignments"]:
-            sched.start[a["id"]] = a["t"]
+            sched.start[int_from_json(a["id"], "id")] = int_from_json(
+                a["t"], "t")
         return sched
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad schedule: %s" % exc) from exc
 
 
@@ -115,7 +141,7 @@ def decomp_instance_from_json(doc):
     try:
         poly = polygon_from_json(doc["polygon"])
         points = [point_from_json(p) for p in doc["points"]]
-        k = int(doc["k"])
+        k = int_from_json(doc["k"], "k")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad decomposition instance: %s" % exc) from exc
     return poly, points, k
@@ -133,10 +159,10 @@ def coloring_to_json(assignment, n_points, trace=None):
 def coloring_from_json(doc):
     from .cover import ColorAssignment
     try:
-        asg = ColorAssignment(T=int(doc["T"]))
+        asg = ColorAssignment(T=int_from_json(doc["T"], "T"))
         for pid, c in enumerate(doc["colors"]):
             if c is not None:
-                asg.colors[pid] = c
+                asg.colors[pid] = int_from_json(c, "color")
         return asg
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad coloring: %s" % exc) from exc
@@ -155,7 +181,8 @@ def planar_instance_from_json(doc):
     try:
         return PlanarInstance(
             polygon_from_json(doc["polygon"]),
-            [(s["id"], point_from_json(s["center"]), s["d"])
+            [(int_from_json(s["id"], "id"), point_from_json(s["center"]),
+              int_from_json(s["d"], "d"))
              for s in doc["sensors"]],
             [point_from_json(u) for u in doc["universe"]])
     except (KeyError, TypeError, ValueError) as exc:
@@ -172,9 +199,10 @@ def planar_schedule_from_json(doc):
     try:
         sched = PlanarSchedule(trivial=bool(doc.get("trivial", False)))
         for a in doc["assignments"]:
-            sched.start[a["id"]] = a["t"]
+            sched.start[int_from_json(a["id"], "id")] = int_from_json(
+                a["t"], "t")
         return sched
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad planar schedule: %s" % exc) from exc
 
 

@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import ConvexPolygon, cross, perturbation_direction
+from .geometry import ConvexPolygon, cross, int_scaled, perturbation_direction
 
 NEG_INF = (float("-inf"), 0)
 POS_INF = (float("inf"), 0)
@@ -31,17 +31,6 @@ class EmptyLevelCurveError(ValueError):
     """Raised when the requested level exceeds the total available load."""
 
 
-def _int_vec(v):
-    fx, fy = Fraction(v[0]), Fraction(v[1])
-    den = fx.denominator * fy.denominator // _gcd(fx.denominator, fy.denominator)
-    return (int(fx * den), int(fy * den))
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
-
-
 class WedgeFrame:
     """Shear frame mapping the cone at vertex i onto the dominance quadrant."""
 
@@ -49,8 +38,8 @@ class WedgeFrame:
         self.poly = poly
         self.i = i % poly.n
         d1, d2 = poly.cone_dirs(i)
-        self.e1 = _int_vec(d1)
-        self.e2 = _int_vec(d2)
+        self.e1 = int_scaled(*d1)
+        self.e2 = int_scaled(*d2)
         c = cross(self.e1, self.e2)
         if c == 0:
             raise ValueError("degenerate cone at vertex %d" % i)
@@ -153,13 +142,6 @@ class LevelCurve:
 
     # -- queries ---------------------------------------------------------
 
-    def level_at(self, u):
-        """Staircase level for positions with the given u, None past tail."""
-        idx = bisect_left(self._drop_us, u)
-        if idx == len(self.drops):
-            return None
-        return self.drops[idx][1]
-
     def interval_of(self, U_q, V_q):
         """Closed range of curve positions whose wedge contains the point
         with sheared coords (U_q, V_q); None when empty."""
@@ -191,10 +173,6 @@ class LevelCurve:
         if lo[0] > U_q:
             return None
         return CurveInterval(lo=lo, hi=hi)
-
-    def interval_of_point(self, p, pid=0):
-        f = self.frame
-        return self.interval_of(f.ucoord(p, pid), f.vcoord(p, pid))
 
     def chain_real(self):
         """Finite staircase vertices in the real plane, head to tail."""

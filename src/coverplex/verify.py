@@ -218,6 +218,14 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
 # schedule verifier
 
 
+def check_assignments(report, sensors, start):
+    """Every assigned id names a sensor of the instance and starts at a
+    time >= 1; the offending ids are the witness."""
+    known = {s.id for s in sensors}
+    bad = [sid for sid in start if sid not in known or start[sid] < 1]
+    report.add("assignments-valid", not bad, bad or None)
+
+
 def _active_times(instance, schedule):
     """sensor -> (start, end) inclusive, assigned only."""
     out = {}
@@ -230,6 +238,7 @@ def _active_times(instance, schedule):
 def verify_rsc(instance, schedule):
     """Check the scheduler's four guarantees by direct simulation."""
     report = VerificationReport()
+    check_assignments(report, instance.sensors, schedule.start)
     active = _active_times(instance, schedule)
     m = instance.m
     horizon = max((end for (_, _, end) in active.values()), default=0)

@@ -146,6 +146,15 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_unreadable_json_exit_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    for raw in (b'{"m": ' + b"1" * 5000 + b', "sensors": []}', b"\xff{}"):
+        p.write_bytes(raw)
+        code, _, err = run(["rsc", "solve", "--in", str(p)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_semantically_invalid_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(jsonio.dumps({"m": 3, "sensors": [
@@ -215,3 +224,116 @@ def test_thread_cap_env(monkeypatch):
         cli.thread_cap()
     monkeypatch.delenv("COVERPLEX_THREADS")
     assert cli.thread_cap() >= 1
+
+
+def test_num_from_json_accepts_only_exact_forms():
+    assert jsonio.num_from_json("-21/6") == Fraction(-7, 2)
+    assert jsonio.num_from_json(-4) == -4
+    for bad in (1.5, True, None, [1], "1/0", "3", "1.5/2", " 1/2", "1/-2",
+                "0x1/2", "x", "1" * 5000 + "/1"):
+        with pytest.raises(jsonio.InputError):
+            jsonio.num_from_json(bad)
+
+
+def _planar_doc():
+    return jsonio.planar_instance_to_json(gen_planar(2, n_sensors=15))
+
+
+def _with(doc, path, value):
+    """Copy of a JSON document with the value at `path` replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _rsc_doc():
+    return jsonio.rsc_instance_to_json(gen_rsc(4, n=12, m=9, d_max=5))
+
+
+def _rsc_both():
+    inst = gen_rsc(4, n=12, m=9, d_max=5)
+    return {"instance": jsonio.rsc_instance_to_json(inst),
+            "schedule": jsonio.schedule_to_json(greedy_schedule(inst))}
+
+
+def _plan_both():
+    return {"instance": _planar_doc(),
+            "schedule": {"assignments": [{"id": 0, "t": 1}],
+                         "trivial": False}}
+
+
+def _points_doc():
+    return jsonio.decomp_instance_to_json(polygon("triangle"),
+                                          gen_points(1, size=30, span=10), 6)
+
+
+def _coloring_doc():
+    return dict(_points_doc(), colors=[1] * 30, T=1)
+
+
+def _translates_doc():
+    return {"polygon": _points_doc()["polygon"], "centers": [[1, 1]] * 5,
+            "k": 3}
+
+
+BAD_NUMBERS = [
+    (["plan", "solve"], _planar_doc, ("sensors", 0, "center"), ["1/0", 1]),
+    (["plan", "solve"], _planar_doc, ("sensors", 0, "center"), [1.5, 2]),
+    (["plan", "solve"], _planar_doc, ("sensors", 0, "center"), [True, 2]),
+    (["plan", "solve"], _planar_doc, ("sensors", 0, "center"), ["1.5/2", 2]),
+    (["plan", "solve"], _planar_doc, ("sensors", 0, "d"), 1.5),
+    (["plan", "solve"], _planar_doc, ("sensors", 0, "id"), True),
+    (["plan", "solve"], _planar_doc, ("universe", 0), [10, "x"]),
+    (["plan", "solve"], _planar_doc, ("polygon", "vertices", 1), ["4/0", 0]),
+    (["plan", "verify"], _plan_both, ("schedule", "assignments", 0, "t"),
+     "x"),
+    (["plan", "verify"], _plan_both, ("schedule", "assignments", 0, "t"),
+     1.0),
+    (["plan", "verify"], _plan_both, ("schedule", "assignments", 0, "id"),
+     "0"),
+    (["rsc", "solve"], _rsc_doc, ("sensors", 0, "d"), 1.5),
+    (["rsc", "solve"], _rsc_doc, ("sensors", 0, "l"), "1"),
+    (["rsc", "solve"], _rsc_doc, ("sensors", 0, "id"), None),
+    (["rsc", "solve"], _rsc_doc, ("m",), True),
+    (["rsc", "verify"], _rsc_both, ("schedule", "assignments", 0, "t"), 2.0),
+    (["decomp", "points"], _points_doc, ("k",), 6.0),
+    (["decomp", "points"], _points_doc, ("k",), "6"),
+    (["decomp", "points"], _points_doc, ("points", 0), [0.5, 1]),
+    (["decomp", "verify"], _coloring_doc, ("T",), 1.5),
+    (["decomp", "verify"], _coloring_doc, ("colors", 0), 1.0),
+    (["decomp", "translates"], _translates_doc, ("k",), False),
+    (["decomp", "translates"], _translates_doc, ("centers", 0), [1, "1/0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, make, path, value", BAD_NUMBERS,
+    ids=["%s:%s=%s" % ("-".join(argv), ".".join(map(str, path)),
+                       json.dumps(value))
+         for argv, _, path, value in BAD_NUMBERS])
+def test_inexact_or_mistyped_numbers_exit_2(tmp_path, capsys, argv, make,
+                                            path, value):
+    good = tmp_path / "good.json"
+    good.write_text(jsonio.dumps(make()))
+    code, _, _ = run(argv + ["--in", str(good), "--out", str(tmp_path / "o")],
+                     capsys)
+    assert code in (0, 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(jsonio.dumps(_with(make(), path, value)))
+    code, out, err = run(argv + ["--in", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_rational_center_accepted(tmp_path, capsys):
+    doc = _with(_planar_doc(), ("sensors", 0, "center"), ["21/2", "-3/1"])
+    p = tmp_path / "in.json"
+    p.write_text(jsonio.dumps(doc))
+    code, out, _ = run(["plan", "solve", "--in", str(p)], capsys)
+    assert code == 0
+    p.write_text(jsonio.dumps({"instance": doc, "schedule": json.loads(out)}))
+    code, out, _ = run(["plan", "verify", "--in", str(p)], capsys)
+    assert code == 0 and json.loads(out)["L"] >= 1

@@ -1,0 +1,180 @@
+"""Fast exact paths checked against direct oracles on random instances.
+
+Each oracle is the plain formula the fast path replaced, kept here as the
+reference: translate membership by Fraction arithmetic on every edge, and
+the extreme-prefix reservation by sorting the members of every canonical
+curve position.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+
+from coverplex.cover import _reserved_filter
+from coverplex.generate import POLYGONS
+from coverplex.geometry import (ConvexPolygon, cross, dot,
+                                perturbation_direction, reflect,
+                                strict_support_edges, sub)
+from coverplex.levelcurve import LevelCurve, WedgeFrame, canonical_positions
+
+ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+# one vertex is the strict support point of two edge normals, which takes the
+# filter's several-directions path
+KITE = [(0, 0), (2, -1), (4, 0), (2, 5)]
+
+coords = st.integers(-6, 6)
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+def hull(points):
+    """Strictly convex hull in CCW order (monotone chain)."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(sub(out[-1], out[-2]),
+                                          sub(p, out[-1])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(pts)[:-1] + half(pts[::-1])[:-1]
+
+
+@st.composite
+def polygons(draw):
+    """Random convex polygon; vertices optionally divided by a common
+    denominator, optionally reflected through the centroid."""
+    vs = hull(draw(st.lists(st.tuples(coords, coords), min_size=3,
+                            max_size=9)))
+    assume(len(vs) >= 3)
+    q = draw(st.integers(1, 5))
+    poly = ConvexPolygon([(Fraction(x, q), Fraction(y, q)) for x, y in vs])
+    return reflect(poly) if draw(st.booleans()) else poly
+
+
+def contains_ref(poly, p, center=None):
+    """Closed membership by Fraction arithmetic: shift p by the translate's
+    offset from the centroid, then test every CCW edge."""
+    if center is None:
+        off = (0, 0)
+    else:
+        off = (Fraction(center[0]) - poly.centroid[0],
+               Fraction(center[1]) - poly.centroid[1])
+    q = (Fraction(p[0]) - off[0], Fraction(p[1]) - off[1])
+    return all(cross(poly.edge_vec(i), sub(q, poly.vertex(i))) >= 0
+               for i in range(poly.n))
+
+
+@st.composite
+def boundary_points(draw, poly, center):
+    """A vertex or an edge point of the translate centered at `center`, or
+    one nudged just off that edge."""
+    i = draw(st.integers(0, poly.n - 1))
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=9))
+    e = poly.edge_vec(i)
+    nudge = draw(st.sampled_from([0, 0, Fraction(1, 97), Fraction(-1, 97)]))
+    x = poly.vertex(i)[0] + t * e[0] - nudge * e[1]
+    y = poly.vertex(i)[1] + t * e[1] + nudge * e[0]
+    return (x + center[0] - poly.centroid[0],
+            y + center[1] - poly.centroid[1]), nudge
+
+
+@ORACLE
+@given(st.data())
+def test_contains_matches_fraction_formula(data):
+    poly = data.draw(polygons())
+    center = data.draw(st.tuples(rationals, rationals) | st.tuples(coords,
+                                                                  coords))
+    p = data.draw(st.tuples(rationals, rationals) | st.tuples(coords,
+                                                             coords))
+    assert poly.contains(p, center=center) == contains_ref(poly, p, center)
+    assert poly.contains(p) == contains_ref(poly, p)
+    q, nudge = data.draw(boundary_points(poly, center))
+    got = poly.contains(q, center=center)
+    assert got == contains_ref(poly, q, center)
+    if nudge == 0:
+        assert got  # membership is closed
+    elif nudge < 0:
+        assert not got  # outward of an edge line
+
+
+@ORACLE
+@given(st.lists(st.tuples(coords, coords), min_size=3, max_size=9),
+       st.tuples(coords, coords), st.tuples(coords, coords))
+def test_contains_integer_kernel_on_integer_polygons(points, center, p):
+    vs = hull(points)
+    assume(len(vs) >= 3)
+    poly = ConvexPolygon(vs)
+    assert all(type(x) is int for hp in poly._halfplanes for x in hp)
+    assert poly.contains(p, center=center) == contains_ref(poly, p, center)
+
+
+def reserved_ref(poly, i, delta, curve, items, points, target):
+    """Survivors by a direct pass over every canonical position: members
+    are the items whose sheared coordinates dominate the position; along
+    each reserved direction they are sorted by decreasing Fraction key and
+    the minimal prefix whose weight reaches the target is reserved (all of
+    them when the total falls short)."""
+    support = sorted(strict_support_edges(poly, i))
+    key_of = {}
+    for j in support:
+        nj = tuple(Fraction(c) for c in poly.inward_normal(j))
+        for (_, _, pid, _w), p in zip(items, points):
+            key_of[j, pid] = (dot(p, nj), (pid + 1) * dot(delta, nj))
+    out = set()
+    for (u, v) in canonical_positions(curve, items):
+        members = [(pid, w) for (U, V, pid, w) in items if u <= U and v <= V]
+        reserved = set()
+        for j in support:
+            acc = 0
+            for pid, w in sorted(members, key=lambda m: key_of[j, m[0]],
+                                 reverse=True):
+                if acc >= target:
+                    break
+                reserved.add(pid)
+                acc += w
+        out.update(pid for pid, _ in members if pid not in reserved)
+    return out
+
+
+@st.composite
+def filter_cases(draw):
+    shape = draw(st.sampled_from(sorted(POLYGONS) + ["kite", "random"]))
+    if shape == "kite":
+        poly = ConvexPolygon(KITE)
+    elif shape != "random":
+        poly = ConvexPolygon(POLYGONS[shape])
+    else:
+        vs = hull(draw(st.lists(st.tuples(coords, coords), min_size=3,
+                                max_size=9)))
+        assume(len(vs) >= 3)
+        poly = ConvexPolygon(vs)
+    if draw(st.booleans()):
+        poly = reflect(poly)
+    i = draw(st.integers(0, poly.n - 1))
+    size = draw(st.integers(1, 14))
+    pts = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                        min_size=size, max_size=size))
+    weights = draw(st.lists(st.integers(1, 4), min_size=size,
+                            max_size=size))
+    ids = [3 * pid + 1 for pid in draw(st.permutations(range(size)))]
+    total = sum(weights)
+    level = draw(st.integers(1, total))
+    target = draw(st.integers(0, total + 1))
+    return poly, i, pts, weights, ids, level, target
+
+
+@ORACLE
+@given(filter_cases())
+def test_reserved_filter_matches_direct_oracle(case):
+    poly, i, pts, weights, ids, level, target = case
+    delta = perturbation_direction(poly)
+    frame = WedgeFrame(poly, i, delta)
+    items = frame.items(pts, weights=weights, ids=ids)
+    curve = LevelCurve(frame, level, items)
+    got = _reserved_filter(poly, i, delta, curve, items, pts, target)
+    assert got == reserved_ref(poly, i, delta, curve, items, pts, target)

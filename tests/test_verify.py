@@ -143,3 +143,15 @@ def test_report_json_shape():
     assert set(doc) == {"checks", "alpha", "ratio"}
     for c in doc["checks"]:
         assert set(c) == {"name", "pass", "witness"}
+
+
+def test_verify_rsc_flags_unknown_sensor_and_bad_start():
+    inst = RscInstance(4, [(0, 1, 4, 3), (1, 1, 4, 2)])
+    assert verify_rsc(inst, Schedule(start={0: 1, 1: 4})).ok()
+    for start, bad in (({0: 1, 1: 4, 7: 1}, [7]), ({0: 0, 1: 4}, [0]),
+                       ({0: 1, 1: -2}, [1])):
+        report = verify_rsc(inst, Schedule(start=start))
+        assert not report.ok()
+        check = report.checks[0]
+        assert check.name == "assignments-valid" and not check.passed
+        assert check.witness == bad
