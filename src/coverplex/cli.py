@@ -17,21 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import cover, generate, jsonio, planar, rsc, svgplot, verify
 from .jsonio import InputError
-
-
-def thread_cap():
-    env = os.environ.get("COVERPLEX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError("COVERPLEX_THREADS must be an integer")
-    return os.cpu_count() or 1
 
 
 def _read_doc(args):
@@ -121,8 +110,7 @@ def cmd_decomp_translates(args):
         k = jsonio.int_from_json(doc["k"], "k")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("expected {polygon, centers, k}: %s" % exc)
-    classes, info = cover.decompose_translates(poly, centers, k,
-                                               max_workers=thread_cap())
+    classes, info = cover.decompose_translates(poly, centers, k)
 
     def clean(v):
         if isinstance(v, dict):
@@ -154,7 +142,7 @@ def cmd_decomp_verify(args):
 
 def cmd_plan_solve(args):
     inst = jsonio.planar_instance_from_json(_read_doc(args))
-    sched = planar.plan_schedule(inst, max_workers=thread_cap())
+    sched = planar.plan_schedule(inst)
     _emit_json(args, jsonio.planar_schedule_to_json(sched))
     return 0
 

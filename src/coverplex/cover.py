@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from .geometry import (ConvexPolygon, cell_partition, dot, grid_spec,
                        int_scaled, perturbation_direction, reflect,
                        strict_support_edges)
-from .levelcurve import (LevelCurve, WedgeFrame, min_load_on_curve,
-                         position_index_ranges)
+from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
+                         min_load_on_curve, position_index_ranges)
 
 
 class CoverPreconditionError(ValueError):
@@ -37,12 +37,10 @@ class CoverPreconditionError(ValueError):
 class ColorAssignment:
     """Partial coloring of points.  ``colors`` maps point id to a color
     number; colors 1..T are common to every vertex iteration, higher numbers
-    were produced by some iterations only.  ``tags`` records which vertex
-    iteration assigned each point."""
+    were produced by some iterations only."""
 
     colors: dict = field(default_factory=dict)
     T: int = 0
-    tags: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -172,7 +170,6 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
     if not support or target <= 0:
         return {pid for pid in ids if ranges[pid] is not None}
     rankmaps = [_order_ranks(poly, j, delta, points, ids) for j in support]
-    R = len(ids)
     add_at = [[] for _ in range(K)]
     rem_after = [[] for _ in range(K)]
     for pid in ids:
@@ -186,34 +183,19 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
         """Per position: smallest rank of the reserved top group, or 0 when
         the whole membership is reserved.  A member is reserved at c iff its
         rank >= thresholds[c], so nothing survives a 0 threshold."""
-        tree = [0] * (R + 1)
-
-        def upd(r, w):
-            while r <= R:
-                tree[r] += w
-                r += r & -r
-
+        tree = _Fenwick(len(ids))  # slot r - 1 holds the member of rank r
         total = 0
         thr = [0] * K
         for c in range(K):
             for pid in add_at[c]:
-                upd(rank[pid], weight[pid])
+                tree.add(rank[pid] - 1, weight[pid])
                 total += weight[pid]
             if total >= target:
                 # largest rank x with prefix(x) <= total - target; the
                 # threshold member is rank x + 1
-                rem = total - target
-                pos = 0
-                step = 1 << (R.bit_length())
-                while step:
-                    nxt = pos + step
-                    if nxt <= R and tree[nxt] <= rem:
-                        rem -= tree[nxt]
-                        pos = nxt
-                    step >>= 1
-                thr[c] = pos + 1
+                thr[c] = tree.longest_prefix_within(total - target) + 1
             for pid in rem_after[c]:
-                upd(rank[pid], -weight[pid])
+                tree.add(rank[pid] - 1, -weight[pid])
                 total -= weight[pid]
         return thr
 
@@ -259,6 +241,44 @@ def _reserved_filter(poly, i, delta, curve, items, points, target):
     return out
 
 
+def _iterate_vertices(poly, points, level, solve_block, weights=None,
+                      ids=None):
+    """The vertex loop of the point decomposition and the planar scheduler.
+
+    For each vertex i of ``poly``: the minimum load L of the items not yet
+    chosen over the level curves i..n-1, t = L // (64n), the extreme-prefix
+    reservation at L // (2n), then ``solve_block(curve, x_items, t)``, which
+    chooses surviving items as {id: value}; skipped when t is 0.  Returns
+    the chosen map and one (i, L, t, x_size, chosen) record per vertex.
+    """
+    n = poly.n
+    delta = perturbation_direction(poly)
+    frames = [WedgeFrame(poly, i, delta) for i in range(n)]
+    all_items = [f.items(points, weights=weights, ids=ids) for f in frames]
+    curves = [LevelCurve(frames[i], level, all_items[i]) for i in range(n)]
+    point_of = dict(zip(range(len(points)) if ids is None else ids, points))
+
+    chosen = {}
+    records = []
+    for i in range(n):
+        live = [[it for it in all_items[z] if it[2] not in chosen]
+                for z in range(i, n)]
+        L = min(min_load_on_curve(curves[z], items)
+                for z, items in zip(range(i, n), live))
+        t_i = L // (64 * n)
+        if t_i == 0:
+            records.append((i, L, 0, 0, 0))
+            continue
+        keep = _reserved_filter(poly, i, delta, curves[i], live[0],
+                                [point_of[it[2]] for it in live[0]],
+                                L // (2 * n))
+        x_items = [it for it in live[0] if it[2] in keep]
+        block = solve_block(curves[i], x_items, t_i)
+        chosen.update(block)
+        records.append((i, L, t_i, len(x_items), len(block)))
+    return chosen, records
+
+
 def decompose_points(poly: ConvexPolygon, points, k: int):
     """Color points so that every wedge with apex on a level-k curve contains
     all common colors 1..T; returns (ColorAssignment, DecompositionTrace).
@@ -268,51 +288,14 @@ def decompose_points(poly: ConvexPolygon, points, k: int):
     """
     if k < 1:
         raise ValueError("level must be at least 1")
-    n = poly.n
-    delta = perturbation_direction(poly)
-    frames = [WedgeFrame(poly, i, delta) for i in range(n)]
-    all_items = [f.items(points) for f in frames]
-    curves = [LevelCurve(frames[i], k, all_items[i]) for i in range(n)]
-
-    assignment = ColorAssignment()
-    trace = DecompositionTrace()
-    uncolored = set(range(len(points)))
-    t_values = []
-    for i in range(n):
-        L = min(
-            min_load_on_curve(
-                curves[z],
-                [it for it in all_items[z] if it[2] in uncolored])
-            for z in range(i, n))
-        t_i = L // (64 * n)
-        t_values.append(t_i)
-        if t_i == 0:
-            trace.records.append(IterationRecord(i=i, L=L, t=0, x_size=0,
-                                                 colored=0))
-            continue
-        live_items = [it for it in all_items[i] if it[2] in uncolored]
-        keep = _reserved_filter(poly, i, delta, curves[i], live_items,
-                                [points[it[2]] for it in live_items],
-                                L // (2 * n))
-        x_items = [it for it in live_items if it[2] in keep]
-        round_colors = compute_cover(curves[i], x_items, t_i)
-        for pid, c in round_colors.items():
-            assignment.colors[pid] = c
-            assignment.tags[pid] = (i, c)
-            uncolored.discard(pid)
-        trace.records.append(IterationRecord(
-            i=i, L=L, t=t_i, x_size=len(x_items),
-            colored=len(round_colors)))
-    if any(t == 0 for t in t_values):
-        assignment.T = 0
-        trace.below_threshold = True
-    else:
-        assignment.T = min(t_values)
-    return assignment, trace
+    colors, records = _iterate_vertices(poly, points, k, compute_cover)
+    trace = DecompositionTrace(records=[IterationRecord(*r) for r in records])
+    T = min(r.t for r in trace.records)
+    trace.below_threshold = T == 0
+    return ColorAssignment(colors=colors, T=T), trace
 
 
-def decompose_translates(poly: ConvexPolygon, centers, k: int,
-                         max_workers=1):
+def decompose_translates(poly: ConvexPolygon, centers, k: int):
     """Split a collection of translates (given by centers) into classes such
     that every point of the plane covered at least k times is covered by each
     class.  Returns (classes, info dict).
@@ -334,32 +317,17 @@ def decompose_translates(poly: ConvexPolygon, centers, k: int,
     cells = cell_partition(centers, grid)
     color_of = {}
     t_cells = []
-
-    def run_cell(idxs):
+    for cell, idxs in sorted(cells.items()):
         pts = [centers[idx] for idx in idxs]
         if len(pts) < k_cell:
-            return {"skipped": True, "size": len(pts)}, None, {}
+            info["cells"][cell] = {"skipped": True, "size": len(pts)}
+            continue
         asg, trace = decompose_points(refl, pts, k_cell)
-        cell_info = {"skipped": False, "size": len(pts), "T": asg.T,
-                     "trace": [vars(r) for r in trace.records]}
-        colors = {idx: asg.colors[local]
-                  for local, idx in enumerate(idxs) if local in asg.colors}
-        return cell_info, asg.T, colors
-
-    ordered = sorted(cells.items())
-    workers = min(max_workers, len(ordered)) if ordered else 1
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell,
-                                    [idxs for _, idxs in ordered]))
-    else:
-        results = [run_cell(idxs) for _, idxs in ordered]
-    for (cell, _), (cell_info, t_cell, colors) in zip(ordered, results):
-        info["cells"][cell] = cell_info
-        if t_cell is not None:
-            t_cells.append(t_cell)
-        color_of.update(colors)
+        info["cells"][cell] = {"skipped": False, "size": len(pts), "T": asg.T,
+                               "trace": [vars(r) for r in trace.records]}
+        t_cells.append(asg.T)
+        for local, c in asg.colors.items():
+            color_of[idxs[local]] = c
     T = min(t_cells) if t_cells else 0
     info["T"] = T
     if T < 2:

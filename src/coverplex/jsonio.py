@@ -160,9 +160,13 @@ def coloring_from_json(doc):
     from .cover import ColorAssignment
     try:
         asg = ColorAssignment(T=int_from_json(doc["T"], "T"))
+        if asg.T < 0:
+            raise InputError("T must be at least 0, got %d" % asg.T)
         for pid, c in enumerate(doc["colors"]):
             if c is not None:
                 asg.colors[pid] = int_from_json(c, "color")
+                if asg.colors[pid] < 1:
+                    raise InputError("colors must be at least 1, got %d" % c)
         return asg
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad coloring: %s" % exc) from exc

@@ -279,6 +279,19 @@ class _Fenwick:
             i -= i & -i
         return s
 
+    def longest_prefix_within(self, rem):
+        """Largest x with prefix(x) <= rem, for non-negative weights."""
+        t = self.t
+        pos = 0
+        step = 1 << self.n.bit_length()
+        while step:
+            nxt = pos + step
+            if nxt <= self.n and t[nxt] <= rem:
+                rem -= t[nxt]
+                pos = nxt
+            step >>= 1
+        return pos
+
 
 def dominance_loads(positions, items):
     """Load (weight of dominating points) at each position, via one sweep.
@@ -323,15 +336,11 @@ def wedge_load(poly, i, apex, points, weights=None, symbolic=True, frame=None):
     return total
 
 
-def min_load_on_curve(curve: LevelCurve, q_items, return_witness=False):
+def min_load_on_curve(curve: LevelCurve, q_items):
     """Minimum load over the canonical positions of the curve with respect to
     the given items; correct because the load is piecewise constant between
     canonical positions."""
     positions = canonical_positions(curve, q_items)
     if not q_items:
-        return (0, positions[0]) if return_witness else 0
-    loads = dominance_loads(positions, q_items)
-    best = min(range(len(loads)), key=lambda k: loads[k])
-    if return_witness:
-        return loads[best], positions[best]
-    return loads[best]
+        return 0
+    return min(dominance_loads(positions, q_items))

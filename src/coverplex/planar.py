@@ -11,16 +11,18 @@ certified only by full simulation (verify_planar), never assumed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .cover import _reserved_filter
-from .geometry import (ConvexPolygon, cell_partition, grid_spec,
-                       perturbation_direction, reflect)
-from .levelcurve import (LevelCurve, WedgeFrame, min_load_on_curve,
-                         position_index_ranges)
+from .cover import _iterate_vertices
+from .geometry import ConvexPolygon, cell_partition, grid_spec, reflect
+from .levelcurve import LevelCurve, position_index_ranges
 from .rsc import RscInstance, greedy_schedule
 from .verify import VerificationReport, check_assignments
+
+# unused here; perfbench/tracer.py patches these names in this module
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from .cover import _reserved_filter  # noqa: F401
+from .levelcurve import min_load_on_curve  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -70,24 +72,28 @@ def curve_rsc_instance(curve: LevelCurve, items):
     """1-D scheduling instance over the curve's canonical positions.
 
     Each item (a sensor's center in sheared coordinates, weight = duration)
-    becomes a 1-D sensor whose range is the index range of positions whose
-    wedge contains it.  Items outside every curve wedge are dropped.  The
-    back-map ties 1-D sensor ids to the original ids (they coincide).
+    becomes a 1-D sensor, with the same id, whose range is the index range
+    of positions whose wedge contains it.  Items outside every curve wedge
+    are dropped.
     """
     positions, ranges = position_index_ranges(curve, items)
     K = len(positions)
     sensors = []
-    back = {}
     for (_, _, pid, w) in items:
         rng = ranges[pid]
         if rng is None:
             continue
         sensors.append((pid, rng[0] + 1, rng[1] + 1, w))
-        back[pid] = pid
-    return RscInstance(K, sensors), back
+    return RscInstance(K, sensors)
 
 
-def plan_schedule(instance: PlanarInstance, max_workers=1) -> PlanarSchedule:
+def _schedule_block(curve: LevelCurve, items, t: int):
+    """Block solver of the planar vertex loop: the greedy 1-D schedule of
+    the curve instance, stopped once it covers t; {sensor id: start}."""
+    return greedy_schedule(curve_rsc_instance(curve, items), stop_at=t).start
+
+
+def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:
     """Assign start times to (a subset of) the sensors.
 
     Per grid cell, per polygon vertex: compute the weighted load floor over
@@ -99,8 +105,6 @@ def plan_schedule(instance: PlanarInstance, max_workers=1) -> PlanarSchedule:
     """
     poly = instance.polygon
     refl = reflect(poly)
-    n = refl.n
-    delta = perturbation_direction(refl)
     grid = grid_spec(refl)
     _, L = planar_load(instance)
     k_cell = L // grid.beta
@@ -113,58 +117,20 @@ def plan_schedule(instance: PlanarInstance, max_workers=1) -> PlanarSchedule:
 
     centers = [s.center for s in instance.sensors]
     cells = cell_partition(centers, grid)
-    frames = [WedgeFrame(refl, i, delta) for i in range(n)]
-
-    def run_cell(cell_sensors):
-        cell_info = {"size": len(cell_sensors), "iterations": []}
-        starts = {}
-        if sum(s.d for s in cell_sensors) < k_cell:
-            cell_info["skipped"] = True
-            return cell_info, starts
-        cell_info["skipped"] = False
-        pts = [s.center for s in cell_sensors]
-        durs = [s.d for s in cell_sensors]
-        ids = [s.id for s in cell_sensors]
-        all_items = [f.items(pts, weights=durs, ids=ids) for f in frames]
-        curves = [LevelCurve(frames[i], k_cell, all_items[i])
-                  for i in range(n)]
-        center_of = {s.id: s.center for s in cell_sensors}
-        unassigned = set(ids)
-        for i in range(n):
-            live = [[it for it in all_items[z] if it[2] in unassigned]
-                    for z in range(n)]
-            lw = min(min_load_on_curve(curves[z], live[z])
-                     for z in range(i, n))
-            t_i = lw // (64 * n)
-            if t_i == 0:
-                cell_info["iterations"].append(
-                    {"i": i, "L": lw, "t": 0, "x_size": 0, "assigned": 0})
-                continue
-            keep = _reserved_filter(
-                refl, i, delta, curves[i], live[i],
-                [center_of[it[2]] for it in live[i]], lw // (2 * n))
-            x_items = [it for it in live[i] if it[2] in keep]
-            rinst, back = curve_rsc_instance(curves[i], x_items)
-            block = greedy_schedule(rinst, stop_at=t_i)
-            for sid, t in block.start.items():
-                starts[back[sid]] = t
-                unassigned.discard(back[sid])
-            cell_info["iterations"].append(
-                {"i": i, "L": lw, "t": t_i, "x_size": len(x_items),
-                 "assigned": len(block.start)})
-        return cell_info, starts
-
-    ordered = sorted(cells.items())
-    workers = min(max_workers, len(ordered)) if ordered else 1
-    groups = [[instance.sensors[idx] for idx in idxs]
-              for _, idxs in ordered]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, groups))
-    else:
-        results = [run_cell(g) for g in groups]
-    for (cell, _), (cell_info, starts) in zip(ordered, results):
+    for cell, idxs in sorted(cells.items()):
+        cell_sensors = [instance.sensors[idx] for idx in idxs]
+        cell_info = {"size": len(cell_sensors), "iterations": [],
+                     "skipped": sum(s.d for s in cell_sensors) < k_cell}
         sched.info["cells"][cell] = cell_info
+        if cell_info["skipped"]:
+            continue
+        starts, records = _iterate_vertices(
+            refl, [s.center for s in cell_sensors], k_cell, _schedule_block,
+            weights=[s.d for s in cell_sensors],
+            ids=[s.id for s in cell_sensors])
+        cell_info["iterations"] = [
+            {"i": i, "L": lw, "t": t, "x_size": x_size, "assigned": assigned}
+            for (i, lw, t, x_size, assigned) in records]
         sched.start.update(starts)
     return sched
 

@@ -13,6 +13,16 @@ from dataclasses import dataclass, field
 INF = float("inf")
 
 
+def right_key(s):
+    """Tie rule for extending right: largest r, then smallest l, then id."""
+    return (-s.r, s.l, s.id)
+
+
+def left_key(s):
+    """Tie rule for extending left: smallest l, then largest r, then id."""
+    return (s.l, -s.r, s.id)
+
+
 @dataclass(frozen=True)
 class Sensor:
     id: int
@@ -97,12 +107,12 @@ def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
         live_i = [s for s in unassigned if s.l <= i <= s.r]
         if not live_i:
             break
-        s_right = min(live_i, key=lambda s: (-s.r, s.l, s.id))
+        s_right = min(live_i, key=right_key)
         if s_right.r < j:
             chosen, direction, closes = s_right, "right", i
         else:
             live_j = [s for s in unassigned if s.l <= j <= s.r]
-            s_left = min(live_j, key=lambda s: (s.l, -s.r, s.id))
+            s_left = min(live_j, key=left_key)
             m_left = covered_until[i - 1] if i > 1 else INF
             m_right = covered_until[j + 1] if j < m else INF
             if m_left >= m_right:
@@ -149,21 +159,17 @@ def duration(schedule: Schedule, instance: RscInstance):
 
 
 def dominant_right(instance: RscInstance, schedule: Schedule, x: int):
-    """Unassigned sensor live at x extending farthest right; ties prefer the
-    leftmost extension, then the smallest id."""
+    """Unassigned sensor live at x first under ``right_key``, or None."""
     live = [s for s in instance.sensors
             if s.id not in schedule.start and s.l <= x <= s.r]
-    if not live:
-        return None
-    return min(live, key=lambda s: (-s.r, s.l, s.id))
+    return min(live, key=right_key, default=None)
 
 
 def dominant_left(instance: RscInstance, schedule: Schedule, x: int):
+    """Unassigned sensor live at x first under ``left_key``, or None."""
     live = [s for s in instance.sensors
             if s.id not in schedule.start and s.l <= x <= s.r]
-    if not live:
-        return None
-    return min(live, key=lambda s: (s.l, -s.r, s.id))
+    return min(live, key=left_key, default=None)
 
 
 def coverage_profile(schedule: Schedule, instance: RscInstance):

@@ -170,14 +170,14 @@ def _member_range(positions, U, V):
 
 def verify_coloring(poly: ConvexPolygon, points, assignment, k):
     """Check that every wedge with apex on any level-k curve contains every
-    common color 1..T; reports achieved alpha = k / T."""
+    color 1..T (others count for none; T < 0 fails); alpha = k / T."""
     report = VerificationReport()
     T = assignment.T
-    report.alpha = (k / T) if T else None
+    report.alpha = (k / T) if T > 0 else None
     report.stats["T"] = T
-    if T == 0:
-        report.add("colors-present", True,
-                   "no common colors; vacuous" )
+    if T <= 0:
+        report.add("colors-present", T == 0,
+                   "no common colors; vacuous" if T == 0 else {"T": T})
         return report
     delta = perturbation_direction(poly)
     failure = None
@@ -190,7 +190,7 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
         present = [[0] * (K + 1) for _ in range(T + 1)]
         for (U, V, pid, _w) in items:
             color = assignment.colors.get(pid)
-            if color is None or color > T:
+            if color is None or not 1 <= color <= T:
                 continue
             rng = _member_range(positions, U, V)
             if rng is None:

@@ -216,16 +216,6 @@ def test_plot_coloring_svg(tmp_path, capsys):
     assert "<svg" in svg
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("COVERPLEX_THREADS", "3")
-    assert cli.thread_cap() == 3
-    monkeypatch.setenv("COVERPLEX_THREADS", "zero")
-    with pytest.raises(jsonio.InputError):
-        cli.thread_cap()
-    monkeypatch.delenv("COVERPLEX_THREADS")
-    assert cli.thread_cap() >= 1
-
-
 def test_num_from_json_accepts_only_exact_forms():
     assert jsonio.num_from_json("-21/6") == Fraction(-7, 2)
     assert jsonio.num_from_json(-4) == -4
@@ -304,6 +294,9 @@ BAD_NUMBERS = [
     (["decomp", "points"], _points_doc, ("points", 0), [0.5, 1]),
     (["decomp", "verify"], _coloring_doc, ("T",), 1.5),
     (["decomp", "verify"], _coloring_doc, ("colors", 0), 1.0),
+    (["decomp", "verify"], _coloring_doc, ("colors", 0), -1),
+    (["decomp", "verify"], _coloring_doc, ("colors", 0), 0),
+    (["decomp", "verify"], _coloring_doc, ("T",), -1),
     (["decomp", "translates"], _translates_doc, ("k",), False),
     (["decomp", "translates"], _translates_doc, ("centers", 0), [1, "1/0"]),
 ]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coverplex.cover import decompose_points
+from coverplex.cover import ColorAssignment, decompose_points
 from coverplex.generate import gen_points, gen_rsc, polygon
 from coverplex.rsc import (RscInstance, Schedule, duration, greedy_schedule,
                            load)
@@ -124,6 +124,25 @@ def test_verify_coloring_catches_missing_class():
     assert not report.ok()
     bad = [c for c in report.checks if not c.passed]
     assert bad and bad[0].witness["color"] == victim
+
+
+def test_verify_coloring_counts_only_colors_1_to_T():
+    pts = gen_points(12, size=500, span=40)
+    k = 450
+    asg, _ = decompose_points(TRIANGLE, pts, k)
+    assert asg.T >= 1
+    # a relabelled last class must not stand in for class T
+    for label in (-1, 0):
+        colors = {p: (label if c == asg.T else c)
+                  for p, c in asg.colors.items()}
+        report = verify_coloring(TRIANGLE, pts,
+                                 ColorAssignment(colors, asg.T), k)
+        assert not report.ok()
+        bad = [c for c in report.checks if not c.passed]
+        assert bad[0].witness["color"] == asg.T
+    report = verify_coloring(TRIANGLE, pts, ColorAssignment({}, -1), k)
+    assert not report.ok()
+    assert report.alpha is None
 
 
 def test_verify_coloring_zero_classes_vacuous():
