@@ -110,7 +110,10 @@ def cmd_decomp_translates(args):
         k = jsonio.int_from_json(doc["k"], "k")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("expected {polygon, centers, k}: %s" % exc)
-    classes, info = cover.decompose_translates(poly, centers, k)
+    try:
+        classes, info = cover.decompose_translates(poly, centers, k)
+    except ValueError as exc:
+        raise InputError(str(exc))
 
     def clean(v):
         if isinstance(v, dict):
@@ -133,7 +136,10 @@ def cmd_decomp_verify(args):
         asg = jsonio.coloring_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("expected {polygon, points, k, colors, T}: %s" % exc)
-    report = verify.verify_coloring(poly, points, asg, k)
+    try:
+        report = verify.verify_coloring(poly, points, asg, k)
+    except ValueError as exc:  # level not positive or above the total load
+        raise InputError(str(exc))
     _emit_json(args, report.to_json())
     return 0 if report.ok() else 1
 
@@ -193,13 +199,16 @@ def cmd_plot_curve(args):
     poly, points, k = jsonio.decomp_instance_from_json(doc)
     r = jsonio.int_from_json(doc.get("r", k), "r")
     i = jsonio.int_from_json(doc.get("i", 0), "i")
-    if args.format == "json":
-        from .levelcurve import WedgeFrame, LevelCurve
-        frame = WedgeFrame(poly, i)
-        curve = LevelCurve(frame, r, frame.items(points))
-        _emit_json(args, jsonio.curve_to_json(curve, i, r))
-    else:
-        _write(args, svgplot.svg_curve(poly, i, points, r))
+    try:
+        if args.format == "json":
+            from .levelcurve import WedgeFrame, LevelCurve
+            frame = WedgeFrame(poly, i)
+            curve = LevelCurve(frame, r, frame.items(points))
+            _emit_json(args, jsonio.curve_to_json(curve, i, r))
+        else:
+            _write(args, svgplot.svg_curve(poly, i, points, r))
+    except ValueError as exc:  # level not positive or above the total load
+        raise InputError(str(exc))
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .geometry import (ConvexPolygon, cell_partition, dot, grid_spec,
                        int_scaled, perturbation_direction, reflect,
                        strict_support_edges)
-from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
+from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick, index_min_load,
                          min_load_on_curve, position_index_ranges)
 
 
@@ -153,17 +153,18 @@ def _order_ranks(poly, j, delta, points, ids):
     return {ids[idx]: r for r, idx in enumerate(order, 1)}
 
 
-def _reserved_filter(poly, i, delta, curve, items, points, target):
+def _reserved_filter(poly, i, delta, index, items, points, target):
     """Point ids that survive the extreme-prefix reservation.
 
-    At each canonical curve position, the minimal prefix of current wedge
-    members in decreasing order along every reserved direction whose total
-    weight reaches ``target`` is reserved; a point survives if some position
-    has it as a non-reserved member.  With unit weights the prefix is simply
-    the first ``target`` points.
+    ``index`` is position_index_ranges(curve, items).  At each canonical
+    curve position, the minimal prefix of current wedge members in
+    decreasing order along every reserved direction whose total weight
+    reaches ``target`` is reserved; a point survives if some position has it
+    as a non-reserved member.  With unit weights the prefix is simply the
+    first ``target`` points.
     """
     support = sorted(strict_support_edges(poly, i))
-    positions, ranges = position_index_ranges(curve, items)
+    positions, ranges = index
     K = len(positions)
     ids = [pid for (_, _, pid, _w) in items]
     weight = {pid: w for (_, _, pid, w) in items}
@@ -248,8 +249,10 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     For each vertex i of ``poly``: the minimum load L of the items not yet
     chosen over the level curves i..n-1, t = L // (64n), the extreme-prefix
     reservation at L // (2n), then ``solve_block(curve, x_items, t)``, which
-    chooses surviving items as {id: value}; skipped when t is 0.  Returns
-    the chosen map and one (i, L, t, x_size, chosen) record per vertex.
+    chooses surviving items as {id: value}; skipped when t is 0.  Curve i's
+    position index is built once and serves both its load and the
+    reservation.  Returns the chosen map and one (i, L, t, x_size, chosen)
+    record per vertex.
     """
     n = poly.n
     delta = perturbation_direction(poly)
@@ -263,13 +266,15 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     for i in range(n):
         live = [[it for it in all_items[z] if it[2] not in chosen]
                 for z in range(i, n)]
-        L = min(min_load_on_curve(curves[z], items)
-                for z, items in zip(range(i, n), live))
+        index = position_index_ranges(curves[i], live[0])
+        L = min([index_min_load(index, live[0])]
+                + [min_load_on_curve(curves[z], items)
+                   for z, items in zip(range(i + 1, n), live[1:])])
         t_i = L // (64 * n)
         if t_i == 0:
             records.append((i, L, 0, 0, 0))
             continue
-        keep = _reserved_filter(poly, i, delta, curves[i], live[0],
+        keep = _reserved_filter(poly, i, delta, index, live[0],
                                 [point_of[it[2]] for it in live[0]],
                                 L // (2 * n))
         x_items = [it for it in live[0] if it[2] in keep]

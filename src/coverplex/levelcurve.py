@@ -20,6 +20,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .geometry import ConvexPolygon, cross, int_scaled, perturbation_direction
 
@@ -135,16 +136,39 @@ class LevelCurve:
         drops.append((us[last_j], prev, NEG_INF))
         self.drops = drops
         self._drop_us = [d[0] for d in drops]
-        self._drop_vlos = [d[2] for d in drops]
+        # v_below tail to head: strictly increasing, for bisect
+        self._vlos_rev = [d[2] for d in reversed(drops)]
         self.head = (drops[0][0], drops[0][1])
         tail_candidates = [self.items[j][1] for j in range(last_j, n)]
         self.tail = (us[last_j], min([thr[last_j]] + tail_candidates))
+        self._base = None
+
+    def _keyed_base(self):
+        """{walk key: position} of the head-ray representative, the head,
+        every staircase corner, the tail and the tail-ray representative;
+        keyed on first use."""
+        if self._base is None:
+            head_u, head_level = self.head
+            tail_u, tail_v = self.tail
+            base = [((head_u[0] - 2, head_u[1]), head_level), self.head]
+            for (du, v_hi, v_lo) in self.drops:
+                base.append((du, v_hi))
+                if v_lo != NEG_INF:
+                    base.append((du, v_lo))
+            base += [self.tail, (tail_u, (tail_v[0] - 2, tail_v[1]))]
+            self._base = {walk_key(pos): pos for pos in base}
+        return self._base
 
     # -- queries ---------------------------------------------------------
 
     def interval_of(self, U_q, V_q):
         """Closed range of curve positions whose wedge contains the point
         with sheared coords (U_q, V_q); None when empty."""
+        ends = self._ends(U_q, V_q)
+        return None if ends is None else CurveInterval(*ends)
+
+    def _ends(self, U_q, V_q):
+        """interval_of as a plain (lo, hi) pair, or None."""
         drops = self.drops
         # latest position with u <= U_q
         idx = bisect_left(self._drop_us, U_q)
@@ -161,18 +185,12 @@ class LevelCurve:
         if V_q >= head_level:
             lo = (NEG_INF, head_level)
         else:
-            # v_below is strictly decreasing over drops; find the first <= V_q
-            a, b = 0, len(drops) - 1
-            while a < b:
-                m = (a + b) // 2
-                if self._drop_vlos[m] <= V_q:
-                    b = m
-                else:
-                    a = m + 1
+            # first drop whose v_below is <= V_q
+            a = len(drops) - bisect_right(self._vlos_rev, V_q)
             lo = (drops[a][0], V_q)
         if lo[0] > U_q:
             return None
-        return CurveInterval(lo=lo, hi=hi)
+        return lo, hi
 
     def chain_real(self):
         """Finite staircase vertices in the real plane, head to tail."""
@@ -190,6 +208,63 @@ def build_level_curve(poly, i, points, level, weights=None, frame=None):
     return LevelCurve(frame, level, frame.items(points, weights))
 
 
+# bisect keys of the infinite interval ends: before and after every position
+_BEFORE_ALL = (float("-inf"),)
+_AFTER_ALL = (float("inf"),)
+
+
+def _keyed_positions(curve: LevelCurve, items):
+    """Canonical positions, their walk keys, and per item the walk keys of
+    its interval's two ends (None when empty), from one interval pass.
+
+    A ray end gets a shared key below or above every position, and any other
+    end's key is, repeats aside, the one ``seen`` holds: keeping the keys
+    adds almost no objects for the garbage collector to count.
+    """
+    seen = dict(curve._keyed_base())
+    lo_keys, hi_keys = [], []
+    for (U, V, _pid, _w) in items:
+        iv = curve._ends(U, V)
+        if iv is None:
+            lo_keys.append(None)
+            hi_keys.append(None)
+            continue
+        lo, hi = iv
+        if lo[0] == NEG_INF:
+            lo_keys.append(_BEFORE_ALL)
+        else:
+            key = walk_key(lo)
+            seen[key] = lo
+            lo_keys.append(key)
+        if hi[1] == NEG_INF:
+            hi_keys.append(_AFTER_ALL)
+        else:
+            key = walk_key(hi)
+            seen[key] = hi
+            hi_keys.append(key)
+    # gap representatives; all base positions have even coordinates, so the
+    # integer midpoint is exact and strictly inside
+    positions, keys = [], []
+    ordered = sorted(seen)
+    for ka, kb in zip(ordered, ordered[1:]):
+        a, b = seen[ka], seen[kb]
+        positions.append(a)
+        keys.append(ka)
+        if a[0] == b[0]:
+            mid = (a[0], ((a[1][0] + b[1][0]) // 2, (a[1][1] + b[1][1]) // 2))
+        elif a[1] == b[1]:
+            mid = (((a[0][0] + b[0][0]) // 2, (a[0][1] + b[0][1]) // 2), a[1])
+        else:
+            raise AssertionError("gap straddles a staircase corner")
+        km = walk_key(mid)
+        if ka < km < kb:
+            positions.append(mid)
+            keys.append(km)
+    positions.append(seen[ordered[-1]])
+    keys.append(ordered[-1])
+    return positions, keys, lo_keys, hi_keys
+
+
 def canonical_positions(curve: LevelCurve, q_items):
     """Finitely many curve positions such that the wedge content from the
     given points is constant strictly between consecutive ones.
@@ -198,46 +273,7 @@ def canonical_positions(curve: LevelCurve, q_items):
     one representative out on each infinite ray, and one representative
     strictly inside each remaining gap.
     """
-    seen = {}
-
-    def add(pos):
-        seen.setdefault(walk_key(pos), pos)
-
-    drops = curve.drops
-    head_u, head_level = curve.head
-    add(((head_u[0] - 2, head_u[1]), head_level))  # head-ray representative
-    add(curve.head)
-    for (du, v_hi, v_lo) in drops:
-        add((du, v_hi))
-        if v_lo != NEG_INF:
-            add((du, v_lo))
-    add(curve.tail)
-    tail_u, tail_v = curve.tail
-    add((tail_u, (tail_v[0] - 2, tail_v[1])))  # tail-ray representative
-    for (U, V, _pid, _w) in q_items:
-        iv = curve.interval_of(U, V)
-        if iv is None:
-            continue
-        if iv.lo[0] != NEG_INF:
-            add(iv.lo)
-        if iv.hi[1] != NEG_INF:
-            add(iv.hi)
-    ordered = [seen[k] for k in sorted(seen)]
-    # gap representatives; all base positions have even coordinates, so the
-    # integer midpoint is exact and strictly inside
-    out = []
-    for a, b in zip(ordered, ordered[1:]):
-        out.append(a)
-        if a[0] == b[0]:
-            mid = (a[0], ((a[1][0] + b[1][0]) // 2, (a[1][1] + b[1][1]) // 2))
-        elif a[1] == b[1]:
-            mid = (((a[0][0] + b[0][0]) // 2, (a[0][1] + b[0][1]) // 2), a[1])
-        else:
-            raise AssertionError("gap straddles a staircase corner")
-        if walk_key(a) < walk_key(mid) < walk_key(b):
-            out.append(mid)
-    out.append(ordered[-1])
-    return out
+    return _keyed_positions(curve, q_items)[0]
 
 
 def position_index_ranges(curve: LevelCurve, items):
@@ -247,18 +283,27 @@ def position_index_ranges(curve: LevelCurve, items):
     Interval endpoints are themselves canonical, so the snapping is exact;
     infinite ray endpoints snap to the ray representatives at the ends.
     """
-    positions = canonical_positions(curve, items)
-    keys = [walk_key(p) for p in positions]
+    positions, keys, lo_keys, hi_keys = _keyed_positions(curve, items)
     ranges = {}
-    for (U, V, pid, _w) in items:
-        iv = curve.interval_of(U, V)
-        if iv is None:
-            ranges[pid] = None
-            continue
-        lo_idx = bisect_left(keys, walk_key(iv.lo))
-        hi_idx = bisect_right(keys, walk_key(iv.hi)) - 1
-        ranges[pid] = (lo_idx, hi_idx)
+    for (_, _, pid, _w), lo, hi in zip(items, lo_keys, hi_keys):
+        ranges[pid] = None if lo is None else (
+            bisect_left(keys, lo), bisect_right(keys, hi) - 1)
     return positions, ranges
+
+
+def index_min_load(index, items):
+    """Minimum load over the positions of ``index`` (positions, ranges from
+    position_index_ranges): the load at a position is the weight of the
+    items whose range contains it, summed by a difference array."""
+    positions, ranges = index
+    diff = [0] * (len(positions) + 1)
+    for (_, _, pid, w) in items:
+        rng = ranges[pid]
+        if rng is not None:
+            diff[rng[0]] += w
+            diff[rng[1] + 1] -= w
+    diff.pop()
+    return min(accumulate(diff))
 
 
 class _Fenwick:
@@ -293,32 +338,6 @@ class _Fenwick:
         return pos
 
 
-def dominance_loads(positions, items):
-    """Load (weight of dominating points) at each position, via one sweep.
-
-    positions: list of ((u),(v)) pairs; items: (U, V, pid, w).  Returns a
-    list parallel to positions.
-    """
-    vs = sorted(it[1] for it in items)
-    fw = _Fenwick(len(vs))
-    by_u = sorted(range(len(items)), key=lambda k: items[k][0], reverse=True)
-    order = sorted(range(len(positions)), key=lambda k: positions[k][0],
-                   reverse=True)
-    loads = [0] * len(positions)
-    ptr = 0
-    total = 0
-    for k in order:
-        u, v = positions[k]
-        while ptr < len(by_u) and items[by_u[ptr]][0] >= u:
-            it = items[by_u[ptr]]
-            fw.add(bisect_left(vs, it[1]), it[3])
-            total += it[3]
-            ptr += 1
-        lo_rank = bisect_left(vs, v)
-        loads[k] = total - fw.prefix(lo_rank)
-    return loads
-
-
 def wedge_load(poly, i, apex, points, weights=None, symbolic=True, frame=None):
     """Count (or weighted sum) of points inside the wedge at vertex i with
     the given apex; the apex itself carries no symbolic shift."""
@@ -340,7 +359,4 @@ def min_load_on_curve(curve: LevelCurve, q_items):
     """Minimum load over the canonical positions of the curve with respect to
     the given items; correct because the load is piecewise constant between
     canonical positions."""
-    positions = canonical_positions(curve, q_items)
-    if not q_items:
-        return 0
-    return min(dominance_loads(positions, q_items))
+    return index_min_load(position_index_ranges(curve, q_items), q_items)

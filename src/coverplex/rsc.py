@@ -47,12 +47,6 @@ class RscInstance:
             if s.d < 1:
                 raise ValueError("sensor %d needs positive duration" % s.id)
 
-    def by_id(self, sid):
-        for s in self.sensors:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
-
 
 @dataclass
 class Assignment:

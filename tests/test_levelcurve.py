@@ -6,9 +6,10 @@ import pytest
 from coverplex.geometry import ConvexPolygon, wedge_contains
 from coverplex.levelcurve import (EmptyLevelCurveError, LevelCurve,
                                   WedgeFrame, build_level_curve,
-                                  canonical_positions, dominance_loads,
-                                  min_load_on_curve, position_index_ranges,
-                                  walk_key, wedge_load)
+                                  canonical_positions, min_load_on_curve,
+                                  position_index_ranges, walk_key,
+                                  wedge_load)
+from reference import dominance_loads
 
 # vertex 0 of this CCW square has cone spanned by +y and +x, so its wedge
 # with apex a contains exactly the points >= a componentwise

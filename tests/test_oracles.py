@@ -1,9 +1,10 @@
 """Fast exact paths checked against direct oracles on random instances.
 
 Each oracle is the plain formula the fast path replaced, kept here as the
-reference: translate membership by Fraction arithmetic on every edge, and
-the extreme-prefix reservation by sorting the members of every canonical
-curve position.
+reference: translate membership by Fraction arithmetic on every edge, the
+extreme-prefix reservation by sorting the members of every canonical curve
+position, and position index ranges and curve loads by testing every
+canonical position against every item.
 """
 
 from fractions import Fraction
@@ -15,7 +16,8 @@ from coverplex.generate import POLYGONS
 from coverplex.geometry import (ConvexPolygon, cross, dot,
                                 perturbation_direction, reflect,
                                 strict_support_edges, sub)
-from coverplex.levelcurve import LevelCurve, WedgeFrame, canonical_positions
+from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
+                                  min_load_on_curve, position_index_ranges)
 
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 # one vertex is the strict support point of two edge normals, which takes the
@@ -142,7 +144,9 @@ def reserved_ref(poly, i, delta, curve, items, points, target):
 
 
 @st.composite
-def filter_cases(draw):
+def weighted_cases(draw):
+    """Named, kite or random polygon (maybe reflected), a vertex, weighted
+    points with scattered distinct ids, and a level up to their total."""
     shape = draw(st.sampled_from(sorted(POLYGONS) + ["kite", "random"]))
     if shape == "kite":
         poly = ConvexPolygon(KITE)
@@ -162,9 +166,14 @@ def filter_cases(draw):
     weights = draw(st.lists(st.integers(1, 4), min_size=size,
                             max_size=size))
     ids = [3 * pid + 1 for pid in draw(st.permutations(range(size)))]
-    total = sum(weights)
-    level = draw(st.integers(1, total))
-    target = draw(st.integers(0, total + 1))
+    level = draw(st.integers(1, sum(weights)))
+    return poly, i, pts, weights, ids, level
+
+
+@st.composite
+def filter_cases(draw):
+    poly, i, pts, weights, ids, level = draw(weighted_cases())
+    target = draw(st.integers(0, sum(weights) + 1))
     return poly, i, pts, weights, ids, level, target
 
 
@@ -176,5 +185,55 @@ def test_reserved_filter_matches_direct_oracle(case):
     frame = WedgeFrame(poly, i, delta)
     items = frame.items(pts, weights=weights, ids=ids)
     curve = LevelCurve(frame, level, items)
-    got = _reserved_filter(poly, i, delta, curve, items, pts, target)
+    got = _reserved_filter(poly, i, delta, position_index_ranges(curve, items),
+                           items, pts, target)
     assert got == reserved_ref(poly, i, delta, curve, items, pts, target)
+
+
+@st.composite
+def curve_queries(draw):
+    """A level curve and query items: a random live subset of the curve's
+    own items, extra points from a wider box, maybe an item outside every
+    wedge (below the head level, left of the head), and maybe items on the
+    head ray and on the tail ray (at the head or tail when the offset is
+    0)."""
+    poly, i, pts, weights, ids, level = draw(weighted_cases())
+    frame = WedgeFrame(poly, i)
+    items = frame.items(pts, weights=weights, ids=ids)
+    curve = LevelCurve(frame, level, items)
+    live = [it for it in items if draw(st.booleans())]
+    wide = st.tuples(st.integers(-8, 16), st.integers(-8, 16))
+    extra = draw(st.lists(wide, max_size=4))
+    next_id = 3 * len(pts) + 2
+    live += frame.items(extra, weights=[2] * len(extra),
+                        ids=list(range(next_id, next_id + len(extra))))
+    next_id += len(extra)
+    (head_u, head_v), (tail_u, tail_v) = curve.head, curve.tail
+    gap = 2 * draw(st.integers(1, 3))
+    off = 2 * draw(st.integers(0, 3))
+    rays = [((head_u[0] - gap, 0), (head_v[0] - gap, 0)),  # in no wedge
+            ((head_u[0] - off, head_u[1]), head_v),
+            (tail_u, (tail_v[0] - off, tail_v[1]))]
+    for k, (U, V) in enumerate(rays):
+        if draw(st.booleans()):
+            live.append((U, V, next_id + k, draw(st.integers(1, 4))))
+    return curve, live
+
+
+@ORACLE
+@given(curve_queries())
+def test_position_index_and_min_load_match_membership_oracle(case):
+    curve, items = case
+    positions, ranges = position_index_ranges(curve, items)
+    assert positions == canonical_positions(curve, items)
+    for (U, V, pid, _w) in items:
+        member = [idx for idx, (u, v) in enumerate(positions)
+                  if u <= U and v <= V]
+        if not member:
+            assert ranges[pid] is None
+            continue
+        assert member == list(range(member[0], member[-1] + 1))
+        assert ranges[pid] == (member[0], member[-1])
+    brute = min(sum(w for (U, V, _pid, w) in items if U >= u and V >= v)
+                for (u, v) in positions)
+    assert min_load_on_curve(curve, items) == brute
