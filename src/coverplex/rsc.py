@@ -9,6 +9,7 @@ never overlaps more than a bounded number of sensors at one point in time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 INF = float("inf")
 
@@ -69,21 +70,31 @@ class Schedule:
 
 def load(instance: RscInstance):
     """Per-coordinate total durations and their minimum L."""
-    per = [0] * (instance.m + 1)
+    diff = [0] * (instance.m + 2)
     for s in instance.sensors:
-        for x in range(s.l, s.r + 1):
-            per[x] += s.d
-    per_coord = per[1:]
+        diff[s.l] += s.d
+        diff[s.r + 1] -= s.d
+    per_coord = list(accumulate(diff[1:instance.m + 1]))
     return per_coord, min(per_coord)
+
+
+def _first_live(ordered, start, x):
+    """First sensor of `ordered` (sorted by a tie rule) that is unassigned
+    and live at x, or None."""
+    for s in ordered:
+        if s.l <= x <= s.r and s.id not in start:
+            return s
+    return None
 
 
 def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
     m = instance.m
-    horizon = sum(s.d for s in instance.sensors) + max(
-        (s.d for s in instance.sensors), default=0) + 2
-    cov = [bytearray(horizon + 2) for _ in range(m + 2)]
+    # Every start is t = min covered_until + 1 <= covered_until[x] + 1 at each
+    # coordinate x of the chosen range, so the times covered at x are always
+    # the prefix 1..covered_until[x]: one number per coordinate, no timeline.
     covered_until = [0] * (m + 2)
-    unassigned = sorted(instance.sensors, key=lambda s: s.id)
+    by_right = sorted(instance.sensors, key=right_key)
+    by_left = sorted(instance.sensors, key=left_key)
     sched = Schedule(stop_at=stop_at)
 
     def current_duration():
@@ -93,40 +104,59 @@ def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
         t = current_duration() + 1
         # coordinates achieving the minimum are exactly the ones uncovered
         # at time t
-        i = next(x for x in range(1, m + 1) if covered_until[x] < t)
+        i = covered_until.index(t - 1, 1)
         j = i
         while j + 1 <= m and covered_until[j + 1] < t:
             j += 1
 
-        live_i = [s for s in unassigned if s.l <= i <= s.r]
-        if not live_i:
+        s_right = _first_live(by_right, sched.start, i)
+        if s_right is None:
             break
-        s_right = min(live_i, key=right_key)
         if s_right.r < j:
             chosen, direction, closes = s_right, "right", i
         else:
-            live_j = [s for s in unassigned if s.l <= j <= s.r]
-            s_left = min(live_j, key=left_key)
             m_left = covered_until[i - 1] if i > 1 else INF
             m_right = covered_until[j + 1] if j < m else INF
             if m_left >= m_right:
                 chosen, direction, closes = s_right, "right", i
             else:
-                chosen, direction, closes = s_left, "left", j
+                chosen, direction, closes = (
+                    _first_live(by_left, sched.start, j), "left", j)
 
         sched.start[chosen.id] = t
         sched.events.append(Assignment(id=chosen.id, t=t, closes=closes,
                                        direction=direction, interval=(i, j)))
-        unassigned.remove(chosen)
+        end = t + chosen.d - 1
         for x in range(chosen.l, chosen.r + 1):
-            row = cov[x]
-            for tt in range(t, min(t + chosen.d, horizon + 1)):
-                row[tt] += 1
-            while row[covered_until[x] + 1]:
-                covered_until[x] += 1
+            if covered_until[x] < end:
+                covered_until[x] = end
         if stop_at is not None and current_duration() >= stop_at:
             break
     return sched
+
+
+def _coordinate_spans(schedule: Schedule, instance: RscInstance):
+    """Index x in 1..m -> (start, end) spans of the assigned sensors live
+    at x."""
+    spans = [[] for _ in range(instance.m + 1)]
+    for s in instance.sensors:
+        t0 = schedule.start.get(s.id)
+        if t0 is not None:
+            span = (t0, t0 + s.d - 1)
+            for x in range(s.l, s.r + 1):
+                spans[x].append(span)
+    return spans
+
+
+def _covered_prefix(spans):
+    """Length of the run of times 1, 2, ... covered by (start, end) spans."""
+    t = 0
+    for a, b in sorted(spans):
+        if a > t + 1:
+            break
+        if b > t:
+            t = b
+    return t
 
 
 def duration_at(schedule: Schedule, instance: RscInstance, x: int):
@@ -134,22 +164,12 @@ def duration_at(schedule: Schedule, instance: RscInstance, x: int):
     Boundary coordinates 0 and m+1 count as always covered."""
     if x < 1 or x > instance.m:
         return INF
-    covered = set()
-    for s in instance.sensors:
-        t0 = schedule.start.get(s.id)
-        if t0 is None or not (s.l <= x <= s.r):
-            continue
-        covered.update(range(t0, t0 + s.d))
-    t = 0
-    while (t + 1) in covered:
-        t += 1
-    return t
+    return _covered_prefix(_coordinate_spans(schedule, instance)[x])
 
 
 def duration(schedule: Schedule, instance: RscInstance):
     """M(S) = min over coordinates of M(S, x)."""
-    return min(duration_at(schedule, instance, x)
-               for x in range(1, instance.m + 1))
+    return min(map(_covered_prefix, _coordinate_spans(schedule, instance)[1:]))
 
 
 def dominant_right(instance: RscInstance, schedule: Schedule, x: int):

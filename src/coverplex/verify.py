@@ -2,16 +2,20 @@
 
 Everything here re-derives coverage, membership, and loads by direct
 simulation or direct per-point tests; none of the algorithmic machinery
-(interval snapping, sweeps, greedy state) is reused, so a bug in the
-algorithms cannot hide itself.
+(interval snapping, level-curve sweeps, greedy state) is reused, so a bug in
+the algorithms cannot hide itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .geometry import ConvexPolygon, perturbation_direction
 from .levelcurve import LevelCurve, WedgeFrame, canonical_positions
+
+INF = float("inf")
 
 
 @dataclass
@@ -175,11 +179,15 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
     T = assignment.T
     report.alpha = (k / T) if T > 0 else None
     report.stats["T"] = T
+    delta = perturbation_direction(poly)
     if T <= 0:
+        # no class to search for, but the level must still be one that a
+        # level curve accepts (ValueError otherwise)
+        frame = WedgeFrame(poly, 0, delta)
+        LevelCurve(frame, k, frame.items(points))
         report.add("colors-present", T == 0,
                    "no common colors; vacuous" if T == 0 else {"T": T})
         return report
-    delta = perturbation_direction(poly)
     failure = None
     for i in range(poly.n):
         frame = WedgeFrame(poly, i, delta)
@@ -235,36 +243,88 @@ def _active_times(instance, schedule):
             out[s.id] = (s, t0, t0 + s.d - 1)
     return out
 
+
+def _range_sums(m, weighted):
+    """Index x in 1..m -> total weight of the (sensor, weight) pairs whose
+    range holds x, by a difference array."""
+    diff = [0] * (m + 2)
+    for s, w in weighted:
+        diff[s.l] += w
+        diff[s.r + 1] -= w
+    return list(accumulate(diff))
+
+
+def _prefix_end(spans):
+    """Last time of the run 1, 2, ... that the (start, end) spans cover."""
+    t = 0
+    for a, b in sorted(spans):
+        if a > t + 1:
+            break
+        if b > t:
+            t = b
+    return t
+
+
+def _first_overload(spans, cap):
+    """(time, count) at the earliest time more than `cap` spans hold, by a
+    sweep over the sorted starts and ends; None when there is none."""
+    starts = sorted(a for a, _ in spans)
+    ends = sorted(b for _, b in spans)
+    gone = 0
+    # the count rises only at a start, so the earliest overload is at one:
+    # after the last start at t, with the spans ending before t gone
+    for k, t in enumerate(starts):
+        if k + 1 < len(starts) and starts[k + 1] == t:
+            continue
+        while ends[gone] < t:
+            gone += 1
+        if k + 1 - gone > cap:
+            return t, k + 1 - gone
+    return None
+
+
+def _holds(merged, t):
+    """Whether time t lies in one of the disjoint sorted (start, end)
+    spans."""
+    k = bisect_right(merged, (t, INF)) - 1
+    return k >= 0 and merged[k][1] >= t
+
+
+def _add_span(merged, a, b):
+    """Add [a, b] to disjoint sorted spans, merging it with every span it
+    overlaps or touches."""
+    lo = bisect_left(merged, (a, -INF))
+    if lo and merged[lo - 1][1] >= a - 1:
+        lo -= 1
+    hi = lo
+    while hi < len(merged) and merged[hi][0] <= b + 1:
+        hi += 1
+    if lo < hi:
+        a, b = min(a, merged[lo][0]), max(b, merged[hi - 1][1])
+    merged[lo:hi] = [(a, b)]
+
+
 def verify_rsc(instance, schedule):
-    """Check the scheduler's four guarantees by direct simulation."""
+    """Check the scheduler's four guarantees from each coordinate's list of
+    (start, end) spans; cost follows sensors and ranges, not durations."""
     report = VerificationReport()
     check_assignments(report, instance.sensors, schedule.start)
     active = _active_times(instance, schedule)
     m = instance.m
-    horizon = max((end for (_, _, end) in active.values()), default=0)
 
-    cover = [dict() for _ in range(m + 1)]  # x -> {t: count}
+    spans = [[] for _ in range(m + 1)]
     for (s, t0, t1) in active.values():
         for x in range(s.l, s.r + 1):
-            for t in range(t0, t1 + 1):
-                cover[x][t] = cover[x].get(t, 0) + 1
-
-    def m_at(x):
-        t = 0
-        while cover[x].get(t + 1, 0) > 0:
-            t += 1
-        return t
-
-    m_s = min((m_at(x) for x in range(1, m + 1)), default=0)
+            spans[x].append((t0, t1))
+    m_at = [_prefix_end(sp) for sp in spans]  # index 0 unused
+    m_s = min(m_at[1:], default=0)
     report.stats["M"] = m_s
 
     witness = None
     for x in range(1, m + 1):
-        for t, c in cover[x].items():
-            if c > 5:
-                witness = {"x": x, "t": t, "coverage": c}
-                break
-        if witness:
+        hit = _first_overload(spans[x], 5)
+        if hit:
+            witness = {"x": x, "t": hit[0], "coverage": hit[1]}
             break
     report.add("coverage-at-most-5", witness is None, witness)
 
@@ -283,11 +343,8 @@ def verify_rsc(instance, schedule):
             break
     report.add("nested-ranges-sequential", witness is None, witness)
 
-    per = [0] * (m + 1)
-    for s in instance.sensors:
-        for x in range(s.l, s.r + 1):
-            per[x] += s.d
-    L = min(per[1:]) if m else 0
+    per = _range_sums(m, ((s, s.d) for s in instance.sensors))
+    L = min(per[1:m + 1]) if m else 0
     report.stats["L"] = L
     need = L // 5 if schedule.stop_at is None else min(schedule.stop_at,
                                                        L // 5)
@@ -296,29 +353,30 @@ def verify_rsc(instance, schedule):
 
     d_max = max((s.d for s in instance.sensors), default=0)
     t_eff = schedule.stop_at if schedule.stop_at is not None else m_s
+    bound = 5 * (t_eff + d_max)
+    assigned_live = _range_sums(m, ((s, s.d)
+                                    for (s, _, _) in active.values()))
     witness = None
     for x in range(1, m + 1):
-        assigned_live = sum(s.d for (s, _, _) in active.values()
-                            if s.l <= x <= s.r)
-        if assigned_live > 5 * (t_eff + d_max):
-            witness = {"x": x, "assigned_live_duration": assigned_live,
-                       "bound": 5 * (t_eff + d_max)}
+        if assigned_live[x] > bound:
+            witness = {"x": x, "assigned_live_duration": assigned_live[x],
+                       "bound": bound}
             break
     report.add("stopped-load-bound", witness is None, witness)
 
-    # closing semantics: replay the event log
+    # closing semantics: replay the event log, merged spans per coordinate
     witness = None
-    replay = [set() for _ in range(m + 1)]
+    replay = [[] for _ in range(m + 1)]
     sensor_of = {s.id: s for s in instance.sensors}
     for ev in schedule.events:
         s = sensor_of[ev.id]
-        if ev.t in replay[ev.closes]:
+        if _holds(replay[ev.closes], ev.t):
             witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
                        "reason": "already covered"}
             break
         for x in range(s.l, s.r + 1):
-            replay[x].update(range(ev.t, ev.t + s.d))
-        if ev.t not in replay[ev.closes]:
+            _add_span(replay[x], ev.t, ev.t + s.d - 1)
+        if not _holds(replay[ev.closes], ev.t):
             witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
                        "reason": "still uncovered"}
             break
@@ -326,9 +384,10 @@ def verify_rsc(instance, schedule):
 
     stopped = schedule.stop_at is not None and m_s >= schedule.stop_at
     if not stopped:
-        blocked = [x for x in range(1, m + 1) if m_at(x) == m_s and not any(
-            s.id not in schedule.start and s.l <= x <= s.r
-            for s in instance.sensors)]
+        free = _range_sums(m, ((s, 1) for s in instance.sensors
+                               if s.id not in schedule.start))
+        blocked = [x for x in range(1, m + 1)
+                   if m_at[x] == m_s and not free[x]]
         report.add("termination-blocked-coordinate", bool(blocked) or m == 0,
                    None if blocked or m == 0 else {"M": m_s})
     report.ratio = (m_s / L) if L else None

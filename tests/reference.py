@@ -4,6 +4,8 @@ fast paths are checked against."""
 from bisect import bisect_left
 
 from coverplex.levelcurve import _Fenwick
+from coverplex.rsc import INF, Assignment, Schedule
+from coverplex.verify import VerificationReport, check_assignments
 
 
 def dominance_loads(positions, items):
@@ -30,3 +32,200 @@ def dominance_loads(positions, items):
         lo_rank = bisect_left(vs, v)
         loads[k] = total - fw.prefix(lo_rank)
     return loads
+
+
+# ---------------------------------------------------------------------------
+# restricted strip cover by time-step simulation
+
+
+def load(instance):
+    """Per-coordinate total durations and their minimum L, coordinate by
+    coordinate."""
+    per = [0] * (instance.m + 1)
+    for s in instance.sensors:
+        for x in range(s.l, s.r + 1):
+            per[x] += s.d
+    per_coord = per[1:]
+    return per_coord, min(per_coord)
+
+
+def greedy_schedule(instance, stop_at=None):
+    """The RSC greedy on a (m+2) x horizon timeline of active counts, filled
+    one time step at a time; rebuilds the live sets every iteration."""
+    m = instance.m
+    horizon = sum(s.d for s in instance.sensors) + max(
+        (s.d for s in instance.sensors), default=0) + 2
+    cov = [bytearray(horizon + 2) for _ in range(m + 2)]
+    covered_until = [0] * (m + 2)
+    unassigned = sorted(instance.sensors, key=lambda s: s.id)
+    sched = Schedule(stop_at=stop_at)
+
+    def right_key(s):
+        return (-s.r, s.l, s.id)
+
+    def left_key(s):
+        return (s.l, -s.r, s.id)
+
+    def current_duration():
+        return min(covered_until[1:m + 1])
+
+    while True:
+        t = current_duration() + 1
+        # coordinates achieving the minimum are exactly the ones uncovered
+        # at time t
+        i = next(x for x in range(1, m + 1) if covered_until[x] < t)
+        j = i
+        while j + 1 <= m and covered_until[j + 1] < t:
+            j += 1
+
+        live_i = [s for s in unassigned if s.l <= i <= s.r]
+        if not live_i:
+            break
+        s_right = min(live_i, key=right_key)
+        if s_right.r < j:
+            chosen, direction, closes = s_right, "right", i
+        else:
+            live_j = [s for s in unassigned if s.l <= j <= s.r]
+            s_left = min(live_j, key=left_key)
+            m_left = covered_until[i - 1] if i > 1 else INF
+            m_right = covered_until[j + 1] if j < m else INF
+            if m_left >= m_right:
+                chosen, direction, closes = s_right, "right", i
+            else:
+                chosen, direction, closes = s_left, "left", j
+
+        sched.start[chosen.id] = t
+        sched.events.append(Assignment(id=chosen.id, t=t, closes=closes,
+                                       direction=direction, interval=(i, j)))
+        unassigned.remove(chosen)
+        for x in range(chosen.l, chosen.r + 1):
+            row = cov[x]
+            for tt in range(t, min(t + chosen.d, horizon + 1)):
+                row[tt] += 1
+            while row[covered_until[x] + 1]:
+                covered_until[x] += 1
+        if stop_at is not None and current_duration() >= stop_at:
+            break
+    return sched
+
+
+def duration_at(schedule, instance, x):
+    """M(S, x) from the set of covered times at x; boundary coordinates 0
+    and m+1 count as always covered."""
+    if x < 1 or x > instance.m:
+        return INF
+    covered = set()
+    for s in instance.sensors:
+        t0 = schedule.start.get(s.id)
+        if t0 is None or not (s.l <= x <= s.r):
+            continue
+        covered.update(range(t0, t0 + s.d))
+    t = 0
+    while (t + 1) in covered:
+        t += 1
+    return t
+
+
+def duration(schedule, instance):
+    return min(duration_at(schedule, instance, x)
+               for x in range(1, instance.m + 1))
+
+
+def verify_rsc(instance, schedule):
+    """The schedule checks by direct simulation: a {time: count} dict per
+    coordinate.  coverage-at-most-5 names the first offending time in the
+    dict's insertion order."""
+    report = VerificationReport()
+    check_assignments(report, instance.sensors, schedule.start)
+    active = {}
+    for s in instance.sensors:
+        t0 = schedule.start.get(s.id)
+        if t0 is not None:
+            active[s.id] = (s, t0, t0 + s.d - 1)
+    m = instance.m
+
+    cover = [dict() for _ in range(m + 1)]  # x -> {t: count}
+    for (s, t0, t1) in active.values():
+        for x in range(s.l, s.r + 1):
+            for t in range(t0, t1 + 1):
+                cover[x][t] = cover[x].get(t, 0) + 1
+
+    def m_at(x):
+        t = 0
+        while cover[x].get(t + 1, 0) > 0:
+            t += 1
+        return t
+
+    m_s = min((m_at(x) for x in range(1, m + 1)), default=0)
+    report.stats["M"] = m_s
+
+    witness = None
+    for x in range(1, m + 1):
+        for t, c in cover[x].items():
+            if c > 5:
+                witness = {"x": x, "t": t, "coverage": c}
+                break
+        if witness:
+            break
+    report.add("coverage-at-most-5", witness is None, witness)
+
+    witness = None
+    for (u, tu, _) in active.values():
+        for (v, tv, _) in active.values():
+            if u.id == v.id:
+                continue
+            proper = (v.l <= u.l and u.r <= v.r
+                      and (v.l < u.l or u.r < v.r))
+            if proper and not tu >= tv + v.d:
+                witness = {"inner": u.id, "outer": v.id,
+                           "t_inner": tu, "t_outer": tv}
+                break
+        if witness:
+            break
+    report.add("nested-ranges-sequential", witness is None, witness)
+
+    L = load(instance)[1]
+    report.stats["L"] = L
+    need = L // 5 if schedule.stop_at is None else min(schedule.stop_at,
+                                                       L // 5)
+    report.add("duration-at-least-load-over-5", m_s >= need,
+               None if m_s >= need else {"M": m_s, "needed": need})
+
+    d_max = max((s.d for s in instance.sensors), default=0)
+    t_eff = schedule.stop_at if schedule.stop_at is not None else m_s
+    witness = None
+    for x in range(1, m + 1):
+        assigned_live = sum(s.d for (s, _, _) in active.values()
+                            if s.l <= x <= s.r)
+        if assigned_live > 5 * (t_eff + d_max):
+            witness = {"x": x, "assigned_live_duration": assigned_live,
+                       "bound": 5 * (t_eff + d_max)}
+            break
+    report.add("stopped-load-bound", witness is None, witness)
+
+    witness = None
+    replay = [set() for _ in range(m + 1)]
+    sensor_of = {s.id: s for s in instance.sensors}
+    for ev in schedule.events:
+        s = sensor_of[ev.id]
+        if ev.t in replay[ev.closes]:
+            witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
+                       "reason": "already covered"}
+            break
+        for x in range(s.l, s.r + 1):
+            replay[x].update(range(ev.t, ev.t + s.d))
+        if ev.t not in replay[ev.closes]:
+            witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
+                       "reason": "still uncovered"}
+            break
+    report.add("closing-semantics", witness is None, witness)
+
+    stopped = schedule.stop_at is not None and m_s >= schedule.stop_at
+    if not stopped:
+        blocked = [x for x in range(1, m + 1) if m_at(x) == m_s and not any(
+            s.id not in schedule.start and s.l <= x <= s.r
+            for s in instance.sensors)]
+        report.add("termination-blocked-coordinate", bool(blocked) or m == 0,
+                   None if blocked or m == 0 else {"M": m_s})
+    report.ratio = (m_s / L) if L else None
+    return report

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,24 @@ def test_plan_solve_and_verify_cli(tmp_path, capsys):
     assert "M_achieved" in rep and "L" in rep
 
 
+def test_rsc_huge_duration_solve_and_verify(tmp_path, capsys):
+    """Cost follows sensors and ranges, not duration values: d = 10**12
+    solves and verifies at once."""
+    d = 10 ** 12
+    inst = {"m": 3, "sensors": [{"id": 0, "l": 1, "r": 3, "d": d}]}
+    t0 = time.perf_counter()
+    p = tmp_path / "inst.json"
+    p.write_text(jsonio.dumps(inst))
+    code, out, _ = run(["rsc", "solve", "--in", str(p)], capsys)
+    assert code == 0
+    sched = json.loads(out)
+    assert sched == {"assignments": [{"id": 0, "t": 1}], "M": d, "L": d}
+    p.write_text(jsonio.dumps({"instance": inst, "schedule": sched}))
+    code, out, _ = run(["rsc", "verify", "--in", str(p)], capsys)
+    assert code == 0 and json.loads(out)["ratio"] == 1.0
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{ this is not json")
@@ -264,6 +283,11 @@ def _coloring_doc():
     return dict(_points_doc(), colors=[1] * 30, T=1)
 
 
+def _vacuous_coloring_doc():
+    """T = 0 with every color null: passes as vacuous at a valid level."""
+    return dict(_points_doc(), colors=[None] * 30, T=0)
+
+
 def _translates_doc():
     return {"polygon": _points_doc()["polygon"], "centers": [[1, 1]] * 5,
             "k": 3}
@@ -331,6 +355,8 @@ def _check_exit_2(tmp_path, capsys, argv, make, path, value):
 LEVEL_ERRORS = [
     (["decomp", "verify"], _coloring_doc, ("k",), 0),
     (["decomp", "verify"], _coloring_doc, ("k",), 31),
+    (["decomp", "verify"], _vacuous_coloring_doc, ("k",), 0),
+    (["decomp", "verify"], _vacuous_coloring_doc, ("k",), 31),
     (["decomp", "translates"], _translates_doc, ("k",), 0),
     (["plot", "curve"], _points_doc, ("r",), 0),
     (["plot", "curve"], _points_doc, ("r",), 31),
@@ -339,8 +365,9 @@ LEVEL_ERRORS = [
 
 @pytest.mark.parametrize(
     "argv, make, path, value", LEVEL_ERRORS,
-    ids=["%s:%s=%s" % ("-".join(argv), ".".join(path), value)
-         for argv, _, path, value in LEVEL_ERRORS])
+    ids=["%s:%s=%s%s" % ("-".join(argv), ".".join(path), value,
+                         ",T=0" if make is _vacuous_coloring_doc else "")
+         for argv, make, path, value in LEVEL_ERRORS])
 def test_level_out_of_range_exit_2(tmp_path, capsys, argv, make, path,
                                    value):
     _check_exit_2(tmp_path, capsys, argv, make, path, value)

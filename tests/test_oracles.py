@@ -3,21 +3,25 @@
 Each oracle is the plain formula the fast path replaced, kept here as the
 reference: translate membership by Fraction arithmetic on every edge, the
 extreme-prefix reservation by sorting the members of every canonical curve
-position, and position index ranges and curve loads by testing every
-canonical position against every item.
+position, position index ranges and curve loads by testing every canonical
+position against every item, and the RSC greedy, durations and schedule
+checks by time-step simulation (`reference.py`).
 """
 
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+import reference
+from coverplex import rsc
 from coverplex.cover import _reserved_filter
-from coverplex.generate import POLYGONS
+from coverplex.generate import POLYGONS, gen_rsc
 from coverplex.geometry import (ConvexPolygon, cross, dot,
                                 perturbation_direction, reflect,
                                 strict_support_edges, sub)
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
                                   min_load_on_curve, position_index_ranges)
+from coverplex.verify import verify_rsc
 
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 # one vertex is the strict support point of two edge normals, which takes the
@@ -237,3 +241,123 @@ def test_position_index_and_min_load_match_membership_oracle(case):
     brute = min(sum(w for (U, V, _pid, w) in items if U >= u and V >= v)
                 for (u, v) in positions)
     assert min_load_on_curve(curve, items) == brute
+
+
+@st.composite
+def rsc_instances(draw):
+    """Uniform ranges drawn directly (duplicates and nesting included), or a
+    larger uniform or nested instance from the generator; short durations,
+    since the reference walks every time step."""
+    m = draw(st.integers(1, 8))
+    d_max = draw(st.integers(1, 6))
+    family = draw(st.sampled_from(["drawn", "uniform", "nested"]))
+    if family != "drawn":
+        return gen_rsc(draw(st.integers(0, 10 ** 6)),
+                       n=draw(st.integers(1, 40)),
+                       m=m + draw(st.integers(0, 4)), d_max=d_max,
+                       family=family)
+    sensors = []
+    for sid in draw(st.permutations(range(draw(st.integers(0, 14))))):
+        l = draw(st.integers(1, m))
+        sensors.append((3 * sid + 2, l, draw(st.integers(l, m)),
+                        draw(st.integers(1, d_max))))
+    return rsc.RscInstance(m, sensors)
+
+
+def stop_values(inst):
+    return st.none() | st.integers(0, rsc.load(inst)[1] + 2)
+
+
+def event_tuples(sched):
+    return [(e.id, e.t, e.closes, e.direction, e.interval)
+            for e in sched.events]
+
+
+@ORACLE
+@given(st.data())
+def test_greedy_duration_and_load_match_timeline_reference(data):
+    inst = data.draw(rsc_instances())
+    stop_at = data.draw(stop_values(inst))
+    got = rsc.greedy_schedule(inst, stop_at=stop_at)
+    ref = reference.greedy_schedule(inst, stop_at=stop_at)
+    assert got.start == ref.start
+    assert event_tuples(got) == event_tuples(ref)
+    assert rsc.load(inst) == reference.load(inst)
+    assert rsc.duration(got, inst) == reference.duration(got, inst)
+    for x in range(inst.m + 2):
+        assert rsc.duration_at(got, inst, x) == reference.duration_at(
+            got, inst, x)
+
+
+@st.composite
+def perturbed_schedules(draw, inst):
+    """The greedy's schedule with starts shifted (below 1 included),
+    assignments dropped and unassigned sensors started, or every sensor of
+    a random subset started at t <= 3 (which stacks them); then unknown ids
+    added, and the event log kept, emptied, one event's time moved, or
+    replaced by random events."""
+    stop_at = draw(stop_values(inst))
+    sched = rsc.greedy_schedule(inst, stop_at=stop_at)
+    start = {}
+    stacked = draw(st.booleans())
+    for s in inst.sensors:
+        t0 = sched.start.get(s.id)
+        if stacked:
+            if draw(st.integers(0, 3)):
+                start[s.id] = draw(st.integers(1, 3))
+        elif t0 is None:
+            if draw(st.integers(0, 3)) == 0:
+                start[s.id] = draw(st.integers(-2, 12))
+        elif draw(st.integers(0, 4)):
+            start[s.id] = t0 + draw(st.sampled_from([0, 0, 0, -3, -1, 1, 2]))
+    for k in range(draw(st.integers(0, 2))):
+        start[10 ** 6 + k] = draw(st.integers(-1, 6))
+    events = sched.events
+    choice = draw(st.integers(0, 3))
+    if choice == 1:
+        events = []
+    elif choice == 2 and events:
+        k = draw(st.integers(0, len(events) - 1))
+        e = events[k]
+        events = events[:k] + [rsc.Assignment(
+            id=e.id, t=e.t + draw(st.integers(-2, 2)), closes=e.closes,
+            direction=e.direction, interval=e.interval)] + events[k + 1:]
+    elif choice == 3 and inst.sensors:
+        # an arbitrary log: overlapping, nested and touching spans
+        events = [rsc.Assignment(
+            id=draw(st.sampled_from(inst.sensors)).id,
+            t=draw(st.integers(1, 10)), closes=c, direction="right",
+            interval=(c, c))
+            for c in draw(st.lists(st.integers(1, inst.m), max_size=8))]
+    return rsc.Schedule(start=start, events=events,
+                        stop_at=draw(st.sampled_from([None, stop_at])))
+
+
+def overload_at(inst, sched, x, t):
+    """Number of assigned sensors active at coordinate x and time t."""
+    return sum(1 for s in inst.sensors
+               if s.id in sched.start and s.l <= x <= s.r
+               and sched.start[s.id] <= t < sched.start[s.id] + s.d)
+
+
+@ORACLE
+@given(st.data())
+def test_verify_rsc_matches_simulation_reference(data):
+    inst = data.draw(rsc_instances())
+    sched = data.draw(perturbed_schedules(inst))
+    got = verify_rsc(inst, sched)
+    ref = reference.verify_rsc(inst, sched)
+    assert [(c.name, c.passed) for c in got.checks] == \
+        [(c.name, c.passed) for c in ref.checks]
+    assert (got.stats, got.ratio, got.alpha) == (ref.stats, ref.ratio,
+                                                 ref.alpha)
+    for c, r in zip(got.checks, ref.checks):
+        if c.name != "coverage-at-most-5":
+            assert c.witness == r.witness
+        elif r.witness is not None:
+            # the same first offending x, at its earliest offending time
+            x, t = c.witness["x"], c.witness["t"]
+            assert x == r.witness["x"]
+            assert c.witness["coverage"] == overload_at(inst, sched, x, t) > 5
+            assert all(overload_at(inst, sched, x, u) <= 5
+                       for u in range(min(sched.start.values()), t))
