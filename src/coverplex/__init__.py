@@ -3,18 +3,17 @@ polygon translates."""
 
 from .cover import (ColorAssignment, DecompositionTrace, compute_cover,
                     decompose_points, decompose_translates)
-from .geometry import (ConvexPolygon, GeometryError, GridSpec, antipodal,
-                       cell_partition, grid_spec, order_key, reflect,
-                       strict_support_edges, wedge_contains)
+from .geometry import (ConvexPolygon, GeometryError, GridSpec,
+                       cell_partition, grid_spec, reflect,
+                       strict_support_edges)
 from .levelcurve import (EmptyLevelCurveError, LevelCurve, WedgeFrame,
                          build_level_curve, canonical_positions,
-                         min_load_on_curve, wedge_load)
+                         min_load_on_curve)
 from .planar import (PlanarInstance, PlanarSchedule, PlanarSensor,
                      curve_rsc_instance, plan_schedule, planar_load,
                      verify_planar)
 from .rsc import (RscInstance, Schedule, Sensor, coverage_profile,
-                  dominant_left, dominant_right, duration, duration_at,
-                  greedy_schedule, load)
+                  duration, duration_at, greedy_schedule, load)
 from .verify import (VerificationReport, rsc_opt_bruteforce, verify_coloring,
                      verify_rsc)
 

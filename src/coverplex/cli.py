@@ -21,6 +21,7 @@ import sys
 
 from . import cover, generate, jsonio, planar, rsc, svgplot, verify
 from .jsonio import InputError
+from .levelcurve import build_level_curve
 
 
 def _read_doc(args):
@@ -200,15 +201,13 @@ def cmd_plot_curve(args):
     r = jsonio.int_from_json(doc.get("r", k), "r")
     i = jsonio.int_from_json(doc.get("i", 0), "i")
     try:
-        if args.format == "json":
-            from .levelcurve import WedgeFrame, LevelCurve
-            frame = WedgeFrame(poly, i)
-            curve = LevelCurve(frame, r, frame.items(points))
-            _emit_json(args, jsonio.curve_to_json(curve, i, r))
-        else:
-            _write(args, svgplot.svg_curve(poly, i, points, r))
+        curve = build_level_curve(poly, i, points, r)
     except ValueError as exc:  # level not positive or above the total load
         raise InputError(str(exc))
+    if args.format == "json":
+        _emit_json(args, jsonio.curve_to_json(curve, i, r))
+    else:
+        _write(args, svgplot.svg_curve(curve, points))
     return 0
 
 
@@ -235,64 +234,74 @@ def cmd_plot_schedule(args):
 
 
 def build_parser():
+    """Each subcommand declares only the flags its handler reads: --out on
+    all, --in on those that read a document, --seed on the generators."""
     ap = argparse.ArgumentParser(prog="coverplex", description=__doc__)
     sub = ap.add_subparsers(dest="group", required=True)
 
-    def common(p):
-        p.add_argument("--in", dest="infile", default="-",
-                       help="input JSON path (default: stdin)")
+    def group(name):
+        return sub.add_parser(name).add_subparsers(dest="command",
+                                                   required=True)
+
+    def add(grp, name, fn, generator=False):
+        p = grp.add_parser(name)
+        p.set_defaults(fn=fn)
+        if generator:
+            p.add_argument("--seed", type=int, default=0)
+        else:
+            p.add_argument("--in", dest="infile", default="-",
+                           help="input JSON path (default: stdin)")
         p.add_argument("--out", default="-",
                        help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--stop-at", dest="stop_at", type=int, default=None)
-        p.add_argument("--format", choices=["json", "svg"], default=None)
+        return p
 
-    table = {
-        "rsc": {"solve": cmd_rsc_solve, "verify": cmd_rsc_verify,
-                "oracle": cmd_rsc_oracle},
-        "decomp": {"points": cmd_decomp_points,
-                   "translates": cmd_decomp_translates,
-                   "verify": cmd_decomp_verify},
-        "plan": {"solve": cmd_plan_solve, "verify": cmd_plan_verify},
-        "gen": {"rsc": cmd_gen_rsc, "points": cmd_gen_points,
-                "planar": cmd_gen_planar},
-        "plot": {"curve": cmd_plot_curve, "coloring": cmd_plot_coloring,
-                 "schedule": cmd_plot_schedule},
-    }
-    for group, cmds in table.items():
-        gp = sub.add_parser(group)
-        gsub = gp.add_subparsers(dest="command", required=True)
-        for name, fn in cmds.items():
-            p = gsub.add_parser(name)
-            common(p)
-            p.set_defaults(fn=fn)
-            if group == "gen" and name == "rsc":
-                p.add_argument("--n", type=int, default=20)
-                p.add_argument("--m", type=int, default=20)
-                p.add_argument("--d-max", dest="d_max", type=int, default=5)
-                p.add_argument("--family", default="uniform",
-                               choices=["uniform", "nested"])
-            if group == "gen" and name == "points":
-                p.add_argument("--size", type=int, default=200)
-                p.add_argument("--span", type=int, default=80)
-                p.add_argument("--k", type=int, default=100)
-                p.add_argument("--poly", default="triangle",
-                               choices=sorted(generate.POLYGONS))
-            if group == "gen" and name == "planar":
-                p.add_argument("--n", type=int, default=60)
-                p.add_argument("--d-max", dest="d_max", type=int, default=4)
-                p.add_argument("--spread", type=int, default=2)
-                p.add_argument("--universe", type=int, default=5)
-                p.add_argument("--poly", default="triangle",
-                               choices=sorted(generate.POLYGONS))
+    rsc_ = group("rsc")
+    for name, fn in (("solve", cmd_rsc_solve), ("verify", cmd_rsc_verify)):
+        add(rsc_, name, fn).add_argument("--stop-at", dest="stop_at",
+                                         type=int, default=None)
+    add(rsc_, "oracle", cmd_rsc_oracle)
+
+    decomp = group("decomp")
+    add(decomp, "points", cmd_decomp_points)
+    add(decomp, "translates", cmd_decomp_translates)
+    add(decomp, "verify", cmd_decomp_verify)
+
+    plan = group("plan")
+    add(plan, "solve", cmd_plan_solve)
+    add(plan, "verify", cmd_plan_verify)
+
+    gen = group("gen")
+    p = add(gen, "rsc", cmd_gen_rsc, generator=True)
+    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--m", type=int, default=20)
+    p.add_argument("--d-max", dest="d_max", type=int, default=5)
+    p.add_argument("--family", default="uniform",
+                   choices=["uniform", "nested"])
+    p = add(gen, "points", cmd_gen_points, generator=True)
+    p.add_argument("--size", type=int, default=200)
+    p.add_argument("--span", type=int, default=80)
+    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--poly", default="triangle",
+                   choices=sorted(generate.POLYGONS))
+    p = add(gen, "planar", cmd_gen_planar, generator=True)
+    p.add_argument("--n", type=int, default=60)
+    p.add_argument("--d-max", dest="d_max", type=int, default=4)
+    p.add_argument("--spread", type=int, default=2)
+    p.add_argument("--universe", type=int, default=5)
+    p.add_argument("--poly", default="triangle",
+                   choices=sorted(generate.POLYGONS))
+
+    plot = group("plot")
+    add(plot, "curve", cmd_plot_curve).add_argument(
+        "--format", choices=["json", "svg"], default="svg")
+    add(plot, "coloring", cmd_plot_coloring)
+    add(plot, "schedule", cmd_plot_schedule)
     return ap
 
 
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.format is None:
-        args.format = "svg" if args.group == "plot" else "json"
     try:
         return args.fn(args)
     except InputError as exc:

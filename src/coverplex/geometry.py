@@ -172,28 +172,6 @@ def reflect(poly: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(refl[k:] + refl[:k])
 
 
-def wedge_contains(poly: ConvexPolygon, i: int, apex, p) -> bool:
-    """True iff p lies in the closed cone at vertex i translated to `apex`.
-
-    Decided by two exact sign tests: p - apex = s*d1 + t*d2 with s, t >= 0,
-    where d1, d2 are the cone rays.
-    """
-    d1, d2 = poly.cone_dirs(i)
-    d = (Fraction(p[0]) - Fraction(apex[0]), Fraction(p[1]) - Fraction(apex[1]))
-    c = cross(d1, d2)
-    s_num = cross(d, d2)
-    t_num = cross(d1, d)
-    if c > 0:
-        return s_num >= 0 and t_num >= 0
-    return s_num <= 0 and t_num <= 0
-
-
-def order_key(poly: ConvexPolygon, i: int, p) -> Fraction:
-    """Linear functional whose sublevel sets are halfplanes below lines
-    parallel to edge p_i p_{i+1}; smaller means closer to that edge's line."""
-    return Fraction(dot(p, poly.inward_normal(i)))
-
-
 def strict_support_edges(poly: ConvexPolygon, i: int):
     """Edge indices j such that the line through vertex i parallel to edge j
     meets the polygon in exactly that vertex.
@@ -210,40 +188,6 @@ def strict_support_edges(poly: ConvexPolygon, i: int):
                if k != i % poly.n):
             out.add(j)
     return out
-
-
-def _arc_contains_strict(a, b, d):
-    """Strict membership of direction d in the open CCW arc from a to b.
-    All arcs here span less than pi (polygon normal cones)."""
-    return cross(a, d) > 0 and cross(d, b) > 0
-
-
-def _same_dir(a, b):
-    return cross(a, b) == 0 and dot(a, b) > 0
-
-
-def antipodal(poly: ConvexPolygon, i: int, j: int) -> bool:
-    """True iff some direction has vertex i as its unique support point and
-    vertex j as the unique support point of the opposite direction."""
-    if i % poly.n == j % poly.n:
-        raise GeometryError("antipodal needs distinct vertices")
-
-    def outward_cone(k):
-        # strict support directions of vertex k: open arc between the outward
-        # normals of its two incident edges, in CCW order
-        e_prev = poly.edge_vec(k - 1)
-        e_next = poly.edge_vec(k)
-        return (e_prev[1], -e_prev[0]), (e_next[1], -e_next[0])
-
-    a1, a2 = outward_cone(i)
-    b1, b2 = outward_cone(j)
-    nb1, nb2 = (-b1[0], -b1[1]), (-b2[0], -b2[1])
-    if _same_dir(a1, nb1):
-        return True
-    return (_arc_contains_strict(a1, a2, nb1)
-            or _arc_contains_strict(a1, a2, nb2)
-            or _arc_contains_strict(nb1, nb2, a1)
-            or _arc_contains_strict(nb1, nb2, a2))
 
 
 def _seg_point_dist2(a, b, p):

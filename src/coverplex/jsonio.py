@@ -69,10 +69,6 @@ def dumps(obj):
                       indent=1) + "\n"
 
 
-def loads(text):
-    return json.loads(text)
-
-
 # -- polygons ---------------------------------------------------------------
 
 def polygon_to_json(poly: ConvexPolygon):
@@ -200,6 +196,9 @@ def planar_schedule_to_json(sched: PlanarSchedule):
 
 
 def planar_schedule_from_json(doc):
+    if not isinstance(doc, dict):
+        raise InputError("bad planar schedule: expected an object, got %s"
+                         % type(doc).__name__)
     try:
         sched = PlanarSchedule(trivial=bool(doc.get("trivial", False)))
         for a in doc["assignments"]:

@@ -1,4 +1,5 @@
-"""Level curves of wedge loads, curve intervals, and canonical positions.
+"""Level curves of wedge loads, their canonical positions, and each point's
+range of positions.
 
 Everything runs in a sheared coordinate frame per (polygon, vertex): the two
 cone rays of the wedge become the positive axes, so "point p lies in the
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -80,12 +80,6 @@ def walk_key(pos):
     """Total order of curve positions from head (small u, large v) to tail."""
     (u, v) = pos
     return (u[0], u[1], -v[0], -v[1])
-
-
-@dataclass(frozen=True)
-class CurveInterval:
-    lo: tuple
-    hi: tuple
 
 
 class LevelCurve:
@@ -161,14 +155,9 @@ class LevelCurve:
 
     # -- queries ---------------------------------------------------------
 
-    def interval_of(self, U_q, V_q):
-        """Closed range of curve positions whose wedge contains the point
-        with sheared coords (U_q, V_q); None when empty."""
-        ends = self._ends(U_q, V_q)
-        return None if ends is None else CurveInterval(*ends)
-
     def _ends(self, U_q, V_q):
-        """interval_of as a plain (lo, hi) pair, or None."""
+        """Closed range (lo, hi) of curve positions whose wedge contains the
+        point with sheared coords (U_q, V_q); None when empty."""
         drops = self.drops
         # latest position with u <= U_q
         idx = bisect_left(self._drop_us, U_q)
@@ -203,8 +192,8 @@ class LevelCurve:
         return pts
 
 
-def build_level_curve(poly, i, points, level, weights=None, frame=None):
-    frame = frame or WedgeFrame(poly, i)
+def build_level_curve(poly, i, points, level, weights=None):
+    frame = WedgeFrame(poly, i)
     return LevelCurve(frame, level, frame.items(points, weights))
 
 
@@ -336,23 +325,6 @@ class _Fenwick:
                 pos = nxt
             step >>= 1
         return pos
-
-
-def wedge_load(poly, i, apex, points, weights=None, symbolic=True, frame=None):
-    """Count (or weighted sum) of points inside the wedge at vertex i with
-    the given apex; the apex itself carries no symbolic shift."""
-    frame = frame or WedgeFrame(poly, i)
-    ua, va = frame.ucoord(apex), frame.vcoord(apex)
-    total = 0
-    for idx, p in enumerate(points):
-        pu, pv = frame.ucoord(p, idx + 1), frame.vcoord(p, idx + 1)
-        if symbolic:
-            inside = pu >= ua and pv >= va
-        else:
-            inside = pu[0] >= ua[0] and pv[0] >= va[0]
-        if inside:
-            total += 1 if weights is None else weights[idx]
-    return total
 
 
 def min_load_on_curve(curve: LevelCurve, q_items):

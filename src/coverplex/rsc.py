@@ -172,20 +172,6 @@ def duration(schedule: Schedule, instance: RscInstance):
     return min(map(_covered_prefix, _coordinate_spans(schedule, instance)[1:]))
 
 
-def dominant_right(instance: RscInstance, schedule: Schedule, x: int):
-    """Unassigned sensor live at x first under ``right_key``, or None."""
-    live = [s for s in instance.sensors
-            if s.id not in schedule.start and s.l <= x <= s.r]
-    return min(live, key=right_key, default=None)
-
-
-def dominant_left(instance: RscInstance, schedule: Schedule, x: int):
-    """Unassigned sensor live at x first under ``left_key``, or None."""
-    live = [s for s in instance.sensors
-            if s.id not in schedule.start and s.l <= x <= s.r]
-    return min(live, key=left_key, default=None)
-
-
 def coverage_profile(schedule: Schedule, instance: RscInstance):
     """Exact active-sensor counts per (coordinate, time); list indexed by
     coordinate 1..m of lists indexed by time 1..horizon."""

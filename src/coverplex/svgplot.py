@@ -6,8 +6,6 @@ always yields identical bytes.  No external assets are referenced.
 
 from __future__ import annotations
 
-from .levelcurve import WedgeFrame, LevelCurve
-
 _PALETTE = ["#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
             "#a65628", "#f781bf", "#17becf", "#bcbd22", "#8c564b"]
 
@@ -28,13 +26,11 @@ def _flip(pts):
     return [(x, -y) for (x, y) in pts]
 
 
-def svg_curve(poly, i, points, r):
-    """Points plus the level-r staircase at vertex i, rays dashed."""
-    frame = WedgeFrame(poly, i)
-    curve = LevelCurve(frame, r, frame.items(points))
+def svg_curve(curve, points):
+    """Points plus the level curve's staircase, rays dashed."""
     chain = _flip([(float(x), float(y)) for (x, y) in curve.chain_real()])
     dots = _flip([(float(x), float(y)) for (x, y) in points])
-    d1, d2 = poly.cone_dirs(i)
+    d1, d2 = curve.frame.poly.cone_dirs(curve.frame.i)
 
     def ray(origin, direction, length=6.0):
         nx, ny = float(direction[0]), float(direction[1])

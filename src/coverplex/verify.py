@@ -51,12 +51,16 @@ class VerificationReport:
 # exact 1-D scheduling oracle
 
 
-def rsc_opt_bruteforce(instance, horizon=None):
+BRUTEFORCE_MAX_LOAD = 10_000
+
+
+def rsc_opt_bruteforce(instance):
     """Exact optimum duration for tiny interval-scheduling instances.
 
     Searches start times exhaustively with identical-sensor symmetry pruning
     and a remaining-duration bound; refuses instances with more than 8
-    sensors or universe size above 8.
+    sensors, universe size above 8, or load L above BRUTEFORCE_MAX_LOAD
+    (10,000), since the search keeps one bit per time step up to L.
     """
     n = len(instance.sensors)
     m = instance.m
@@ -67,9 +71,9 @@ def rsc_opt_bruteforce(instance, horizon=None):
         for x in range(s.l, s.r + 1):
             per[x] += s.d
     L = min(per[1:]) if m else 0
-    if horizon is None:
-        horizon = L
-    horizon = min(horizon, L)
+    if L > BRUTEFORCE_MAX_LOAD:
+        raise ValueError("brute-force oracle limited to load L <= %d"
+                         % BRUTEFORCE_MAX_LOAD)
     sensors = sorted(instance.sensors, key=lambda s: (s.l, s.r, s.d, s.id))
 
     def feasible(T):
@@ -127,7 +131,7 @@ def rsc_opt_bruteforce(instance, horizon=None):
             return False
         return rec(0, tuple([0] * (m + 1)))
 
-    lo, hi = 0, horizon
+    lo, hi = 0, L
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if feasible(mid):
@@ -195,7 +199,9 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
         curve = LevelCurve(frame, k, items)
         positions = canonical_positions(curve, items)
         K = len(positions)
-        present = [[0] * (K + 1) for _ in range(T + 1)]
+        # difference rows for the colors that occur only, so the cost
+        # follows the points and not the value of T
+        present = {}
         for (U, V, pid, _w) in items:
             color = assignment.colors.get(pid)
             if color is None or not 1 <= color <= T:
@@ -203,12 +209,18 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
             rng = _member_range(positions, U, V)
             if rng is None:
                 continue
-            present[color][rng[0]] += 1
-            present[color][rng[1] + 1] -= 1
+            row = present.get(color)
+            if row is None:
+                row = present[color] = [0] * (K + 1)
+            row[rng[0]] += 1
+            row[rng[1] + 1] -= 1
+        # a color without a row is in no wedge, so it fails at position 0:
+        # the scan ends within len(present) + 1 colors
         for color in range(1, T + 1):
+            row = present.get(color, [0])
             run = 0
             for idx in range(K):
-                run += present[color][idx]
+                run += row[idx]
                 if run == 0:
                     u, v = positions[idx]
                     failure = {"i": i, "color": color,

@@ -2,10 +2,56 @@
 fast paths are checked against."""
 
 from bisect import bisect_left
+from fractions import Fraction
 
-from coverplex.levelcurve import _Fenwick
-from coverplex.rsc import INF, Assignment, Schedule
+from coverplex.geometry import cross, dot
+from coverplex.levelcurve import WedgeFrame, _Fenwick
+from coverplex.rsc import INF, Assignment, Schedule, left_key, right_key
 from coverplex.verify import VerificationReport, check_assignments
+
+
+# ---------------------------------------------------------------------------
+# wedges
+
+
+def wedge_contains(poly, i, apex, p):
+    """True iff p lies in the closed cone at vertex i translated to `apex`.
+
+    Decided by two exact sign tests: p - apex = s*d1 + t*d2 with s, t >= 0,
+    where d1, d2 are the cone rays.
+    """
+    d1, d2 = poly.cone_dirs(i)
+    d = (Fraction(p[0]) - Fraction(apex[0]),
+         Fraction(p[1]) - Fraction(apex[1]))
+    c = cross(d1, d2)
+    s_num = cross(d, d2)
+    t_num = cross(d1, d)
+    if c > 0:
+        return s_num >= 0 and t_num >= 0
+    return s_num <= 0 and t_num <= 0
+
+
+def order_key(poly, i, p):
+    """Linear functional whose sublevel sets are halfplanes below lines
+    parallel to edge p_i p_{i+1}; smaller means closer to that edge's line."""
+    return Fraction(dot(p, poly.inward_normal(i)))
+
+
+def wedge_load(poly, i, apex, points, weights=None, symbolic=True):
+    """Count (or weighted sum) of points inside the wedge at vertex i with
+    the given apex; the apex itself carries no symbolic shift."""
+    frame = WedgeFrame(poly, i)
+    ua, va = frame.ucoord(apex), frame.vcoord(apex)
+    total = 0
+    for idx, p in enumerate(points):
+        pu, pv = frame.ucoord(p, idx + 1), frame.vcoord(p, idx + 1)
+        if symbolic:
+            inside = pu >= ua and pv >= va
+        else:
+            inside = pu[0] >= ua[0] and pv[0] >= va[0]
+        if inside:
+            total += 1 if weights is None else weights[idx]
+    return total
 
 
 def dominance_loads(positions, items):
@@ -36,6 +82,20 @@ def dominance_loads(positions, items):
 
 # ---------------------------------------------------------------------------
 # restricted strip cover by time-step simulation
+
+
+def dominant_right(instance, schedule, x):
+    """Unassigned sensor live at x first under ``right_key``, or None."""
+    live = [s for s in instance.sensors
+            if s.id not in schedule.start and s.l <= x <= s.r]
+    return min(live, key=right_key, default=None)
+
+
+def dominant_left(instance, schedule, x):
+    """Unassigned sensor live at x first under ``left_key``, or None."""
+    live = [s for s in instance.sensors
+            if s.id not in schedule.start and s.l <= x <= s.r]
+    return min(live, key=left_key, default=None)
 
 
 def load(instance):

@@ -1,6 +1,9 @@
+import argparse
 import json
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -382,3 +385,108 @@ def test_rational_center_accepted(tmp_path, capsys):
     p.write_text(jsonio.dumps({"instance": doc, "schedule": json.loads(out)}))
     code, out, _ = run(["plan", "verify", "--in", str(p)], capsys)
     assert code == 0 and json.loads(out)["L"] >= 1
+
+
+# a schedule that is not an object is an input error for both readers
+NOT_OBJECTS = [
+    (argv, make, ("schedule",), value)
+    for argv, make in ((["plan", "verify"], _plan_both),
+                       (["rsc", "verify"], _rsc_both))
+    for value in (None, [], -1, "x", True)]
+
+
+@pytest.mark.parametrize(
+    "argv, make, path, value", NOT_OBJECTS,
+    ids=["%s:schedule=%s" % ("-".join(argv), json.dumps(value))
+         for argv, _, _, value in NOT_OBJECTS])
+def test_schedule_not_an_object_exit_2(tmp_path, capsys, argv, make, path,
+                                       value):
+    _check_exit_2(tmp_path, capsys, argv, make, path, value)
+
+
+def test_rsc_oracle_huge_load_exit_2(tmp_path, capsys):
+    """The oracle's bitmasks grow with L, so a huge load is refused."""
+    doc = {"m": 2, "sensors": [{"id": 0, "l": 1, "r": 2, "d": 10 ** 30}]}
+    p = tmp_path / "inst.json"
+    p.write_text(jsonio.dumps(doc))
+    code, out, err = run(["rsc", "oracle", "--in", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_decomp_verify_cost_ignores_value_of_T(tmp_path, capsys):
+    """Colors 1..T are scanned upward until the first missing one, so a
+    huge T fails at once, with the witness of T = points + 1."""
+    doc = _coloring_doc()
+    p = tmp_path / "col.json"
+    reports = []
+    for T in (len(doc["points"]) + 1, 10 ** 30):
+        p.write_text(jsonio.dumps(dict(doc, T=T)))
+        t0 = time.perf_counter()
+        code, out, _ = run(["decomp", "verify", "--in", str(p)], capsys)
+        assert code == 1 and time.perf_counter() - t0 < 1.0
+        reports.append(json.loads(out)["checks"])
+    assert reports[0] == reports[1]
+    assert reports[0][0]["witness"]["color"] == 2
+
+
+# the flags each subcommand declares, besides -h
+FLAGS = {
+    ("rsc", "solve"): {"--in", "--out", "--stop-at"},
+    ("rsc", "verify"): {"--in", "--out", "--stop-at"},
+    ("rsc", "oracle"): {"--in", "--out"},
+    ("decomp", "points"): {"--in", "--out"},
+    ("decomp", "translates"): {"--in", "--out"},
+    ("decomp", "verify"): {"--in", "--out"},
+    ("plan", "solve"): {"--in", "--out"},
+    ("plan", "verify"): {"--in", "--out"},
+    ("gen", "rsc"): {"--out", "--seed", "--n", "--m", "--d-max", "--family"},
+    ("gen", "points"): {"--out", "--seed", "--size", "--span", "--k",
+                        "--poly"},
+    ("gen", "planar"): {"--out", "--seed", "--n", "--d-max", "--spread",
+                        "--universe", "--poly"},
+    ("plot", "curve"): {"--in", "--out", "--format"},
+    ("plot", "coloring"): {"--in", "--out"},
+    ("plot", "schedule"): {"--in", "--out"},
+}
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    declared = {}
+    for group, gp in _subparsers(cli.build_parser()).items():
+        for name, p in _subparsers(gp).items():
+            declared[group, name] = {opt for a in p._actions
+                                     for opt in a.option_strings
+                                     if opt.startswith("--")} - {"--help"}
+    assert declared == FLAGS
+    assert sum(map(len, FLAGS.values())) == 44
+
+
+@pytest.mark.parametrize("argv", [
+    ["decomp", "points", "--seed", "5"],
+    ["decomp", "points", "--stop-at", "3"],
+    ["decomp", "points", "--format", "svg"],
+    ["gen", "rsc", "--in", "x.json"],
+    ["plan", "solve", "--stop-at", "3"],
+    ["plot", "coloring", "--format", "json"],
+    ["rsc", "oracle", "--stop-at", "3"],
+], ids="-".join)
+def test_undeclared_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

