@@ -5,9 +5,11 @@ decomposition built from them.
 with apex on the curve sees every round's color while no curve position is
 covered by more than two chosen intervals per round.  ``decompose_points``
 iterates it over all polygon vertices, reserving extreme points so that later
-iterations keep enough load.  ``decompose_translates`` lifts the point
-decomposition to translate collections through the reflection duality and the
-grid reduction.
+iterations keep enough load.  The vertex loop builds each level curve's
+position index once, over all points, and the loads, the reservation and
+the block solver read it for the points still uncolored.
+``decompose_translates`` lifts the point decomposition to translate
+collections through the reflection duality and the grid reduction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from .geometry import (ConvexPolygon, cell_partition, dot, grid_spec,
                        int_scaled, perturbation_direction, reflect,
                        strict_support_edges)
 from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick, index_min_load,
-                         min_load_on_curve, position_index_ranges)
+                         position_index_ranges)
+
+# unused here; perfbench/tracer.py patches this name in this module
+from .levelcurve import min_load_on_curve  # noqa: F401
 
 
 class CoverPreconditionError(ValueError):
@@ -76,18 +81,22 @@ class _NextFree:
         self.p[i] = i + 1
 
 
-def compute_cover(curve: LevelCurve, items, t: int):
+def compute_cover(index, items, t: int):
     """Color generating points of curve intervals with rounds 1..t.
 
-    Every canonical curve position must be contained in at least 2t of the
-    items' wedges.  Each round sorts the remaining intervals with containing
-    intervals first, keeps an interval iff it covers a still-uncovered
-    position, prunes redundant kept intervals, and colors the survivors'
-    points with the round number.  Returns {point id: round}.
+    ``index`` is position_index_ranges(curve, A) for any item set A that
+    holds ``items``: A's positions only split the stretches between those
+    of ``items``, on which the wedge content of ``items`` is constant, so
+    the colors are the same.  Every position must be contained in at least
+    2t of the items' wedges.  Each round sorts the remaining intervals with
+    containing intervals first, keeps an interval iff it covers a
+    still-uncovered position, prunes redundant kept intervals, and colors
+    the survivors' points with the round number.  Returns {point id:
+    round}.
     """
     if t <= 0:
         return {}
-    positions, ranges = position_index_ranges(curve, items)
+    positions, ranges = index
     K = len(positions)
     intervals = [(lo_hi[0], lo_hi[1], pid)
                  for (_, _, pid, _w) in items
@@ -156,12 +165,13 @@ def _order_ranks(poly, j, delta, points, ids):
 def _reserved_filter(poly, i, delta, index, items, points, target):
     """Point ids that survive the extreme-prefix reservation.
 
-    ``index`` is position_index_ranges(curve, items).  At each canonical
-    curve position, the minimal prefix of current wedge members in
-    decreasing order along every reserved direction whose total weight
-    reaches ``target`` is reserved; a point survives if some position has it
-    as a non-reserved member.  With unit weights the prefix is simply the
-    first ``target`` points.
+    ``index`` is position_index_ranges(curve, A) for an item set A that
+    holds ``items``, as for compute_cover.  At each canonical curve
+    position, the minimal prefix of current wedge members in decreasing
+    order along every reserved direction whose total weight reaches
+    ``target`` is reserved; a point survives if some position has it as a
+    non-reserved member.  With unit weights the prefix is simply the first
+    ``target`` points.
     """
     support = sorted(strict_support_edges(poly, i))
     positions, ranges = index
@@ -171,14 +181,14 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
     if not support or target <= 0:
         return {pid for pid in ids if ranges[pid] is not None}
     rankmaps = [_order_ranks(poly, j, delta, points, ids) for j in support]
-    add_at = [[] for _ in range(K)]
-    rem_after = [[] for _ in range(K)]
-    for pid in ids:
-        rng = ranges[pid]
-        if rng is None:
-            continue
-        add_at[rng[0]].append(pid)
-        rem_after[rng[1]].append(pid)
+    # members join at the first position of their range and leave after the
+    # last; the events are sorted by position and end in a sentinel K, so no
+    # list is made per position of an index that may be much longer
+    ranged = [pid for pid in ids if ranges[pid] is not None]
+    adds = sorted(ranged, key=lambda pid: ranges[pid][0])
+    leaves = sorted(ranged, key=lambda pid: ranges[pid][1])
+    add_at = [ranges[pid][0] for pid in adds] + [K]
+    leave_at = [ranges[pid][1] for pid in leaves] + [K]
 
     def thresholds(rank):
         """Per position: smallest rank of the reserved top group, or 0 when
@@ -187,17 +197,22 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
         tree = _Fenwick(len(ids))  # slot r - 1 holds the member of rank r
         total = 0
         thr = [0] * K
+        a = e = 0
         for c in range(K):
-            for pid in add_at[c]:
+            while add_at[a] == c:
+                pid = adds[a]
                 tree.add(rank[pid] - 1, weight[pid])
                 total += weight[pid]
+                a += 1
             if total >= target:
                 # largest rank x with prefix(x) <= total - target; the
                 # threshold member is rank x + 1
                 thr[c] = tree.longest_prefix_within(total - target) + 1
-            for pid in rem_after[c]:
+            while leave_at[e] == c:
+                pid = leaves[e]
                 tree.add(rank[pid] - 1, -weight[pid])
                 total -= weight[pid]
+                e += 1
         return thr
 
     all_thr = [thresholds(rank) for rank in rankmaps]
@@ -208,8 +223,7 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
         span = 1
         while span * 2 <= K:
             prev = table[-1]
-            table.append([max(prev[x], prev[x + span])
-                          for x in range(K - 2 * span + 1)])
+            table.append(list(map(max, prev, prev[span:])))
             span *= 2
 
         def range_max(lo, hi):
@@ -229,16 +243,20 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
     # several reserved directions: check positions one by one
     members = set()
     out = set()
+    a = e = 0
     for c in range(K):
-        members.update(add_at[c])
+        while add_at[a] == c:
+            members.add(adds[a])
+            a += 1
         thrs = [thr[c] for thr in all_thr]
         if all(thrs):
             for pid in members:
                 if pid not in out and all(
                         rank[pid] < th for rank, th in zip(rankmaps, thrs)):
                     out.add(pid)
-        for pid in rem_after[c]:
-            members.discard(pid)
+        while leave_at[e] == c:
+            members.discard(leaves[e])
+            e += 1
     return out
 
 
@@ -248,17 +266,25 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
 
     For each vertex i of ``poly``: the minimum load L of the items not yet
     chosen over the level curves i..n-1, t = L // (64n), the extreme-prefix
-    reservation at L // (2n), then ``solve_block(curve, x_items, t)``, which
-    chooses surviving items as {id: value}; skipped when t is 0.  Curve i's
-    position index is built once and serves both its load and the
-    reservation.  Returns the chosen map and one (i, L, t, x_size, chosen)
-    record per vertex.
+    reservation at L // (2n), then ``solve_block(index, x_items, t)``, which
+    chooses surviving items as {id: value}; skipped when t is 0.
+
+    Each curve's position index is built once, over all of the items, and
+    every later query on that curve reads it: the loads of the items still
+    live, the reservation and the block solver.  The positions of all items
+    refine those of any subset, and a subset's wedge content is constant
+    between its own positions, so the answers are those of an index built
+    from the subset.  Curve i's index is dropped once vertex i is done.
+    Returns the chosen map and one (i, L, t, x_size, chosen) record per
+    vertex.
     """
     n = poly.n
     delta = perturbation_direction(poly)
     frames = [WedgeFrame(poly, i, delta) for i in range(n)]
     all_items = [f.items(points, weights=weights, ids=ids) for f in frames]
-    curves = [LevelCurve(frames[i], level, all_items[i]) for i in range(n)]
+    indexes = [position_index_ranges(LevelCurve(frames[i], level, items),
+                                     items)
+               for i, items in enumerate(all_items)]
     point_of = dict(zip(range(len(points)) if ids is None else ids, points))
 
     chosen = {}
@@ -266,10 +292,9 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     for i in range(n):
         live = [[it for it in all_items[z] if it[2] not in chosen]
                 for z in range(i, n)]
-        index = position_index_ranges(curves[i], live[0])
-        L = min([index_min_load(index, live[0])]
-                + [min_load_on_curve(curves[z], items)
-                   for z, items in zip(range(i + 1, n), live[1:])])
+        L = min(index_min_load(indexes[z], items)
+                for z, items in enumerate(live, i))
+        index, indexes[i] = indexes[i], None
         t_i = L // (64 * n)
         if t_i == 0:
             records.append((i, L, 0, 0, 0))
@@ -278,7 +303,7 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
                                 [point_of[it[2]] for it in live[0]],
                                 L // (2 * n))
         x_items = [it for it in live[0] if it[2] in keep]
-        block = solve_block(curves[i], x_items, t_i)
+        block = solve_block(index, x_items, t_i)
         chosen.update(block)
         records.append((i, L, t_i, len(x_items), len(block)))
     return chosen, records

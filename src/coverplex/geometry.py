@@ -56,9 +56,12 @@ class GridSpec:
     beta: int
 
     def cell_of(self, p):
-        # half-open cells [a, a+c) x [b, b+c), anchored at the origin
-        c = self.cell_side
-        return (int(Fraction(p[0]) / c // 1), int(Fraction(p[1]) / c // 1))
+        # half-open cells [a, a+c) x [b, b+c), anchored at the origin:
+        # floor(x / c) in integers, for int and Fraction x alike
+        num, den = self.cell_side.denominator, self.cell_side.numerator
+        x, y = p
+        return ((x.numerator * num) // (x.denominator * den),
+                (y.numerator * num) // (y.denominator * den))
 
 
 class ConvexPolygon:

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .geometry import ConvexPolygon
-from .planar import PlanarInstance, PlanarSchedule
+from .planar import PlanarInstance, PlanarSchedule, PlanarSensor
 from .rsc import RscInstance, Schedule, Sensor
 
 
@@ -181,8 +181,9 @@ def planar_instance_from_json(doc):
     try:
         return PlanarInstance(
             polygon_from_json(doc["polygon"]),
-            [(int_from_json(s["id"], "id"), point_from_json(s["center"]),
-              int_from_json(s["d"], "d"))
+            [PlanarSensor(int_from_json(s["id"], "id"),
+                          point_from_json(s["center"]),
+                          int_from_json(s["d"], "d"))
              for s in doc["sensors"]],
             [point_from_json(u) for u in doc["universe"]])
     except (KeyError, TypeError, ValueError) as exc:

@@ -137,10 +137,9 @@ class LevelCurve:
         self.tail = (us[last_j], min([thr[last_j]] + tail_candidates))
         self._base = None
 
-    def _keyed_base(self):
-        """{walk key: position} of the head-ray representative, the head,
-        every staircase corner, the tail and the tail-ray representative;
-        keyed on first use."""
+    def _base_positions(self):
+        """The head-ray representative, the head, every staircase corner,
+        the tail and the tail-ray representative; listed on first use."""
         if self._base is None:
             head_u, head_level = self.head
             tail_u, tail_v = self.tail
@@ -150,7 +149,7 @@ class LevelCurve:
                 if v_lo != NEG_INF:
                     base.append((du, v_lo))
             base += [self.tail, (tail_u, (tail_v[0] - 2, tail_v[1]))]
-            self._base = {walk_key(pos): pos for pos in base}
+            self._base = base
         return self._base
 
     # -- queries ---------------------------------------------------------
@@ -197,61 +196,48 @@ def build_level_curve(poly, i, points, level, weights=None):
     return LevelCurve(frame, level, frame.items(points, weights))
 
 
-# bisect keys of the infinite interval ends: before and after every position
-_BEFORE_ALL = (float("-inf"),)
-_AFTER_ALL = (float("inf"),)
+def _positions_and_ends(curve: LevelCurve, items):
+    """Canonical positions, each interval end's index among them, and per
+    item the two ends of its interval (None when empty), from one interval
+    pass.
 
-
-def _keyed_positions(curve: LevelCurve, items):
-    """Canonical positions, their walk keys, and per item the walk keys of
-    its interval's two ends (None when empty), from one interval pass.
-
-    A ray end gets a shared key below or above every position, and any other
-    end's key is, repeats aside, the one ``seen`` holds: keeping the keys
-    adds almost no objects for the garbage collector to count.
+    A ray end is the ray itself, (NEG_INF, head level) or (tail u,
+    NEG_INF), and indexes the ray representative at that end.  Equal ends
+    are kept as one tuple, so the ends add no objects for the garbage
+    collector to count beyond the distinct positions.
     """
-    seen = dict(curve._keyed_base())
-    lo_keys, hi_keys = [], []
+    canon = {pos: pos for pos in curve._base_positions()}
+    los, his = [], []
     for (U, V, _pid, _w) in items:
         iv = curve._ends(U, V)
         if iv is None:
-            lo_keys.append(None)
-            hi_keys.append(None)
+            los.append(None)
+            his.append(None)
             continue
         lo, hi = iv
-        if lo[0] == NEG_INF:
-            lo_keys.append(_BEFORE_ALL)
-        else:
-            key = walk_key(lo)
-            seen[key] = lo
-            lo_keys.append(key)
-        if hi[1] == NEG_INF:
-            hi_keys.append(_AFTER_ALL)
-        else:
-            key = walk_key(hi)
-            seen[key] = hi
-            hi_keys.append(key)
+        los.append(canon.setdefault(lo, lo))
+        his.append(canon.setdefault(hi, hi))
+    rays = ((NEG_INF, curve.drops[0][1]), (curve.drops[-1][0], NEG_INF))
+    ordered = sorted((pos for pos in canon if pos not in rays), key=walk_key)
     # gap representatives; all base positions have even coordinates, so the
     # integer midpoint is exact and strictly inside
-    positions, keys = [], []
-    ordered = sorted(seen)
-    for ka, kb in zip(ordered, ordered[1:]):
-        a, b = seen[ka], seen[kb]
+    positions = []
+    index_of = {rays[0]: 0}
+    for a, b in zip(ordered, ordered[1:]):
+        index_of[a] = len(positions)
         positions.append(a)
-        keys.append(ka)
         if a[0] == b[0]:
             mid = (a[0], ((a[1][0] + b[1][0]) // 2, (a[1][1] + b[1][1]) // 2))
         elif a[1] == b[1]:
             mid = (((a[0][0] + b[0][0]) // 2, (a[0][1] + b[0][1]) // 2), a[1])
         else:
             raise AssertionError("gap straddles a staircase corner")
-        km = walk_key(mid)
-        if ka < km < kb:
+        if walk_key(a) < walk_key(mid) < walk_key(b):
             positions.append(mid)
-            keys.append(km)
-    positions.append(seen[ordered[-1]])
-    keys.append(ordered[-1])
-    return positions, keys, lo_keys, hi_keys
+    index_of[ordered[-1]] = len(positions)
+    positions.append(ordered[-1])
+    index_of[rays[1]] = len(positions) - 1
+    return positions, index_of, los, his
 
 
 def canonical_positions(curve: LevelCurve, q_items):
@@ -262,7 +248,7 @@ def canonical_positions(curve: LevelCurve, q_items):
     one representative out on each infinite ray, and one representative
     strictly inside each remaining gap.
     """
-    return _keyed_positions(curve, q_items)[0]
+    return _positions_and_ends(curve, q_items)[0]
 
 
 def position_index_ranges(curve: LevelCurve, items):
@@ -271,12 +257,17 @@ def position_index_ranges(curve: LevelCurve, items):
 
     Interval endpoints are themselves canonical, so the snapping is exact;
     infinite ray endpoints snap to the ray representatives at the ends.
+    Items with the same interval share one range tuple, so an index held
+    through a whole vertex loop stays small.
     """
-    positions, keys, lo_keys, hi_keys = _keyed_positions(curve, items)
+    positions, index_of, los, his = _positions_and_ends(curve, items)
     ranges = {}
-    for (_, _, pid, _w), lo, hi in zip(items, lo_keys, hi_keys):
-        ranges[pid] = None if lo is None else (
-            bisect_left(keys, lo), bisect_right(keys, hi) - 1)
+    span_of = {(None, None): None}  # interval ends -> shared range
+    for (_, _, pid, _w), lo, hi in zip(items, los, his):
+        ends = lo, hi
+        if ends not in span_of:
+            span_of[ends] = (index_of[lo], index_of[hi])
+        ranges[pid] = span_of[ends]
     return positions, ranges
 
 

@@ -15,17 +15,17 @@ from dataclasses import dataclass, field
 
 from .cover import _iterate_vertices
 from .geometry import ConvexPolygon, cell_partition, grid_spec, reflect
-from .levelcurve import LevelCurve, position_index_ranges
 from .rsc import RscInstance, greedy_schedule
 from .verify import VerificationReport, check_assignments
 
 # unused here; perfbench/tracer.py patches these names in this module
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from .cover import _reserved_filter  # noqa: F401
-from .levelcurve import min_load_on_curve  # noqa: F401
+from .levelcurve import LevelCurve, min_load_on_curve  # noqa: F401
+from .levelcurve import position_index_ranges  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarSensor:
     id: int
     center: tuple
@@ -60,37 +60,41 @@ def planar_load(instance: PlanarInstance):
     """Per-universe-point total durations and their minimum L, by direct
     point-in-translate tests."""
     poly = instance.polygon
-    loads = []
-    for u in instance.universe:
-        total = sum(s.d for s in instance.sensors
-                    if poly.contains(u, center=s.center))
-        loads.append(total)
+    # one membership test per distinct center
+    weight_at = {}
+    for s in instance.sensors:
+        weight_at[s.center] = weight_at.get(s.center, 0) + s.d
+    loads = [sum(w for c, w in weight_at.items()
+                 if poly.contains(u, center=c))
+             for u in instance.universe]
     return loads, (min(loads) if loads else 0)
 
 
-def curve_rsc_instance(curve: LevelCurve, items):
-    """1-D scheduling instance over the curve's canonical positions.
+def curve_rsc_instance(index, items):
+    """1-D scheduling instance over the canonical positions of ``index``,
+    position_index_ranges(curve, A) for an item set A that holds ``items``.
 
     Each item (a sensor's center in sheared coordinates, weight = duration)
     becomes a 1-D sensor, with the same id, whose range is the index range
     of positions whose wedge contains it.  Items outside every curve wedge
-    are dropped.
+    are dropped.  A's positions only split the stretches between those of
+    ``items``, on which the live sensors are constant, so the greedy
+    chooses the same starts.
     """
-    positions, ranges = position_index_ranges(curve, items)
-    K = len(positions)
+    positions, ranges = index
     sensors = []
     for (_, _, pid, w) in items:
         rng = ranges[pid]
         if rng is None:
             continue
         sensors.append((pid, rng[0] + 1, rng[1] + 1, w))
-    return RscInstance(K, sensors)
+    return RscInstance(len(positions), sensors)
 
 
-def _schedule_block(curve: LevelCurve, items, t: int):
+def _schedule_block(index, items, t: int):
     """Block solver of the planar vertex loop: the greedy 1-D schedule of
     the curve instance, stopped once it covers t; {sensor id: start}."""
-    return greedy_schedule(curve_rsc_instance(curve, items), stop_at=t).start
+    return greedy_schedule(curve_rsc_instance(index, items), stop_at=t).start
 
 
 def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:
@@ -139,11 +143,14 @@ def verify_planar(instance: PlanarInstance,
                   schedule: PlanarSchedule) -> VerificationReport:
     """Ground-truth check by full simulation: for every universe point, its
     load and the longest prefix of time steps during which some assigned
-    sensor's translate contains it, from one membership pass over the
-    sensors.  Reports M_achieved and the ratio to the minimum load L."""
+    sensor's translate contains it, from one membership test per distinct
+    sensor center.  Reports M_achieved and the ratio to the minimum L."""
     report = VerificationReport()
     poly = instance.polygon
     check_assignments(report, instance.sensors, schedule.start)
+    at_center = {}
+    for s in instance.sensors:
+        at_center.setdefault(s.center, []).append(s)
 
     L = None
     m_achieved = None
@@ -151,13 +158,14 @@ def verify_planar(instance: PlanarInstance,
     for u in instance.universe:
         load = 0
         spans = []
-        for s in instance.sensors:
-            if not poly.contains(u, center=s.center):
+        for center, group in at_center.items():
+            if not poly.contains(u, center=center):
                 continue
-            load += s.d
-            t0 = schedule.start.get(s.id)
-            if t0 is not None:
-                spans.append((t0, t0 + s.d - 1))
+            for s in group:
+                load += s.d
+                t0 = schedule.start.get(s.id)
+                if t0 is not None:
+                    spans.append((t0, t0 + s.d - 1))
         if L is None or load < L:
             L = load
         spans.sort()

@@ -197,15 +197,18 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
         frame = WedgeFrame(poly, i, delta)
         items = frame.items(points)
         curve = LevelCurve(frame, k, items)
-        positions = canonical_positions(curve, items)
+        # only points of colors 1..T are counted, and their wedge content is
+        # constant between their own canonical positions, so those positions
+        # decide the check
+        counted = [(it, color) for it in items
+                   if (color := assignment.colors.get(it[2])) is not None
+                   and 1 <= color <= T]
+        positions = canonical_positions(curve, [it for it, _ in counted])
         K = len(positions)
         # difference rows for the colors that occur only, so the cost
         # follows the points and not the value of T
         present = {}
-        for (U, V, pid, _w) in items:
-            color = assignment.colors.get(pid)
-            if color is None or not 1 <= color <= T:
-                continue
+        for (U, V, _pid, _w), color in counted:
             rng = _member_range(positions, U, V)
             if rng is None:
                 continue

@@ -4,8 +4,9 @@ fast paths are checked against."""
 from bisect import bisect_left
 from fractions import Fraction
 
-from coverplex.geometry import cross, dot
-from coverplex.levelcurve import WedgeFrame, _Fenwick
+from coverplex.geometry import cross, dot, perturbation_direction
+from coverplex.levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
+                                  canonical_positions)
 from coverplex.rsc import INF, Assignment, Schedule, left_key, right_key
 from coverplex.verify import VerificationReport, check_assignments
 
@@ -78,6 +79,96 @@ def dominance_loads(positions, items):
         lo_rank = bisect_left(vs, v)
         loads[k] = total - fw.prefix(lo_rank)
     return loads
+
+
+# ---------------------------------------------------------------------------
+# coloring and planar schedule verifiers, point by point
+
+
+def verify_coloring(poly, points, assignment, k):
+    """The coloring check over the canonical positions of all points: on
+    each curve, the first color of 1..T absent from some position's wedge,
+    at its first such position, by direct dominance tests."""
+    report = VerificationReport()
+    T = assignment.T
+    report.alpha = (k / T) if T > 0 else None
+    report.stats["T"] = T
+    delta = perturbation_direction(poly)
+    if T <= 0:
+        frame = WedgeFrame(poly, 0, delta)
+        LevelCurve(frame, k, frame.items(points))
+        report.add("colors-present", T == 0,
+                   "no common colors; vacuous" if T == 0 else {"T": T})
+        return report
+    failure = None
+    for i in range(poly.n):
+        frame = WedgeFrame(poly, i, delta)
+        items = frame.items(points)
+        positions = canonical_positions(LevelCurve(frame, k, items), items)
+        for color in range(1, T + 1):
+            for u, v in positions:
+                if not any(assignment.colors.get(pid) == color
+                           for (U, V, pid, _w) in items
+                           if U >= u and V >= v):
+                    failure = {"i": i, "color": color,
+                               "apex_u": u, "apex_v": v}
+                    break
+            if failure:
+                break
+        if failure:
+            break
+    report.add("colors-present", failure is None, failure)
+    return report
+
+
+def planar_load(instance):
+    """Per-universe-point total durations and their minimum, one membership
+    test per sensor."""
+    poly = instance.polygon
+    loads = [sum(s.d for s in instance.sensors
+                 if poly.contains(u, center=s.center))
+             for u in instance.universe]
+    return loads, (min(loads) if loads else 0)
+
+
+def verify_planar(instance, schedule):
+    """Full simulation with one membership test per (universe point,
+    sensor)."""
+    report = VerificationReport()
+    poly = instance.polygon
+    check_assignments(report, instance.sensors, schedule.start)
+    L = None
+    m_achieved = None
+    witness = None
+    for u in instance.universe:
+        load = 0
+        spans = []
+        for s in instance.sensors:
+            if not poly.contains(u, center=s.center):
+                continue
+            load += s.d
+            t0 = schedule.start.get(s.id)
+            if t0 is not None:
+                spans.append((t0, t0 + s.d - 1))
+        if L is None or load < L:
+            L = load
+        spans.sort()
+        reach = 0
+        for (a, b) in spans:
+            if a > reach + 1:
+                break
+            reach = max(reach, b)
+        if m_achieved is None or reach < m_achieved:
+            m_achieved = reach
+            witness = {"point": list(u), "covered_until": reach}
+    L = L or 0
+    m_achieved = m_achieved or 0
+    report.stats["M_achieved"] = m_achieved
+    report.stats["L"] = L
+    report.stats["floor_point"] = witness
+    report.ratio = (m_achieved / L) if L else None
+    report.add("simulated", True, None)
+    return report
 
 
 # ---------------------------------------------------------------------------

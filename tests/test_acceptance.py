@@ -179,7 +179,8 @@ def test_criterion_7_curve_coloring_contract():
         items = frame.items(Y)
         curve = LevelCurve(frame, r, items)
         try:
-            colors = compute_cover(curve, items, t)
+            colors = compute_cover(position_index_ranges(curve, items),
+                                   items, t)
         except CoverPreconditionError:
             continue
         done += 1

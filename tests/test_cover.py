@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coverplex import levelcurve
 from coverplex.cover import (CoverPreconditionError, compute_cover,
                              decompose_points, decompose_translates)
 from coverplex.generate import polygon
@@ -21,14 +22,15 @@ def make_curve(points, level, poly=SQUARE, i=0):
 
 def test_compute_cover_zero_rounds():
     frame, curve = make_curve([(1, 3), (3, 1)], 1)
-    assert compute_cover(curve, frame.items([(5, 5)] * 4), 0) == {}
+    items = frame.items([(5, 5)] * 4)
+    assert compute_cover(position_index_ranges(curve, items), items, 0) == {}
 
 
 def test_compute_cover_full_intervals():
     # 2t points whose intervals are the whole curve: one survivor per round
     frame, curve = make_curve([(1, 3), (3, 1)], 1)
     q = frame.items([(5, 5)] * 4, ids=[7, 8, 9, 10])
-    colors = compute_cover(curve, q, 2)
+    colors = compute_cover(position_index_ranges(curve, q), q, 2)
     assert len(colors) == 2
     assert sorted(colors.values()) == [1, 2]
 
@@ -37,7 +39,7 @@ def test_compute_cover_precondition_error():
     frame, curve = make_curve([(1, 3), (3, 1)], 1)
     q = frame.items([(5, 5)] * 2, ids=[0, 1])
     with pytest.raises(CoverPreconditionError):
-        compute_cover(curve, q, 2)
+        compute_cover(position_index_ranges(curve, q), q, 2)
 
 
 def _cover_postconditions(frame, curve, items, t, colors):
@@ -68,7 +70,7 @@ def test_compute_cover_random_postconditions():
         t = r // 2
         if t == 0:
             continue
-        colors = compute_cover(curve, items, t)
+        colors = compute_cover(position_index_ranges(curve, items), items, t)
         _cover_postconditions(frame, curve, items, t, colors)
 
 
@@ -81,7 +83,7 @@ def test_compute_cover_respects_containment_order():
         frame, curve = make_curve(Y, 8)
         items = frame.items(Y)
         items = frame.items(Y)
-        colors = compute_cover(curve, items, 4)
+        colors = compute_cover(position_index_ranges(curve, items), items, 4)
         _, ranges = position_index_ranges(curve, items)
         for (U, V, pid, _w) in items:
             for (U2, V2, pid2, _w2) in items:
@@ -187,3 +189,26 @@ def test_decompose_translates_classes_cover_heavy_points():
         for cls in classes:
             assert any(TRIANGLE.contains(probe, center=centers[idx])
                        for idx in cls), probe
+
+
+def count_position_builds(monkeypatch):
+    """Patch the one function every canonical-position build runs through;
+    returns the list that collects one entry per build."""
+    builds = []
+    real = levelcurve._positions_and_ends
+
+    def counted(curve, items):
+        builds.append(len(items))
+        return real(curve, items)
+
+    monkeypatch.setattr(levelcurve, "_positions_and_ends", counted)
+    return builds
+
+
+def test_decompose_points_builds_each_curve_index_once(monkeypatch):
+    rng = random.Random(2)
+    pts = [(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(450)]
+    builds = count_position_builds(monkeypatch)
+    asg, trace = decompose_points(TRIANGLE, pts, 400)
+    assert all(r.t >= 1 for r in trace.records)  # every block solver ran
+    assert builds == [len(pts)] * TRIANGLE.n

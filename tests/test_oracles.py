@@ -4,7 +4,10 @@ Each oracle is the plain formula the fast path replaced, kept here as the
 reference: translate membership by Fraction arithmetic on every edge, the
 extreme-prefix reservation by sorting the members of every canonical curve
 position, position index ranges and curve loads by testing every canonical
-position against every item, and the RSC greedy, durations and schedule
+position against every item, the block solvers on an index built from the
+queried items themselves, the coloring check over the positions of all
+points, planar loads and simulation with one membership test per sensor,
+grid cells by Fraction division, and the RSC greedy, durations and schedule
 checks by time-step simulation (`reference.py`).
 """
 
@@ -14,14 +17,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from coverplex import rsc
-from coverplex.cover import _reserved_filter
+from coverplex.cover import (ColorAssignment, CoverPreconditionError,
+                             _reserved_filter, compute_cover)
 from coverplex.generate import POLYGONS, gen_rsc
-from coverplex.geometry import (ConvexPolygon, cross, dot,
-                                perturbation_direction, reflect,
+from coverplex.geometry import (ConvexPolygon, GridSpec, cross, dot,
+                                grid_spec, perturbation_direction, reflect,
                                 strict_support_edges, sub)
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
-                                  min_load_on_curve, position_index_ranges)
-from coverplex.verify import verify_rsc
+                                  index_min_load, min_load_on_curve,
+                                  position_index_ranges)
+from coverplex.planar import (PlanarInstance, PlanarSchedule,
+                              curve_rsc_instance, planar_load, verify_planar)
+from coverplex.verify import verify_coloring, verify_rsc
 
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 # one vertex is the strict support point of two edge normals, which takes the
@@ -148,22 +155,29 @@ def reserved_ref(poly, i, delta, curve, items, points, target):
 
 
 @st.composite
-def weighted_cases(draw):
+def weighted_cases(draw, kite_apex=False):
     """Named, kite or random polygon (maybe reflected), a vertex, weighted
-    points with scattered distinct ids, and a level up to their total."""
-    shape = draw(st.sampled_from(sorted(POLYGONS) + ["kite", "random"]))
-    if shape == "kite":
-        poly = ConvexPolygon(KITE)
-    elif shape != "random":
-        poly = ConvexPolygon(POLYGONS[shape])
+    points with scattered distinct ids, and a level up to their total.
+    With ``kite_apex`` the polygon is the kite, maybe reflected, and the
+    vertex its strict support point of two edge normals."""
+    if kite_apex:
+        poly, i = ConvexPolygon(KITE), 3
+        if draw(st.booleans()):
+            poly, i = reflect(poly), 0
     else:
-        vs = hull(draw(st.lists(st.tuples(coords, coords), min_size=3,
-                                max_size=9)))
-        assume(len(vs) >= 3)
-        poly = ConvexPolygon(vs)
-    if draw(st.booleans()):
-        poly = reflect(poly)
-    i = draw(st.integers(0, poly.n - 1))
+        shape = draw(st.sampled_from(sorted(POLYGONS) + ["kite", "random"]))
+        if shape == "kite":
+            poly = ConvexPolygon(KITE)
+        elif shape != "random":
+            poly = ConvexPolygon(POLYGONS[shape])
+        else:
+            vs = hull(draw(st.lists(st.tuples(coords, coords), min_size=3,
+                                    max_size=9)))
+            assume(len(vs) >= 3)
+            poly = ConvexPolygon(vs)
+        if draw(st.booleans()):
+            poly = reflect(poly)
+        i = draw(st.integers(0, poly.n - 1))
     size = draw(st.integers(1, 14))
     pts = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                         min_size=size, max_size=size))
@@ -175,8 +189,8 @@ def weighted_cases(draw):
 
 
 @st.composite
-def filter_cases(draw):
-    poly, i, pts, weights, ids, level = draw(weighted_cases())
+def filter_cases(draw, kite_apex=False):
+    poly, i, pts, weights, ids, level = draw(weighted_cases(kite_apex))
     target = draw(st.integers(0, sum(weights) + 1))
     return poly, i, pts, weights, ids, level, target
 
@@ -184,6 +198,18 @@ def filter_cases(draw):
 @ORACLE
 @given(filter_cases())
 def test_reserved_filter_matches_direct_oracle(case):
+    check_reserved_filter(case)
+
+
+@ORACLE
+@given(filter_cases(kite_apex=True))
+def test_reserved_filter_several_directions_matches_direct_oracle(case):
+    # the draws above reach a vertex with two reserved directions too
+    # rarely to test the filter's several-directions path
+    check_reserved_filter(case)
+
+
+def check_reserved_filter(case):
     poly, i, pts, weights, ids, level, target = case
     delta = perturbation_direction(poly)
     frame = WedgeFrame(poly, i, delta)
@@ -361,3 +387,142 @@ def test_verify_rsc_matches_simulation_reference(data):
             assert c.witness["coverage"] == overload_at(inst, sched, x, t) > 5
             assert all(overload_at(inst, sched, x, u) <= 5
                        for u in range(min(sched.start.values()), t))
+
+
+@ORACLE
+@given(st.data())
+def test_superset_index_gives_the_subset_answers(data):
+    # the vertex loop builds each curve's index once over all of the items
+    # and queries it with the items still live
+    poly, i, pts, weights, ids, level = data.draw(weighted_cases())
+    delta = perturbation_direction(poly)
+    frame = WedgeFrame(poly, i, delta)
+    items = frame.items(pts, weights=weights, ids=ids)
+    curve = LevelCurve(frame, level, items)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(items),
+                              max_size=len(items)))
+    sub = [it for it, kept in zip(items, keep) if kept]
+    sub_pts = [p for p, kept in zip(pts, keep) if kept]
+    full, own = (position_index_ranges(curve, items),
+                 position_index_ranges(curve, sub))
+    load = index_min_load(own, sub)
+    assert index_min_load(full, sub) == load
+    target = data.draw(st.integers(0, sum(weights) + 1))
+    assert _reserved_filter(poly, i, delta, full, sub, sub_pts, target) == \
+        _reserved_filter(poly, i, delta, own, sub, sub_pts, target)
+    t = data.draw(st.integers(0, load // 2 + 1))
+    answers = []
+    for index in (full, own):
+        try:
+            answers.append(compute_cover(index, sub, t))
+        except CoverPreconditionError:
+            answers.append("precondition")
+    assert answers[0] == answers[1]
+    stop_at = data.draw(st.none() | st.integers(0, load + 1))
+    assert rsc.greedy_schedule(curve_rsc_instance(full, sub),
+                               stop_at=stop_at).start == \
+        rsc.greedy_schedule(curve_rsc_instance(own, sub),
+                            stop_at=stop_at).start
+
+
+@st.composite
+def colorings(draw):
+    """Random colors 1..T+1 (or none) on random points, or a passing
+    coloring (every point has color 1, T = 1) that is then kept, has its
+    color dropped from some points, has T raised by one, or has points
+    recolored at random (to no color, to a color above T, or to another
+    color)."""
+    shape = draw(st.sampled_from(sorted(POLYGONS)))
+    poly = ConvexPolygon(POLYGONS[shape])
+    pts = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                        min_size=1, max_size=40))
+    k = draw(st.integers(1, len(pts)))
+    if draw(st.booleans()):
+        T = draw(st.integers(0, 4))
+        colors = {pid: c for pid, c in enumerate(draw(st.lists(
+            st.none() | st.integers(1, T + 1), min_size=len(pts),
+            max_size=len(pts)))) if c is not None}
+        return poly, pts, k, ColorAssignment(colors=colors, T=T)
+    colors, T = dict.fromkeys(range(len(pts)), 1), 1
+    change = draw(st.sampled_from(["none", "drop", "T+1", "recolor"]))
+    if change == "drop":
+        for pid in draw(st.lists(st.integers(0, len(pts) - 1), min_size=1)):
+            colors.pop(pid, None)
+    elif change == "T+1":
+        T += 1
+    elif change == "recolor":
+        T = draw(st.integers(1, 3))
+        for pid in draw(st.lists(st.integers(0, len(pts) - 1))):
+            colors[pid] = draw(st.integers(0, T + 1))
+            if not colors[pid]:
+                del colors[pid]
+    return poly, pts, k, ColorAssignment(colors=colors, T=T)
+
+
+@ORACLE
+@given(colorings())
+def test_verify_coloring_matches_all_points_oracle(case):
+    poly, pts, k, asg = case
+    got = verify_coloring(poly, pts, asg, k)
+    ref = reference.verify_coloring(poly, pts, asg, k)
+    assert got.ok() == ref.ok()
+    assert (got.alpha, got.stats) == (ref.alpha, ref.stats)
+    if ref.ok() or asg.T <= 0:
+        assert got.to_json() == ref.to_json()
+        return
+    # same curve and color; the apex is one where that color really is
+    # missing from a wedge of load at least k
+    w, r = got.checks[0].witness, ref.checks[0].witness
+    assert (w["i"], w["color"]) == (r["i"], r["color"])
+    frame = WedgeFrame(poly, w["i"])
+    items = frame.items(pts)
+    inside = [pid for (U, V, pid, _w) in items
+              if U >= w["apex_u"] and V >= w["apex_v"]]
+    assert len(inside) >= k
+    assert all(asg.colors.get(pid) != w["color"] for pid in inside)
+
+
+@st.composite
+def planar_cases(draw):
+    """Sensors on a few shared centers, integer or rational, a universe
+    around them, and a schedule starting a random subset."""
+    shape = draw(st.sampled_from(sorted(POLYGONS)))
+    poly = ConvexPolygon(POLYGONS[shape])
+    spot = st.tuples(rationals, rationals) | st.tuples(coords, coords)
+    centers = draw(st.lists(spot, min_size=1, max_size=5))
+    sensors = [(3 * sid + 1, draw(st.sampled_from(centers)),
+                draw(st.integers(1, 5)))
+               for sid in range(draw(st.integers(1, 25)))]
+    universe = draw(st.lists(spot, min_size=1, max_size=6))
+    inst = PlanarInstance(poly, sensors, universe)
+    start = {s.id: draw(st.integers(1, 8)) for s in inst.sensors
+             if draw(st.booleans())}
+    return inst, PlanarSchedule(start=start)
+
+
+@ORACLE
+@given(planar_cases())
+def test_planar_load_and_verify_match_per_sensor_oracle(case):
+    inst, sched = case
+    assert planar_load(inst) == reference.planar_load(inst)
+    got = verify_planar(inst, sched)
+    ref = reference.verify_planar(inst, sched)
+    assert got.to_json() == ref.to_json()
+    assert got.stats == ref.stats
+
+
+@ORACLE
+@given(st.data())
+def test_cell_of_matches_fraction_formula(data):
+    c = data.draw(st.fractions(min_value=Fraction(1, 50), max_value=9,
+                               max_denominator=50))
+    grid = GridSpec(cell_side=c, beta=1)
+    p = data.draw(st.tuples(rationals, rationals) | st.tuples(
+        st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)))
+    assert grid.cell_of(p) == (int(Fraction(p[0]) / c // 1),
+                               int(Fraction(p[1]) / c // 1))
+    poly = data.draw(polygons())
+    grid = grid_spec(poly)
+    c = grid.cell_side
+    assert grid.cell_of(p) == (int(Fraction(p[0]) / c // 1),
+                               int(Fraction(p[1]) / c // 1))

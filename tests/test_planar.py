@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from coverplex import levelcurve
 from coverplex.cover import decompose_translates
 from coverplex.generate import gen_planar, polygon
 from coverplex.geometry import perturbation_direction, reflect
-from coverplex.levelcurve import LevelCurve, WedgeFrame, canonical_positions
+from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
+                                  position_index_ranges)
 from coverplex.planar import (PlanarInstance, PlanarSchedule,
                               curve_rsc_instance, plan_schedule, planar_load,
                               verify_planar)
@@ -55,7 +57,7 @@ def test_curve_rsc_instance_membership():
     frame = WedgeFrame(refl, 0, delta)
     items = frame.items(centers, weights=durs)
     curve = LevelCurve(frame, 10, items)
-    rinst = curve_rsc_instance(curve, items)
+    rinst = curve_rsc_instance(position_index_ranges(curve, items), items)
     positions = canonical_positions(curve, items)
     assert rinst.m == len(positions)
     ranged = {s.id: (s.l, s.r, s.d) for s in rinst.sensors}
@@ -139,3 +141,20 @@ def test_unit_duration_agrees_with_point_decomposition():
         classes, info = decompose_translates(TRIANGLE, centers, max(L, 1))
         T = info.get("T", len(classes))
         assert abs(rep.stats["M_achieved"] - T) <= 1, seed
+
+
+def test_plan_schedule_builds_each_curve_index_once_per_cell(monkeypatch):
+    builds = []
+    real = levelcurve._positions_and_ends
+
+    def counted(curve, items):
+        builds.append(len(items))
+        return real(curve, items)
+
+    monkeypatch.setattr(levelcurve, "_positions_and_ends", counted)
+    inst = gen_planar(0, n_sensors=2600, d_max=7, spread=2, universe_size=5)
+    sched = plan_schedule(inst)
+    cells = [c for c in sched.info["cells"].values() if not c["skipped"]]
+    assert any(it["t"] >= 1 for c in cells for it in c["iterations"])
+    assert builds == [c["size"] for c in cells
+                      for _ in range(TRIANGLE.n)]
