@@ -233,75 +233,115 @@ def cmd_plot_schedule(args):
     return 0
 
 
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+_IN = _flag("--in", dest="infile", default="-",
+            help="input JSON path (default: stdin)")
+_OUT = _flag("--out", default="-", help="output path (default: stdout)")
+_SEED = _flag("--seed", type=int, default=0)
+_STOP_AT = _flag("--stop-at", dest="stop_at", type=int, default=None)
+_POLY = _flag("--poly", default="triangle", choices=sorted(generate.POLYGONS))
+
+# group -> command -> (handler, the flags it reads, in declaration order):
+# --out on all, --in on those that read a document, --seed on the generators
+COMMANDS = {
+    "rsc": {
+        "solve": (cmd_rsc_solve, [_IN, _OUT, _STOP_AT]),
+        "verify": (cmd_rsc_verify, [_IN, _OUT, _STOP_AT]),
+        "oracle": (cmd_rsc_oracle, [_IN, _OUT]),
+    },
+    "decomp": {
+        "points": (cmd_decomp_points, [_IN, _OUT]),
+        "translates": (cmd_decomp_translates, [_IN, _OUT]),
+        "verify": (cmd_decomp_verify, [_IN, _OUT]),
+    },
+    "plan": {
+        "solve": (cmd_plan_solve, [_IN, _OUT]),
+        "verify": (cmd_plan_verify, [_IN, _OUT]),
+    },
+    "gen": {
+        "rsc": (cmd_gen_rsc, [
+            _SEED, _OUT, _flag("--n", type=int, default=20),
+            _flag("--m", type=int, default=20),
+            _flag("--d-max", dest="d_max", type=int, default=5),
+            _flag("--family", default="uniform",
+                  choices=["uniform", "nested"])]),
+        "points": (cmd_gen_points, [
+            _SEED, _OUT, _flag("--size", type=int, default=200),
+            _flag("--span", type=int, default=80),
+            _flag("--k", type=int, default=100), _POLY]),
+        "planar": (cmd_gen_planar, [
+            _SEED, _OUT, _flag("--n", type=int, default=60),
+            _flag("--d-max", dest="d_max", type=int, default=4),
+            _flag("--spread", type=int, default=2),
+            _flag("--universe", type=int, default=5), _POLY]),
+    },
+    "plot": {
+        "curve": (cmd_plot_curve, [
+            _IN, _OUT,
+            _flag("--format", choices=["json", "svg"], default="svg")]),
+        "coloring": (cmd_plot_coloring, [_IN, _OUT]),
+        "schedule": (cmd_plot_schedule, [_IN, _OUT]),
+    },
+}
+
+
+def _declare(parser, fn, flags):
+    parser.set_defaults(fn=fn)
+    for names, kwargs in flags:
+        parser.add_argument(*names, **kwargs)
+    return parser
+
+
 def build_parser():
-    """Each subcommand declares only the flags its handler reads: --out on
-    all, --in on those that read a document, --seed on the generators."""
+    """The whole command line: one sub-parser per COMMANDS entry."""
     ap = argparse.ArgumentParser(prog="coverplex", description=__doc__)
     sub = ap.add_subparsers(dest="group", required=True)
-
-    def group(name):
-        return sub.add_parser(name).add_subparsers(dest="command",
-                                                   required=True)
-
-    def add(grp, name, fn, generator=False):
-        p = grp.add_parser(name)
-        p.set_defaults(fn=fn)
-        if generator:
-            p.add_argument("--seed", type=int, default=0)
-        else:
-            p.add_argument("--in", dest="infile", default="-",
-                           help="input JSON path (default: stdin)")
-        p.add_argument("--out", default="-",
-                       help="output path (default: stdout)")
-        return p
-
-    rsc_ = group("rsc")
-    for name, fn in (("solve", cmd_rsc_solve), ("verify", cmd_rsc_verify)):
-        add(rsc_, name, fn).add_argument("--stop-at", dest="stop_at",
-                                         type=int, default=None)
-    add(rsc_, "oracle", cmd_rsc_oracle)
-
-    decomp = group("decomp")
-    add(decomp, "points", cmd_decomp_points)
-    add(decomp, "translates", cmd_decomp_translates)
-    add(decomp, "verify", cmd_decomp_verify)
-
-    plan = group("plan")
-    add(plan, "solve", cmd_plan_solve)
-    add(plan, "verify", cmd_plan_verify)
-
-    gen = group("gen")
-    p = add(gen, "rsc", cmd_gen_rsc, generator=True)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--m", type=int, default=20)
-    p.add_argument("--d-max", dest="d_max", type=int, default=5)
-    p.add_argument("--family", default="uniform",
-                   choices=["uniform", "nested"])
-    p = add(gen, "points", cmd_gen_points, generator=True)
-    p.add_argument("--size", type=int, default=200)
-    p.add_argument("--span", type=int, default=80)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--poly", default="triangle",
-                   choices=sorted(generate.POLYGONS))
-    p = add(gen, "planar", cmd_gen_planar, generator=True)
-    p.add_argument("--n", type=int, default=60)
-    p.add_argument("--d-max", dest="d_max", type=int, default=4)
-    p.add_argument("--spread", type=int, default=2)
-    p.add_argument("--universe", type=int, default=5)
-    p.add_argument("--poly", default="triangle",
-                   choices=sorted(generate.POLYGONS))
-
-    plot = group("plot")
-    add(plot, "curve", cmd_plot_curve).add_argument(
-        "--format", choices=["json", "svg"], default="svg")
-    add(plot, "coloring", cmd_plot_coloring)
-    add(plot, "schedule", cmd_plot_schedule)
+    for group, commands in COMMANDS.items():
+        grp = sub.add_parser(group).add_subparsers(dest="command",
+                                                  required=True)
+        for name, (fn, flags) in commands.items():
+            _declare(grp.add_parser(name), fn, flags)
     return ap
 
 
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises on every error, also those argparse reports through error()
+    rather than ArgumentError (an ambiguous abbreviation), so that main
+    can hand the command line to the whole parser."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _one_command_args(argv):
+    """Arguments from the parser of the one subcommand that argv[:2]
+    names, or None when it has none or that parser does not accept the
+    rest whole: an error, a leftover argument, or -h, which it does not
+    declare."""
+    entry = COMMANDS.get(argv[0], {}).get(argv[1]) if len(argv) > 1 else None
+    if entry is None:
+        return None
+    parser = _declare(_OneCommandParser(prog="coverplex %s %s" % (
+        argv[0], argv[1]), add_help=False, exit_on_error=False), *entry)
+    try:
+        args, rest = parser.parse_known_args(argv[2:])
+    except argparse.ArgumentError:
+        return None
+    return None if rest else args
+
+
+def _parse_args(argv):
+    """The parsed command line.  A valid one is parsed by its subcommand's
+    parser alone; anything else by the whole parser, which prints the
+    help, usage and error text."""
+    return _one_command_args(argv) or build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .geometry import ConvexPolygon
 from .planar import PlanarInstance, PlanarSchedule, PlanarSensor
@@ -86,17 +87,18 @@ def polygon_from_json(doc):
 
 def rsc_instance_to_json(inst: RscInstance):
     return {"m": inst.m,
-            "sensors": [{"id": s.id, "l": s.l, "r": s.r, "d": s.d}
-                        for s in inst.sensors]}
+            "sensors": [{"id": sid, "l": l, "r": r, "d": d}
+                        for sid, l, r, d in inst.sensors]}
 
 
 def rsc_instance_from_json(doc):
     try:
         sensors = [Sensor(s["id"], s["l"], s["r"], s["d"])
                    for s in doc["sensors"]]
-        for s in sensors:
-            # one cheap test per sensor; name the field only on failure
-            if not type(s.id) is type(s.l) is type(s.r) is type(s.d) is int:
+        # one test of every value's type at C speed; walk the sensors again
+        # only to name the first bad field
+        if not set(map(type, chain.from_iterable(sensors))) <= {int}:
+            for s in sensors:
                 for key in ("id", "l", "r", "d"):
                     int_from_json(getattr(s, key), key)
         return RscInstance(int_from_json(doc["m"], "m"), sensors)
@@ -172,20 +174,29 @@ def coloring_from_json(doc):
 
 def planar_instance_to_json(inst: PlanarInstance):
     return {"polygon": polygon_to_json(inst.polygon),
-            "sensors": [{"id": s.id, "center": point_to_json(s.center),
-                         "d": s.d} for s in inst.sensors],
+            "sensors": [{"id": sid, "center": point_to_json(center),
+                         "d": d} for sid, center, d in inst.sensors],
             "universe": [point_to_json(u) for u in inst.universe]}
 
 
 def planar_instance_from_json(doc):
     try:
-        return PlanarInstance(
-            polygon_from_json(doc["polygon"]),
-            [PlanarSensor(int_from_json(s["id"], "id"),
-                          point_from_json(s["center"]),
-                          int_from_json(s["d"], "d"))
-             for s in doc["sensors"]],
-            [point_from_json(u) for u in doc["universe"]])
+        polygon = polygon_from_json(doc["polygon"])
+        sensors = []
+        for s in doc["sensors"]:
+            # integer ids, centers and durations pass one inline test; the
+            # rest (rational centers, errors) go through the readers
+            try:
+                sid, (x, y), d = s["id"], s["center"], s["d"]
+                plain = type(sid) is type(x) is type(y) is type(d) is int
+            except (KeyError, TypeError, ValueError):
+                plain = False
+            sensors.append(PlanarSensor(sid, (x, y), d) if plain else
+                           PlanarSensor(int_from_json(s["id"], "id"),
+                                        point_from_json(s["center"]),
+                                        int_from_json(s["d"], "d")))
+        return PlanarInstance(polygon, sensors,
+                              [point_from_json(u) for u in doc["universe"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad planar instance: %s" % exc) from exc
 

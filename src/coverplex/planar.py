@@ -12,10 +12,11 @@ certified only by full simulation (verify_planar), never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cover import _iterate_vertices
 from .geometry import ConvexPolygon, cell_partition, grid_spec, reflect
-from .rsc import RscInstance, greedy_schedule
+from .rsc import RscInstance, Sensor, greedy_schedule
 from .verify import VerificationReport, check_assignments
 
 # unused here; perfbench/tracer.py patches these names in this module
@@ -25,8 +26,7 @@ from .levelcurve import LevelCurve, min_load_on_curve  # noqa: F401
 from .levelcurve import position_index_ranges  # noqa: F401
 
 
-@dataclass(frozen=True, slots=True)
-class PlanarSensor:
+class PlanarSensor(NamedTuple):
     id: int
     center: tuple
     d: int
@@ -39,14 +39,17 @@ class PlanarInstance:
     universe: list
 
     def __post_init__(self):
-        self.sensors = [s if isinstance(s, PlanarSensor) else PlanarSensor(*s)
-                        for s in self.sensors]
-        ids = [s.id for s in self.sensors]
+        sensors = list(self.sensors)
+        if not set(map(type, sensors)) <= {PlanarSensor}:
+            sensors = [s if isinstance(s, PlanarSensor) else PlanarSensor(*s)
+                       for s in sensors]
+        self.sensors = sensors
+        ids, _, ds = zip(*sensors) if sensors else ((),) * 3
         if len(set(ids)) != len(ids):
             raise ValueError("sensor ids must be unique")
-        for s in self.sensors:
-            if s.d < 1:
-                raise ValueError("sensor %d needs positive duration" % s.id)
+        if min(ds, default=1) < 1:
+            s = next(s for s in sensors if s.d < 1)
+            raise ValueError("sensor %d needs positive duration" % s.id)
 
 
 @dataclass
@@ -62,8 +65,8 @@ def planar_load(instance: PlanarInstance):
     poly = instance.polygon
     # one membership test per distinct center
     weight_at = {}
-    for s in instance.sensors:
-        weight_at[s.center] = weight_at.get(s.center, 0) + s.d
+    for _, center, d in instance.sensors:
+        weight_at[center] = weight_at.get(center, 0) + d
     loads = [sum(w for c, w in weight_at.items()
                  if poly.contains(u, center=c))
              for u in instance.universe]
@@ -87,7 +90,7 @@ def curve_rsc_instance(index, items):
         rng = ranges[pid]
         if rng is None:
             continue
-        sensors.append((pid, rng[0] + 1, rng[1] + 1, w))
+        sensors.append(Sensor(pid, rng[0] + 1, rng[1] + 1, w))
     return RscInstance(len(positions), sensors)
 
 
@@ -161,11 +164,11 @@ def verify_planar(instance: PlanarInstance,
         for center, group in at_center.items():
             if not poly.contains(u, center=center):
                 continue
-            for s in group:
-                load += s.d
-                t0 = schedule.start.get(s.id)
+            for sid, _, d in group:
+                load += d
+                t0 = schedule.start.get(sid)
                 if t0 is not None:
-                    spans.append((t0, t0 + s.d - 1))
+                    spans.append((t0, t0 + d - 1))
         if L is None or load < L:
             L = load
         spans.sort()

@@ -4,28 +4,27 @@ Sensors are integer intervals [l, r] in a universe {1..m} with positive
 integer durations.  The scheduler assigns start times one sensor per
 iteration, always extending the currently shortest-covered coordinate, and
 never overlaps more than a bounded number of sensors at one point in time.
+
+Coverage is kept per segment, a run of coordinates of which every sensor
+range holds all or none: the elementary segments between sensor endpoints,
+or single coordinates when m <= 2n + 1.  Either way there are at most
+2n + 1 of them, whatever the value of m.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat, takewhile
+from operator import itemgetter, le
+from typing import NamedTuple
 
 INF = float("inf")
 
-
-def right_key(s):
-    """Tie rule for extending right: largest r, then smallest l, then id."""
-    return (-s.r, s.l, s.id)
+_ID, _L, _R = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
-def left_key(s):
-    """Tie rule for extending left: smallest l, then largest r, then id."""
-    return (s.l, -s.r, s.id)
-
-
-@dataclass(frozen=True)
-class Sensor:
+class Sensor(NamedTuple):
     id: int
     l: int
     r: int
@@ -35,18 +34,31 @@ class Sensor:
 class RscInstance:
     def __init__(self, m, sensors):
         self.m = int(m)
-        self.sensors = [s if isinstance(s, Sensor) else Sensor(*s)
-                        for s in sensors]
+        sensors = list(sensors)
+        if not set(map(type, sensors)) <= {Sensor}:
+            sensors = [s if isinstance(s, Sensor) else Sensor(*s)
+                       for s in sensors]
+        self.sensors = sensors
+        ids, ls, rs, ds = zip(*sensors) if sensors else ((),) * 4
+        if (self.m < 1 or len(set(ids)) < len(ids)
+                or min(ls, default=1) < 1 or max(rs, default=1) > self.m
+                or not all(map(le, ls, rs)) or min(ds, default=1) < 1):
+            raise ValueError(self._first_problem())
+
+    def _first_problem(self):
+        """The message for the first check the instance fails, in the
+        order: universe, unique ids, then each sensor's range and
+        duration."""
         if self.m < 1:
-            raise ValueError("universe must be non-empty")
+            return "universe must be non-empty"
         ids = [s.id for s in self.sensors]
         if len(set(ids)) != len(ids):
-            raise ValueError("sensor ids must be unique")
+            return "sensor ids must be unique"
         for s in self.sensors:
             if not (1 <= s.l <= s.r <= self.m):
-                raise ValueError("sensor %d range outside universe" % s.id)
+                return "sensor %d range outside universe" % s.id
             if s.d < 1:
-                raise ValueError("sensor %d needs positive duration" % s.id)
+                return "sensor %d needs positive duration" % s.id
 
 
 @dataclass
@@ -68,84 +80,177 @@ class Schedule:
     stop_at: int | None = None
 
 
+def _segments(instance: RscInstance):
+    """First coordinates of the segments in order, then m + 1; and the
+    index of each of those coordinates, so a sensor holds segments
+    seg[l] .. seg[r + 1] - 1.  The segments are the elementary ones, or
+    every coordinate its own when m is at most 2n + 1, which refines them
+    and costs no sort."""
+    sensors = instance.sensors
+    m = instance.m
+    if m <= 2 * len(sensors) + 1:
+        return range(1, m + 2), list(range(-1, m + 1))
+    cuts = sorted({1, m + 1, *map(_L, sensors),
+                   *map((1).__add__, map(_R, sensors))})
+    return cuts, dict(zip(cuts, range(len(cuts))))
+
+
 def load(instance: RscInstance):
-    """Per-coordinate total durations and their minimum L."""
-    diff = [0] * (instance.m + 2)
-    for s in instance.sensors:
-        diff[s.l] += s.d
-        diff[s.r + 1] -= s.d
-    per_coord = list(accumulate(diff[1:instance.m + 1]))
-    return per_coord, min(per_coord)
+    """Load profile and its minimum L.  The profile is one (lo, hi, total)
+    triple per maximal run of coordinates lo..hi with the same total
+    duration, in order from 1 to m."""
+    cuts, seg = _segments(instance)
+    diff = [0] * len(cuts)
+    for _, l, r, d in instance.sensors:
+        diff[seg[l]] += d
+        diff[seg[r + 1]] -= d
+    runs = []
+    for k, total in enumerate(accumulate(diff[:-1])):
+        if runs and runs[-1][2] == total:
+            runs[-1] = (runs[-1][0], cuts[k + 1] - 1, total)
+        else:
+            runs.append((cuts[k], cuts[k + 1] - 1, total))
+    return runs, min(total for _, _, total in runs)
 
 
-def _first_live(ordered, start, x):
-    """First sensor of `ordered` (sorted by a tie rule) that is unassigned
-    and live at x, or None."""
-    for s in ordered:
-        if s.l <= x <= s.r and s.id not in start:
-            return s
-    return None
+def _max_tree(values):
+    """Flat binary max-tree over ``values``, padded with -INF to a power of
+    two: node 1 is the root, node k has children 2k and 2k + 1, and value
+    k is the leaf size + k."""
+    size = 1 << (len(values) - 1).bit_length()
+    row = values + [-INF] * (size - len(values))
+    levels = [row]
+    while len(row) > 1:
+        row = list(map(max, row[0::2], row[1::2]))
+        levels.append(row)
+    return [-INF, *chain.from_iterable(reversed(levels))]
+
+
+def _prefix_max(tree, p):
+    """Largest of values 0 .. p - 1, from one node per set bit of p."""
+    size = len(tree) >> 1
+    best = -INF
+    k = 0
+    h = size
+    while h:
+        if p & h:
+            best = max(best, tree[(size + k) // h])
+            k += h
+        h >>= 1
+    return best
+
+
+def _leftmost_at_least(tree, p, x):
+    """Least k < p whose value is at least x: the first of the prefix's
+    nodes (one per set bit of p) whose maximum is at least x, descended to
+    its leftmost such leaf; -1 when there is none."""
+    size = len(tree) >> 1
+    k = 0
+    h = size
+    while h:
+        if p & h:
+            node = (size + k) // h
+            if tree[node] >= x:
+                while node < size:
+                    node *= 2
+                    if tree[node] < x:
+                        node += 1
+                return node - size
+            k += h
+        h >>= 1
+    return -1
+
+
+def _set_leaf(tree, k, value):
+    """Set value k of a max-tree and the maxima above it."""
+    node = (len(tree) >> 1) + k
+    tree[node] = value
+    while node > 1:
+        node >>= 1
+        tree[node] = max(tree[2 * node], tree[2 * node + 1])
 
 
 def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
-    m = instance.m
+    """The greedy schedule, stopped once every coordinate is covered up to
+    ``stop_at`` (if given).  Set-up sorts the sensors once; each pick is
+    O(log n) tree descents plus one pass over the S <= 2n + 1 segments at
+    C speed (their minimum, its run and the covered-until update)."""
+    sched = Schedule(stop_at=stop_at)
+    cuts, seg = _segments(instance)
     # Every start is t = min covered_until + 1 <= covered_until[x] + 1 at each
     # coordinate x of the chosen range, so the times covered at x are always
-    # the prefix 1..covered_until[x]: one number per coordinate, no timeline.
-    covered_until = [0] * (m + 2)
-    by_right = sorted(instance.sensors, key=right_key)
-    by_left = sorted(instance.sensors, key=left_key)
-    sched = Schedule(stop_at=stop_at)
-
-    def current_duration():
-        return min(covered_until[1:m + 1])
+    # the prefix 1..covered_until[x]: one number per segment, no timeline.
+    covered_until = [0] * (len(cuts) - 1)
+    # The sensors in the tie rule for extending left: smallest l, then
+    # largest r, then id.  The sensors of one l form a bucket, and a
+    # bucket's first unassigned sensor, its head, has the bucket's largest
+    # r.  Both picks take a head, so the unassigned sensors of a bucket
+    # stay a suffix of it, and a max-tree over the heads' r finds a pick.
+    order = sorted(instance.sensors, key=_ID)
+    order.sort(key=_R, reverse=True)
+    order.sort(key=_L)
+    ls = list(map(_L, order))
+    bucket_l = sorted(set(ls))
+    head = [bisect_left(ls, l) for l in bucket_l]
+    bucket_end = head[1:] + [len(order)]
+    heads_r = _max_tree([order[k].r for k in head])
 
     while True:
-        t = current_duration() + 1
-        # coordinates achieving the minimum are exactly the ones uncovered
-        # at time t
-        i = covered_until.index(t - 1, 1)
-        j = i
-        while j + 1 <= m and covered_until[j + 1] < t:
-            j += 1
+        low = min(covered_until)
+        t = low + 1
+        # segments achieving the minimum are exactly the ones uncovered at
+        # time t; a..b is the first run of them
+        a = covered_until.index(low)
+        b = a + len(list(takewhile(low.__eq__,
+                                   islice(covered_until, a + 1, None))))
+        i, j = cuts[a], cuts[b + 1] - 1
 
-        s_right = _first_live(by_right, sched.start, i)
-        if s_right is None:
+        # Tie rule for extending right: largest r, then smallest l, then id.
+        # The sensors live at i are in the buckets with l <= i whose head
+        # reaches i: the leftmost bucket whose head has their largest r.
+        p = bisect_right(bucket_l, i)
+        r_max = _prefix_max(heads_r, p)
+        if r_max < i:
             break
-        if s_right.r < j:
-            chosen, direction, closes = s_right, "right", i
-        else:
-            m_left = covered_until[i - 1] if i > 1 else INF
-            m_right = covered_until[j + 1] if j < m else INF
-            if m_left >= m_right:
-                chosen, direction, closes = s_right, "right", i
-            else:
-                chosen, direction, closes = (
-                    _first_live(by_left, sched.start, j), "left", j)
+        k = _leftmost_at_least(heads_r, p, r_max)
+        direction, closes = "right", i
+        if r_max >= j:
+            m_left = covered_until[a - 1] if a else INF
+            m_right = (covered_until[b + 1] if b + 1 < len(covered_until)
+                       else INF)
+            if m_left < m_right:
+                # the leftmost bucket whose head reaches j; the right pick
+                # is live at j, so there is one
+                k = _leftmost_at_least(heads_r, bisect_right(bucket_l, j), j)
+                direction, closes = "left", j
 
+        chosen = order[head[k]]
+        head[k] += 1
+        _set_leaf(heads_r, k, order[head[k]].r if head[k] < bucket_end[k]
+                  else -INF)
         sched.start[chosen.id] = t
         sched.events.append(Assignment(id=chosen.id, t=t, closes=closes,
                                        direction=direction, interval=(i, j)))
         end = t + chosen.d - 1
-        for x in range(chosen.l, chosen.r + 1):
-            if covered_until[x] < end:
-                covered_until[x] = end
-        if stop_at is not None and current_duration() >= stop_at:
+        lo, hi = seg[chosen.l], seg[chosen.r + 1]
+        covered_until[lo:hi] = map(max, covered_until[lo:hi], repeat(end))
+        if stop_at is not None and min(covered_until) >= stop_at:
             break
     return sched
 
 
-def _coordinate_spans(schedule: Schedule, instance: RscInstance):
-    """Index x in 1..m -> (start, end) spans of the assigned sensors live
-    at x."""
-    spans = [[] for _ in range(instance.m + 1)]
-    for s in instance.sensors:
-        t0 = schedule.start.get(s.id)
+def _segment_spans(schedule: Schedule, instance: RscInstance):
+    """The segments' first coordinates (then m + 1), and for each segment
+    the (start, end) spans of the assigned sensors that hold it."""
+    cuts, seg = _segments(instance)
+    spans = [[] for _ in range(len(cuts) - 1)]
+    for sid, l, r, d in instance.sensors:
+        t0 = schedule.start.get(sid)
         if t0 is not None:
-            span = (t0, t0 + s.d - 1)
-            for x in range(s.l, s.r + 1):
-                spans[x].append(span)
-    return spans
+            span = (t0, t0 + d - 1)
+            for k in range(seg[l], seg[r + 1]):
+                spans[k].append(span)
+    return cuts, spans
 
 
 def _covered_prefix(spans):
@@ -164,12 +269,13 @@ def duration_at(schedule: Schedule, instance: RscInstance, x: int):
     Boundary coordinates 0 and m+1 count as always covered."""
     if x < 1 or x > instance.m:
         return INF
-    return _covered_prefix(_coordinate_spans(schedule, instance)[x])
+    cuts, spans = _segment_spans(schedule, instance)
+    return _covered_prefix(spans[bisect_right(cuts, x) - 1])
 
 
 def duration(schedule: Schedule, instance: RscInstance):
     """M(S) = min over coordinates of M(S, x)."""
-    return min(map(_covered_prefix, _coordinate_spans(schedule, instance)[1:]))
+    return min(map(_covered_prefix, _segment_spans(schedule, instance)[1]))
 
 
 def coverage_profile(schedule: Schedule, instance: RscInstance):

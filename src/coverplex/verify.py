@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .geometry import ConvexPolygon, perturbation_direction
 from .levelcurve import LevelCurve, WedgeFrame, canonical_positions
@@ -249,24 +249,12 @@ def check_assignments(report, sensors, start):
     report.add("assignments-valid", not bad, bad or None)
 
 
-def _active_times(instance, schedule):
-    """sensor -> (start, end) inclusive, assigned only."""
-    out = {}
-    for s in instance.sensors:
-        t0 = schedule.start.get(s.id)
-        if t0 is not None:
-            out[s.id] = (s, t0, t0 + s.d - 1)
-    return out
-
-
-def _range_sums(m, weighted):
-    """Index x in 1..m -> total weight of the (sensor, weight) pairs whose
-    range holds x, by a difference array."""
-    diff = [0] * (m + 2)
-    for s, w in weighted:
-        diff[s.l] += w
-        diff[s.r + 1] -= w
-    return list(accumulate(diff))
+def _segment_starts(m, sensors):
+    """First coordinates of the stretches of 1..m on which no sensor range
+    starts or ends, in order, then m + 1.  Every sensor range holds all of
+    such a stretch or none of it."""
+    return sorted({1, m + 1} | {s.l for s in sensors}
+                  | {s.r + 1 for s in sensors})
 
 
 def _prefix_end(spans):
@@ -319,47 +307,103 @@ def _add_span(merged, a, b):
     merged[lo:hi] = [(a, b)]
 
 
+def _nested_violation(active):
+    """Witness of the first assigned sensor, in the order of ``active``,
+    whose range another assigned sensor properly contains and which starts
+    before that one ends; None when there is none.
+
+    A sweep in (l ascending, r descending) order meets every proper
+    container of a range before the range itself; a group of equal ranges
+    is checked before any of it is added, as equal ranges do not contain
+    each other.  A Fenwick tree over r, largest first, keeps the largest
+    t + d (end + 1) of the sensors met, so a sensor is violated when it
+    starts below that figure over its containers.  The outer sensor is the
+    first one in ``active`` order that violates with it, found by a scan.
+    """
+    items = list(active.values())
+    rs = sorted({s.r for s, _, _ in items}, reverse=True)
+    rank = {r: k + 1 for k, r in enumerate(rs)}  # r >= x is a prefix
+    tree = [-INF] * (len(rs) + 1)  # prefix maxima
+
+    def range_key(k):
+        return items[k][0].l, -items[k][0].r
+
+    violated = []
+    for (_, neg_r), group in groupby(sorted(range(len(items)), key=range_key),
+                                     key=range_key):
+        group = list(group)
+        best = -INF
+        q = rank[-neg_r]
+        while q:
+            best = max(best, tree[q])
+            q &= q - 1
+        violated += [k for k in group if items[k][1] < best]
+        for k in group:
+            s, t0, _ = items[k]
+            q = rank[s.r]
+            while q < len(tree):
+                tree[q] = max(tree[q], t0 + s.d)
+                q += q & -q
+    if not violated:
+        return None
+    u, tu, _ = items[min(violated)]
+    for v, tv, _ in items:
+        proper = (v.l <= u.l and u.r <= v.r and (v.l < u.l or u.r < v.r))
+        if proper and not tu >= tv + v.d:
+            return {"inner": u.id, "outer": v.id, "t_inner": tu,
+                    "t_outer": tv}
+
+
 def verify_rsc(instance, schedule):
-    """Check the scheduler's four guarantees from each coordinate's list of
-    (start, end) spans; cost follows sensors and ranges, not durations."""
+    """Check the scheduler's four guarantees from each stretch's list of
+    (start, end) spans, on the stretches between sensor endpoints; cost
+    follows sensors and ranges, not durations or the value of m."""
     report = VerificationReport()
     check_assignments(report, instance.sensors, schedule.start)
-    active = _active_times(instance, schedule)
     m = instance.m
+    cuts = _segment_starts(m, instance.sensors)
+    seg = {c: k for k, c in enumerate(cuts)}
+    # one walk: the assigned sensors with their (start, end), and difference
+    # arrays over the stretches of the total duration, the assigned
+    # duration and the number of unassigned sensors
+    active = {}
+    total, live, free = ([0] * len(cuts) for _ in range(3))
+    for s in instance.sensors:
+        sid, l, r, d = s
+        lo, hi = seg[l], seg[r + 1]
+        total[lo] += d
+        total[hi] -= d
+        t0 = schedule.start.get(sid)
+        if t0 is None:
+            free[lo] += 1
+            free[hi] -= 1
+        else:
+            active[sid] = (s, t0, t0 + d - 1)
+            live[lo] += d
+            live[hi] -= d
+    total, live, free = (list(accumulate(diff[:-1]))
+                         for diff in (total, live, free))
 
-    spans = [[] for _ in range(m + 1)]
+    spans = [[] for _ in cuts[1:]]
     for (s, t0, t1) in active.values():
-        for x in range(s.l, s.r + 1):
-            spans[x].append((t0, t1))
-    m_at = [_prefix_end(sp) for sp in spans]  # index 0 unused
-    m_s = min(m_at[1:], default=0)
+        for k in range(seg[s.l], seg[s.r + 1]):
+            spans[k].append((t0, t1))
+    m_at = [_prefix_end(sp) for sp in spans]
+    m_s = min(m_at)
     report.stats["M"] = m_s
 
     witness = None
-    for x in range(1, m + 1):
-        hit = _first_overload(spans[x], 5)
+    for k, sp in enumerate(spans):
+        hit = _first_overload(sp, 5)
         if hit:
-            witness = {"x": x, "t": hit[0], "coverage": hit[1]}
+            witness = {"x": cuts[k], "t": hit[0], "coverage": hit[1]}
             break
     report.add("coverage-at-most-5", witness is None, witness)
 
-    witness = None
-    for (u, tu, _) in active.values():
-        for (v, tv, _) in active.values():
-            if u.id == v.id:
-                continue
-            proper = (v.l <= u.l and u.r <= v.r
-                      and (v.l < u.l or u.r < v.r))
-            if proper and not tu >= tv + v.d:
-                witness = {"inner": u.id, "outer": v.id,
-                           "t_inner": tu, "t_outer": tv}
-                break
-        if witness:
-            break
+    witness = _nested_violation(active)
     report.add("nested-ranges-sequential", witness is None, witness)
 
-    per = _range_sums(m, ((s, s.d) for s in instance.sensors))
-    L = min(per[1:m + 1]) if m else 0
+    L = min(total)
     report.stats["L"] = L
     need = L // 5 if schedule.stop_at is None else min(schedule.stop_at,
                                                        L // 5)
@@ -369,29 +413,30 @@ def verify_rsc(instance, schedule):
     d_max = max((s.d for s in instance.sensors), default=0)
     t_eff = schedule.stop_at if schedule.stop_at is not None else m_s
     bound = 5 * (t_eff + d_max)
-    assigned_live = _range_sums(m, ((s, s.d)
-                                    for (s, _, _) in active.values()))
     witness = None
-    for x in range(1, m + 1):
-        if assigned_live[x] > bound:
-            witness = {"x": x, "assigned_live_duration": assigned_live[x],
+    for k, assigned in enumerate(live):
+        if assigned > bound:
+            witness = {"x": cuts[k], "assigned_live_duration": assigned,
                        "bound": bound}
             break
     report.add("stopped-load-bound", witness is None, witness)
 
-    # closing semantics: replay the event log, merged spans per coordinate
+    # closing semantics: replay the event log, merged spans per stretch; a
+    # coordinate outside 1..m is never covered
     witness = None
-    replay = [[] for _ in range(m + 1)]
+    replay = [[] for _ in cuts]  # the last list stays empty
     sensor_of = {s.id: s for s in instance.sensors}
     for ev in schedule.events:
         s = sensor_of[ev.id]
-        if _holds(replay[ev.closes], ev.t):
+        closes = replay[bisect_right(cuts, ev.closes) - 1
+                        if 1 <= ev.closes <= m else -1]
+        if _holds(closes, ev.t):
             witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
                        "reason": "already covered"}
             break
-        for x in range(s.l, s.r + 1):
-            _add_span(replay[x], ev.t, ev.t + s.d - 1)
-        if not _holds(replay[ev.closes], ev.t):
+        for k in range(seg[s.l], seg[s.r + 1]):
+            _add_span(replay[k], ev.t, ev.t + s.d - 1)
+        if not _holds(closes, ev.t):
             witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
                        "reason": "still uncovered"}
             break
@@ -399,11 +444,8 @@ def verify_rsc(instance, schedule):
 
     stopped = schedule.stop_at is not None and m_s >= schedule.stop_at
     if not stopped:
-        free = _range_sums(m, ((s, 1) for s in instance.sensors
-                               if s.id not in schedule.start))
-        blocked = [x for x in range(1, m + 1)
-                   if m_at[x] == m_s and not free[x]]
-        report.add("termination-blocked-coordinate", bool(blocked) or m == 0,
-                   None if blocked or m == 0 else {"M": m_s})
+        blocked = any(at == m_s and not n for at, n in zip(m_at, free))
+        report.add("termination-blocked-coordinate", blocked,
+                   None if blocked else {"M": m_s})
     report.ratio = (m_s / L) if L else None
     return report

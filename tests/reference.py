@@ -7,7 +7,7 @@ from fractions import Fraction
 from coverplex.geometry import cross, dot, perturbation_direction
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions)
-from coverplex.rsc import INF, Assignment, Schedule, left_key, right_key
+from coverplex.rsc import INF, Assignment, Schedule
 from coverplex.verify import VerificationReport, check_assignments
 
 
@@ -175,6 +175,16 @@ def verify_planar(instance, schedule):
 # restricted strip cover by time-step simulation
 
 
+def right_key(s):
+    """Tie rule for extending right: largest r, then smallest l, then id."""
+    return (-s.r, s.l, s.id)
+
+
+def left_key(s):
+    """Tie rule for extending left: smallest l, then largest r, then id."""
+    return (s.l, -s.r, s.id)
+
+
 def dominant_right(instance, schedule, x):
     """Unassigned sensor live at x first under ``right_key``, or None."""
     live = [s for s in instance.sensors
@@ -200,6 +210,12 @@ def load(instance):
     return per_coord, min(per_coord)
 
 
+def load_profile(runs):
+    """Per-coordinate totals for 1..m from ``rsc.load``'s (lo, hi, total)
+    runs."""
+    return [total for lo, hi, total in runs for _ in range(lo, hi + 1)]
+
+
 def greedy_schedule(instance, stop_at=None):
     """The RSC greedy on a (m+2) x horizon timeline of active counts, filled
     one time step at a time; rebuilds the live sets every iteration."""
@@ -210,12 +226,6 @@ def greedy_schedule(instance, stop_at=None):
     covered_until = [0] * (m + 2)
     unassigned = sorted(instance.sensors, key=lambda s: s.id)
     sched = Schedule(stop_at=stop_at)
-
-    def right_key(s):
-        return (-s.r, s.l, s.id)
-
-    def left_key(s):
-        return (s.l, -s.r, s.id)
 
     def current_duration():
         return min(covered_until[1:m + 1])

@@ -160,6 +160,46 @@ def test_rsc_huge_duration_solve_and_verify(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_rsc_huge_universe_solve_and_verify(tmp_path, capsys):
+    """Cost follows the sensor endpoints, not the value of m: m = 10**30
+    gives the output of the same sensors on the smallest m that keeps
+    their order, and rsc oracle refuses it; no traceback."""
+    def inst(m):
+        return {"m": m, "sensors": [
+            {"id": 0, "l": 1, "r": m, "d": 2}, {"id": 1, "l": 1, "r": 5,
+                                                "d": 3},
+            {"id": 2, "l": 4, "r": m, "d": 1}, {"id": 3, "l": 7, "r": 7,
+                                                "d": 4},
+            {"id": 4, "l": 2, "r": 6, "d": 2}]}
+
+    p = tmp_path / "doc.json"
+
+    def outputs(m):
+        outs = []
+        for stop_at in ([], ["--stop-at", "1"]):
+            p.write_text(jsonio.dumps(inst(m)))
+            code, out, err = run(["rsc", "solve", "--in", str(p), *stop_at],
+                                 capsys)
+            assert code == 0 and not err
+            sched = json.loads(out)
+            stacked = dict(sched, assignments=[{"id": i, "t": 1}
+                                               for i in range(5)])
+            for schedule in (sched, stacked):
+                p.write_text(jsonio.dumps({"instance": inst(m),
+                                           "schedule": schedule}))
+                outs.append((out, run(["rsc", "verify", "--in", str(p),
+                                       *stop_at], capsys)))
+        return outs
+
+    huge = outputs(10 ** 30)
+    assert huge == outputs(8)
+    assert [json.loads(out)["L"] for out, _ in huge] == [3, 3, 3, 3]
+    assert [code for _, (code, _, _) in huge] == [0, 1, 0, 1]
+    p.write_text(jsonio.dumps(inst(10 ** 30)))
+    code, _, err = run(["rsc", "oracle", "--in", str(p)], capsys)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{ this is not json")
@@ -312,6 +352,7 @@ BAD_NUMBERS = [
     (["plan", "verify"], _plan_both, ("schedule", "assignments", 0, "id"),
      "0"),
     (["rsc", "solve"], _rsc_doc, ("sensors", 0, "d"), 1.5),
+    (["rsc", "solve"], _rsc_doc, ("sensors", 5, "d"), True),
     (["rsc", "solve"], _rsc_doc, ("sensors", 0, "l"), "1"),
     (["rsc", "solve"], _rsc_doc, ("sensors", 0, "id"), None),
     (["rsc", "solve"], _rsc_doc, ("m",), True),
@@ -490,3 +531,62 @@ def test_readme_library_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+# a valid value for each flag, and values that some flags refuse
+FLAG_VALUES = {"--in": "in.json", "--out": "out.json", "--stop-at": "3",
+               "--seed": "5", "--n": "10", "--m": "4", "--d-max": "3",
+               "--family": "nested", "--size": "5", "--span": "9",
+               "--k": "7", "--poly": "square", "--spread": "2",
+               "--universe": "4", "--format": "json"}
+BAD_VALUES = ["x", "1.5", "-1", "", "bogus"]
+
+
+def _argv_corpus(group, command, flags):
+    """(argv, whether it is valid) for one subcommand."""
+    head = [group, command]
+    every = [word for flag in sorted(flags)
+             for word in (flag, FLAG_VALUES[flag])]
+    yield head, True
+    yield head + every, True
+    yield head + every + every[:2], True
+    for flag in sorted(flags):
+        value = FLAG_VALUES[flag]
+        yield head + [flag, value], True
+        yield head + [flag + "=" + value], True
+        yield head + [flag[:4], value], True
+        yield head + [flag], False
+        yield head + [flag, value, "-h"], False
+        for bad in BAD_VALUES:
+            yield head + [flag, bad], None
+    for tail in (["--bogus"], ["extra"], ["-h"], ["--help"], ["--h"],
+                 ["--in", "-h"], ["--", "x"], ["--"], ["--s", "1"],
+                 ["--seed", "1"], ["--stop-at", "1"], ["--in"]):
+        yield head + tail, None
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        args = vars(parse(argv))
+        result = {k: v for k, v in args.items()
+                  if k not in ("group", "command")}
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("key", sorted(FLAGS), ids="-".join)
+def test_one_command_parser_matches_full_parser(key, capsys):
+    """main parses a valid command line with its subcommand's parser alone
+    and anything else with the whole parser: the arguments, exit code,
+    usage, help and error text are those of build_parser()."""
+    for argv, valid in _argv_corpus(*key, FLAGS[key]):
+        got = _parse_outcome(cli._parse_args, argv, capsys)
+        want = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        assert got == want, argv
+        one = cli._one_command_args(argv)
+        if valid is not None:
+            assert (one is not None) == valid, argv
+        if one is not None:
+            assert type(got[0]) is dict, argv

@@ -271,23 +271,49 @@ def test_position_index_and_min_load_match_membership_oracle(case):
 
 @st.composite
 def rsc_instances(draw):
-    """Uniform ranges drawn directly (duplicates and nesting included), or a
-    larger uniform or nested instance from the generator; short durations,
-    since the reference walks every time step."""
+    """Uniform ranges drawn directly (duplicates and nesting included), a
+    larger uniform or nested instance from the generator, many copies of
+    one range, a deep chain of nested ranges, or a few sensors on a few
+    endpoints spread over m <= 10**4 (so the universe has far more
+    coordinates than endpoints); short durations, since the reference
+    walks every time step."""
     m = draw(st.integers(1, 8))
     d_max = draw(st.integers(1, 6))
-    family = draw(st.sampled_from(["drawn", "uniform", "nested"]))
-    if family != "drawn":
+    family = draw(st.sampled_from(["drawn", "uniform", "nested",
+                                   "identical", "deep", "sparse"]))
+    if family in ("uniform", "nested"):
         return gen_rsc(draw(st.integers(0, 10 ** 6)),
                        n=draw(st.integers(1, 40)),
                        m=m + draw(st.integers(0, 4)), d_max=d_max,
                        family=family)
-    sensors = []
-    for sid in draw(st.permutations(range(draw(st.integers(0, 14))))):
+    ranges = []
+    if family == "drawn":
+        for _ in range(draw(st.integers(0, 14))):
+            l = draw(st.integers(1, m))
+            ranges.append((l, draw(st.integers(l, m))))
+    elif family == "identical":
         l = draw(st.integers(1, m))
-        sensors.append((3 * sid + 2, l, draw(st.integers(l, m)),
-                        draw(st.integers(1, d_max))))
-    return rsc.RscInstance(m, sensors)
+        ranges = [(l, draw(st.integers(l, m)))] * draw(st.integers(1, 30))
+        ranges += [(1, m)] * draw(st.integers(0, 3))
+    elif family == "deep":
+        m = draw(st.integers(1, 24))
+        l, r = 1, m
+        for _ in range(draw(st.integers(1, 24))):
+            ranges.append((l, r))
+            l = draw(st.integers(l, (l + r) // 2))
+            r = draw(st.integers(max(l, (l + r) // 2), r))
+    else:
+        m = draw(st.integers(1, 10 ** 4))
+        ends = sorted(draw(st.lists(st.integers(1, m), min_size=1,
+                                    max_size=4)))
+        d_max = min(d_max, 3)
+        for _ in range(draw(st.integers(0, 8))):
+            l = draw(st.sampled_from(ends))
+            ranges.append((l, draw(st.sampled_from([e for e in ends
+                                                    if e >= l]))))
+    ids = draw(st.permutations(range(len(ranges))))
+    return rsc.RscInstance(m, [(3 * sid + 2, l, r, draw(st.integers(1, d_max)))
+                               for sid, (l, r) in zip(ids, ranges)])
 
 
 def stop_values(inst):
@@ -308,7 +334,8 @@ def test_greedy_duration_and_load_match_timeline_reference(data):
     ref = reference.greedy_schedule(inst, stop_at=stop_at)
     assert got.start == ref.start
     assert event_tuples(got) == event_tuples(ref)
-    assert rsc.load(inst) == reference.load(inst)
+    runs, L = rsc.load(inst)
+    assert (reference.load_profile(runs), L) == reference.load(inst)
     assert rsc.duration(got, inst) == reference.duration(got, inst)
     for x in range(inst.m + 2):
         assert rsc.duration_at(got, inst, x) == reference.duration_at(

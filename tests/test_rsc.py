@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 
 from coverplex.generate import gen_rsc
 from coverplex.rsc import (RscInstance, Schedule, coverage_profile,
                            duration, duration_at, greedy_schedule, load)
-from reference import dominant_left, dominant_right
+from coverplex.verify import verify_rsc
+from reference import dominant_left, dominant_right, load_profile
 
 
 def test_instance_validation():
@@ -18,13 +20,16 @@ def test_instance_validation():
 
 
 def test_load_examples():
-    per, L = load(RscInstance(4, [(0, 1, 4, 7)]))
-    assert per == [7, 7, 7, 7] and L == 7
-    per, L = load(RscInstance(3, [(0, 1, 1, 4)]))
-    assert L == 0
+    runs, L = load(RscInstance(4, [(0, 1, 4, 7)]))
+    assert runs == [(1, 4, 7)] and L == 7
+    runs, L = load(RscInstance(3, [(0, 1, 1, 4)]))
+    assert runs == [(1, 1, 4), (2, 3, 0)] and L == 0
     rng = random.Random(0)
     inst = gen_rsc(1, n=15, m=10, d_max=6)
-    per, L = load(inst)
+    runs, L = load(inst)
+    per = load_profile(runs)
+    assert len(per) == 10
+    assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
     for x in range(1, 11):
         assert per[x - 1] == sum(s.d for s in inst.sensors
                                  if s.l <= x <= s.r)
@@ -145,3 +150,17 @@ def test_nested_family_is_nested():
         for b in ss:
             assert (a.l <= b.l and b.r <= a.r) or \
                    (b.l <= a.l and a.r <= b.r)
+
+
+def test_greedy_and_verifier_scale_with_identical_sensors():
+    """8,000 identical unit sensors, every one assigned: picks are tree
+    descents and the nested-ranges check a sweep, so both together take
+    well under 2 s (quadratic code took about 13 s)."""
+    inst = RscInstance(1, [(sid, 1, 1, 1) for sid in range(8000)])
+    t0 = time.perf_counter()
+    sched = greedy_schedule(inst)
+    report = verify_rsc(inst, sched)
+    elapsed = time.perf_counter() - t0
+    assert sorted(sched.start.values()) == list(range(1, 8001))
+    assert report.ok() and report.stats == {"M": 8000, "L": 8000}
+    assert elapsed < 2.0, elapsed
