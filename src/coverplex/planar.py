@@ -39,17 +39,13 @@ class PlanarInstance:
     universe: list
 
     def __post_init__(self):
-        sensors = list(self.sensors)
-        if not set(map(type, sensors)) <= {PlanarSensor}:
-            sensors = [s if isinstance(s, PlanarSensor) else PlanarSensor(*s)
-                       for s in sensors]
-        self.sensors = sensors
-        ids, _, ds = zip(*sensors) if sensors else ((),) * 3
-        if len(set(ids)) != len(ids):
+        self.sensors = [s if isinstance(s, PlanarSensor) else PlanarSensor(*s)
+                        for s in self.sensors]
+        if len({s[0] for s in self.sensors}) != len(self.sensors):
             raise ValueError("sensor ids must be unique")
-        if min(ds, default=1) < 1:
-            s = next(s for s in sensors if s.d < 1)
-            raise ValueError("sensor %d needs positive duration" % s.id)
+        for sid, _, d in self.sensors:
+            if d < 1:
+                raise ValueError("sensor %d needs positive duration" % sid)
 
 
 @dataclass

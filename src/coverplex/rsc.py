@@ -6,17 +6,17 @@ iteration, always extending the currently shortest-covered coordinate, and
 never overlaps more than a bounded number of sensors at one point in time.
 
 Coverage is kept per segment, a run of coordinates of which every sensor
-range holds all or none: the elementary segments between sensor endpoints,
-or single coordinates when m <= 2n + 1.  Either way there are at most
-2n + 1 of them, whatever the value of m.
+range holds all or none: the elementary segments between sensor endpoints.
+There are at most 2n + 1 of them, whatever the value of m.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat, takewhile
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import NamedTuple
 
 INF = float("inf")
@@ -34,31 +34,27 @@ class Sensor(NamedTuple):
 class RscInstance:
     def __init__(self, m, sensors):
         self.m = int(m)
-        sensors = list(sensors)
-        if not set(map(type, sensors)) <= {Sensor}:
-            sensors = [s if isinstance(s, Sensor) else Sensor(*s)
-                       for s in sensors]
-        self.sensors = sensors
-        ids, ls, rs, ds = zip(*sensors) if sensors else ((),) * 4
-        if (self.m < 1 or len(set(ids)) < len(ids)
-                or min(ls, default=1) < 1 or max(rs, default=1) > self.m
-                or not all(map(le, ls, rs)) or min(ds, default=1) < 1):
-            raise ValueError(self._first_problem())
-
-    def _first_problem(self):
-        """The message for the first check the instance fails, in the
-        order: universe, unique ids, then each sensor's range and
-        duration."""
+        self.sensors = [s if isinstance(s, Sensor) else Sensor(*s)
+                        for s in sensors]
         if self.m < 1:
-            return "universe must be non-empty"
-        ids = [s.id for s in self.sensors]
-        if len(set(ids)) != len(ids):
-            return "sensor ids must be unique"
-        for s in self.sensors:
-            if not (1 <= s.l <= s.r <= self.m):
-                return "sensor %d range outside universe" % s.id
-            if s.d < 1:
-                return "sensor %d needs positive duration" % s.id
+            raise ValueError("universe must be non-empty")
+        if len(set(map(_ID, self.sensors))) != len(self.sensors):
+            raise ValueError("sensor ids must be unique")
+        for sid, l, r, d in self.sensors:
+            if not (1 <= l <= r <= self.m):
+                raise ValueError("sensor %d range outside universe" % sid)
+            if d < 1:
+                raise ValueError("sensor %d needs positive duration" % sid)
+
+    @cached_property
+    def _segments(self):
+        """First coordinates of the segments in order, then m + 1; and the
+        index of each of those coordinates, so a sensor holds segments
+        seg[l] .. seg[r + 1] - 1.  Built once per instance."""
+        ends = set(map(_R, self.sensors))
+        cuts = sorted({1, self.m + 1}.union(map(_L, self.sensors),
+                                            map((1).__add__, ends)))
+        return cuts, dict(zip(cuts, range(len(cuts))))
 
 
 @dataclass
@@ -80,37 +76,17 @@ class Schedule:
     stop_at: int | None = None
 
 
-def _segments(instance: RscInstance):
-    """First coordinates of the segments in order, then m + 1; and the
-    index of each of those coordinates, so a sensor holds segments
-    seg[l] .. seg[r + 1] - 1.  The segments are the elementary ones, or
-    every coordinate its own when m is at most 2n + 1, which refines them
-    and costs no sort."""
-    sensors = instance.sensors
-    m = instance.m
-    if m <= 2 * len(sensors) + 1:
-        return range(1, m + 2), list(range(-1, m + 1))
-    cuts = sorted({1, m + 1, *map(_L, sensors),
-                   *map((1).__add__, map(_R, sensors))})
-    return cuts, dict(zip(cuts, range(len(cuts))))
-
-
 def load(instance: RscInstance):
     """Load profile and its minimum L.  The profile is one (lo, hi, total)
-    triple per maximal run of coordinates lo..hi with the same total
-    duration, in order from 1 to m."""
-    cuts, seg = _segments(instance)
+    triple per segment: the total duration of the sensors holding each
+    coordinate lo..hi, in order from 1 to m."""
+    cuts, seg = instance._segments
     diff = [0] * len(cuts)
     for _, l, r, d in instance.sensors:
         diff[seg[l]] += d
         diff[seg[r + 1]] -= d
-    runs = []
-    for k, total in enumerate(accumulate(diff[:-1])):
-        if runs and runs[-1][2] == total:
-            runs[-1] = (runs[-1][0], cuts[k + 1] - 1, total)
-        else:
-            runs.append((cuts[k], cuts[k + 1] - 1, total))
-    return runs, min(total for _, _, total in runs)
+    totals = list(accumulate(diff[:-1]))
+    return list(zip(cuts, map((-1).__add__, cuts[1:]), totals)), min(totals)
 
 
 def _max_tree(values):
@@ -176,7 +152,7 @@ def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
     O(log n) tree descents plus one pass over the S <= 2n + 1 segments at
     C speed (their minimum, its run and the covered-until update)."""
     sched = Schedule(stop_at=stop_at)
-    cuts, seg = _segments(instance)
+    cuts, seg = instance._segments
     # Every start is t = min covered_until + 1 <= covered_until[x] + 1 at each
     # coordinate x of the chosen range, so the times covered at x are always
     # the prefix 1..covered_until[x]: one number per segment, no timeline.
@@ -242,7 +218,7 @@ def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
 def _segment_spans(schedule: Schedule, instance: RscInstance):
     """The segments' first coordinates (then m + 1), and for each segment
     the (start, end) spans of the assigned sensors that hold it."""
-    cuts, seg = _segments(instance)
+    cuts, seg = instance._segments
     spans = [[] for _ in range(len(cuts) - 1)]
     for sid, l, r, d in instance.sensors:
         t0 = schedule.start.get(sid)

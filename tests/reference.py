@@ -212,7 +212,7 @@ def load(instance):
 
 def load_profile(runs):
     """Per-coordinate totals for 1..m from ``rsc.load``'s (lo, hi, total)
-    runs."""
+    triples."""
     return [total for lo, hi, total in runs for _ in range(lo, hi + 1)]
 
 
