@@ -14,12 +14,14 @@ collections through the reflection duality and the grid reduction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .geometry import (ConvexPolygon, cell_partition, dot, grid_spec,
                        int_scaled, perturbation_direction, reflect,
                        strict_support_edges)
-from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick, index_min_load,
+from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick, index_load_diff,
                          position_index_ranges)
 
 # unused here; perfbench/tracer.py patches this name in this module
@@ -166,62 +168,73 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
     """Point ids that survive the extreme-prefix reservation.
 
     ``index`` is position_index_ranges(curve, A) for an item set A that
-    holds ``items``, as for compute_cover.  At each canonical curve
-    position, the minimal prefix of current wedge members in decreasing
-    order along every reserved direction whose total weight reaches
-    ``target`` is reserved; a point survives if some position has it as a
-    non-reserved member.  With unit weights the prefix is simply the first
-    ``target`` points.
+    holds ``items``, as for compute_cover.  At each curve position, the
+    minimal prefix of current wedge members in decreasing order along every
+    reserved direction whose total weight reaches ``target`` is reserved; a
+    point survives if some position has it as a non-reserved member.  With
+    unit weights the prefix is simply the first ``target`` points.
+
+    Only the maximal-clique positions of the items' ranges are queried: the
+    range ends with some range starting after the previous end.  This is
+    exact: every position's members are a subset of some clique's, and more
+    members (weights >= 1) only push a member further below the top prefix,
+    so a member that survives anywhere in its range survives at a clique
+    inside it.
     """
     support = sorted(strict_support_edges(poly, i))
     positions, ranges = index
     K = len(positions)
     ids = [pid for (_, _, pid, _w) in items]
-    weight = {pid: w for (_, _, pid, w) in items}
+    ranged = [pid for pid in ids if ranges[pid] is not None]
     if not support or target <= 0:
-        return {pid for pid in ids if ranges[pid] is not None}
+        return set(ranged)
+    weight = {pid: w for (_, _, pid, w) in items}
     rankmaps = [_order_ranks(poly, j, delta, points, ids) for j in support]
     # members join at the first position of their range and leave after the
-    # last; the events are sorted by position and end in a sentinel K, so no
-    # list is made per position of an index that may be much longer
-    ranged = [pid for pid in ids if ranges[pid] is not None]
+    # last; the events are sorted by position and end in a sentinel K
     adds = sorted(ranged, key=lambda pid: ranges[pid][0])
     leaves = sorted(ranged, key=lambda pid: ranges[pid][1])
     add_at = [ranges[pid][0] for pid in adds] + [K]
     leave_at = [ranges[pid][1] for pid in leaves] + [K]
+    cliques = []
+    a = 0
+    for c in leave_at[:-1]:
+        if add_at[a] <= c:
+            cliques.append(c)
+            a = bisect_right(add_at, c, a)
 
     def thresholds(rank):
-        """Per position: smallest rank of the reserved top group, or 0 when
-        the whole membership is reserved.  A member is reserved at c iff its
-        rank >= thresholds[c], so nothing survives a 0 threshold."""
+        """Per clique: smallest rank of the reserved top group, or 0 when
+        the whole membership is reserved.  A member is reserved at a clique
+        iff its rank >= the clique's threshold, so nothing survives a 0."""
         tree = _Fenwick(len(ids))  # slot r - 1 holds the member of rank r
         total = 0
-        thr = [0] * K
+        thr = []
         a = e = 0
-        for c in range(K):
-            while add_at[a] == c:
+        for c in cliques:
+            while add_at[a] <= c:
                 pid = adds[a]
                 tree.add(rank[pid] - 1, weight[pid])
                 total += weight[pid]
                 a += 1
-            if total >= target:
-                # largest rank x with prefix(x) <= total - target; the
-                # threshold member is rank x + 1
-                thr[c] = tree.longest_prefix_within(total - target) + 1
-            while leave_at[e] == c:
+            while leave_at[e] < c:
                 pid = leaves[e]
                 tree.add(rank[pid] - 1, -weight[pid])
                 total -= weight[pid]
                 e += 1
+            # largest rank x with prefix(x) <= total - target; the threshold
+            # member is rank x + 1
+            thr.append(tree.longest_prefix_within(total - target) + 1
+                       if total >= target else 0)
         return thr
 
     all_thr = [thresholds(rank) for rank in rankmaps]
     if len(support) == 1:
         rank = rankmaps[0]
-        # sparse table for range maxima over thresholds
+        # sparse table for range maxima over the cliques' thresholds
         table = [all_thr[0]]
         span = 1
-        while span * 2 <= K:
+        while span * 2 <= len(cliques):
             prev = table[-1]
             table.append(list(map(max, prev, prev[span:])))
             span *= 2
@@ -232,31 +245,29 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
             return max(row[lo], row[hi - (1 << lev) + 1])
 
         out = set()
-        for pid in ids:
-            rng = ranges[pid]
-            if rng is None:
-                continue
-            if rank[pid] < range_max(rng[0], rng[1]):
+        for pid in ranged:
+            lo, hi = ranges[pid]  # holds at least one clique
+            if rank[pid] < range_max(bisect_left(cliques, lo),
+                                     bisect_right(cliques, hi) - 1):
                 out.add(pid)
         return out
 
-    # several reserved directions: check positions one by one
+    # several reserved directions: check the cliques one by one
     members = set()
     out = set()
     a = e = 0
-    for c in range(K):
-        while add_at[a] == c:
+    for c, *thrs in zip(cliques, *all_thr):
+        while add_at[a] <= c:
             members.add(adds[a])
             a += 1
-        thrs = [thr[c] for thr in all_thr]
+        while leave_at[e] < c:
+            members.discard(leaves[e])
+            e += 1
         if all(thrs):
             for pid in members:
                 if pid not in out and all(
                         rank[pid] < th for rank, th in zip(rankmaps, thrs)):
                     out.add(pid)
-        while leave_at[e] == c:
-            members.discard(leaves[e])
-            e += 1
     return out
 
 
@@ -274,8 +285,10 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     live, the reservation and the block solver.  The positions of all items
     refine those of any subset, and a subset's wedge content is constant
     between its own positions, so the answers are those of an index built
-    from the subset.  Curve i's index is dropped once vertex i is done.
-    Returns the chosen map and one (i, L, t, x_size, chosen) record per
+    from the subset.  Each curve's load is one difference array over its
+    index, built once; a block's chosen items are subtracted from the
+    curves still to come.  Curve i's index and load are dropped at vertex
+    i.  Returns the chosen map and one (i, L, t, x_size, chosen) record per
     vertex.
     """
     n = poly.n
@@ -285,26 +298,34 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     indexes = [position_index_ranges(LevelCurve(frames[i], level, items),
                                      items)
                for i, items in enumerate(all_items)]
+    loads = [index_load_diff(index, items)
+             for index, items in zip(indexes, all_items)]
     point_of = dict(zip(range(len(points)) if ids is None else ids, points))
+    weight_of = {pid: w for (_, _, pid, w) in all_items[0]}
 
     chosen = {}
     records = []
     for i in range(n):
-        live = [[it for it in all_items[z] if it[2] not in chosen]
-                for z in range(i, n)]
-        L = min(index_min_load(indexes[z], items)
-                for z, items in enumerate(live, i))
-        index, indexes[i] = indexes[i], None
+        L = min(min(accumulate(diff[:-1])) for diff in loads[i:])
+        index, indexes[i], loads[i] = indexes[i], None, None
         t_i = L // (64 * n)
         if t_i == 0:
             records.append((i, L, 0, 0, 0))
             continue
-        keep = _reserved_filter(poly, i, delta, index, live[0],
-                                [point_of[it[2]] for it in live[0]],
+        live = [it for it in all_items[i] if it[2] not in chosen]
+        keep = _reserved_filter(poly, i, delta, index, live,
+                                [point_of[it[2]] for it in live],
                                 L // (2 * n))
-        x_items = [it for it in live[0] if it[2] in keep]
+        x_items = [it for it in live if it[2] in keep]
         block = solve_block(index, x_items, t_i)
         chosen.update(block)
+        # the chosen items leave the loads of the curves still to come
+        for (_, ranges), diff in zip(indexes[i + 1:], loads[i + 1:]):
+            for pid in block:
+                rng = ranges[pid]
+                if rng is not None:
+                    diff[rng[0]] -= weight_of[pid]
+                    diff[rng[1] + 1] += weight_of[pid]
         records.append((i, L, t_i, len(x_items), len(block)))
     return chosen, records
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .geometry import ConvexPolygon, cross, int_scaled, perturbation_direction
 
@@ -67,13 +67,16 @@ class WedgeFrame:
                 u * self.e1[1] + v * self.e2[1])
 
     def items(self, points, weights=None, ids=None):
-        """Sheared (U, V, pid, w) records for a point collection."""
-        out = []
-        for idx, p in enumerate(points):
-            pid = ids[idx] if ids is not None else idx
-            w = 1 if weights is None else weights[idx]
-            out.append((self.ucoord(p, pid + 1), self.vcoord(p, pid + 1), pid, w))
-        return out
+        """Sheared (U, V, pid, w) records for a point collection: the
+        coordinates of ucoord and vcoord with epsilon index pid + 1."""
+        s2 = 2 * self.sigma
+        (e1x, e1y), (e2x, e2y) = self.e1, self.e2
+        u_eps, v_eps = self._u_eps, self._v_eps
+        return [((s2 * (x * e2y - y * e2x), u_eps * (pid + 1)),
+                 (s2 * (e1x * y - e1y * x), v_eps * (pid + 1)), pid, w)
+                for (x, y), pid, w in zip(
+                    points, range(len(points)) if ids is None else ids,
+                    repeat(1) if weights is None else weights)]
 
 
 def walk_key(pos):
@@ -226,14 +229,19 @@ def _positions_and_ends(curve: LevelCurve, items):
     for a, b in zip(ordered, ordered[1:]):
         index_of[a] = len(positions)
         positions.append(a)
-        if a[0] == b[0]:
-            mid = (a[0], ((a[1][0] + b[1][0]) // 2, (a[1][1] + b[1][1]) // 2))
-        elif a[1] == b[1]:
-            mid = (((a[0][0] + b[0][0]) // 2, (a[0][1] + b[0][1]) // 2), a[1])
+        (au, av), (bu, bv) = a, b
+        # the walk runs down a vertical segment and right along a
+        # horizontal one
+        if au == bu:
+            mid = ((av[0] + bv[0]) // 2, (av[1] + bv[1]) // 2)
+            if av > mid > bv:
+                positions.append((au, mid))
+        elif av == bv:
+            mid = ((au[0] + bu[0]) // 2, (au[1] + bu[1]) // 2)
+            if au < mid < bu:
+                positions.append((mid, av))
         else:
             raise AssertionError("gap straddles a staircase corner")
-        if walk_key(a) < walk_key(mid) < walk_key(b):
-            positions.append(mid)
     index_of[ordered[-1]] = len(positions)
     positions.append(ordered[-1])
     index_of[rays[1]] = len(positions) - 1
@@ -271,10 +279,11 @@ def position_index_ranges(curve: LevelCurve, items):
     return positions, ranges
 
 
-def index_min_load(index, items):
-    """Minimum load over the positions of ``index`` (positions, ranges from
-    position_index_ranges): the load at a position is the weight of the
-    items whose range contains it, summed by a difference array."""
+def index_load_diff(index, items):
+    """Difference array of the load over the positions of ``index``
+    (positions, ranges from position_index_ranges), one entry past the
+    last position: the weight of each item joins at the first position of
+    its range and leaves after the last."""
     positions, ranges = index
     diff = [0] * (len(positions) + 1)
     for (_, _, pid, w) in items:
@@ -282,8 +291,13 @@ def index_min_load(index, items):
         if rng is not None:
             diff[rng[0]] += w
             diff[rng[1] + 1] -= w
-    diff.pop()
-    return min(accumulate(diff))
+    return diff
+
+
+def index_min_load(index, items):
+    """Minimum load over the positions of ``index``: the load at a position
+    is the weight of the items whose range contains it."""
+    return min(accumulate(index_load_diff(index, items)[:-1]))
 
 
 class _Fenwick:

@@ -59,6 +59,23 @@ def test_dumps_byte_stable():
     assert jsonio.dumps(doc).endswith("\n")
 
 
+def test_rsc_verify_lists_closing_semantics_not_run(tmp_path, capsys):
+    """A schedule document holds no event log, so the replay is not run
+    and is named under not_run; the verdict of the other checks stands."""
+    inst = gen_rsc(3, n=10, m=8, d_max=4)
+    sched = greedy_schedule(inst)
+    assert sched.start
+    path = tmp_path / "both.json"
+    path.write_text(jsonio.dumps(
+        {"instance": jsonio.rsc_instance_to_json(inst),
+         "schedule": jsonio.schedule_to_json(sched)}))
+    code, out, _ = run(["rsc", "verify", "--in", str(path)], capsys)
+    rep = json.loads(out)
+    assert code == 0 and all(c["pass"] for c in rep["checks"])
+    assert rep["not_run"] == ["closing-semantics"]
+    assert "closing-semantics" not in [c["name"] for c in rep["checks"]]
+
+
 def test_gen_and_solve_pipeline(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     code, out, _ = run(["gen", "rsc", "--seed", "5", "--n", "15", "--m",

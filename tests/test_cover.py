@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from coverplex import levelcurve
+from coverplex import cover, levelcurve
 from coverplex.cover import (CoverPreconditionError, compute_cover,
                              decompose_points, decompose_translates)
-from coverplex.generate import polygon
-from coverplex.geometry import ConvexPolygon, reflect
-from coverplex.levelcurve import (LevelCurve, WedgeFrame,
+from coverplex.generate import gen_planar, polygon
+from coverplex.geometry import ConvexPolygon, reflect, strict_support_edges
+from coverplex.levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions,
                                   position_index_ranges)
+from coverplex.planar import plan_schedule
 
 SQUARE = ConvexPolygon([(0, 0), (2, 0), (2, 2), (0, 2)])
 TRIANGLE = polygon("triangle")
@@ -212,3 +213,61 @@ def test_decompose_points_builds_each_curve_index_once(monkeypatch):
     asg, trace = decompose_points(TRIANGLE, pts, 400)
     assert all(r.t >= 1 for r in trace.records)  # every block solver ran
     assert builds == [len(pts)] * TRIANGLE.n
+
+
+def maximal_member_sets(index, items):
+    """Number of maximal member sets over the positions of ``index``: runs
+    of positions with one member set, kept when the set is not empty and
+    not a proper subset of a neighbouring run's (for ranges, a set inside
+    another's is inside a neighbour's)."""
+    positions, ranges = index
+    joins = [[] for _ in positions]
+    leaves = [[] for _ in positions]
+    for (_, _, pid, _w) in items:
+        if ranges[pid] is not None:
+            joins[ranges[pid][0]].append(pid)
+            leaves[ranges[pid][1]].append(pid)
+    runs, members = [], set()
+    for c in range(len(positions)):
+        members.update(joins[c])
+        here = frozenset(members)
+        if not runs or runs[-1] != here:
+            runs.append(here)
+        members.difference_update(leaves[c])
+    return sum(1 for k, run in enumerate(runs)
+               if run and not any(run < near for near in runs[max(k - 1, 0):
+                                                               k + 2]))
+
+
+def test_reserved_filter_descends_once_per_clique_and_direction(
+        monkeypatch):
+    descents = []
+    real_descent = _Fenwick.longest_prefix_within
+
+    def counted(tree, rem):
+        descents.append(rem)
+        return real_descent(tree, rem)
+
+    calls = []
+    real_filter = cover._reserved_filter
+
+    def recorded(poly, i, delta, index, items, points, target):
+        before = len(descents)
+        out = real_filter(poly, i, delta, index, items, points, target)
+        directions = len(strict_support_edges(poly, i))
+        calls.append((len(descents) - before,
+                      maximal_member_sets(index, items) * directions,
+                      len(index[0]) * directions))
+        return out
+
+    monkeypatch.setattr(_Fenwick, "longest_prefix_within", counted)
+    monkeypatch.setattr(cover, "_reserved_filter", recorded)
+    # a criterion-10 instance: t = 1 at every vertex of its cells, so every
+    # clique's load reaches the target and each one makes a descent
+    plan_schedule(gen_planar(0, n_sensors=2600, d_max=7, spread=2,
+                             universe_size=5))
+    assert len(calls) >= 4
+    assert [made for made, _, _ in calls] == [want for _, want, _ in calls]
+    # far fewer cliques than canonical positions
+    assert 3 * sum(want for _, want, _ in calls) < sum(k for _, _, k in calls)
+

@@ -144,23 +144,23 @@ CASES = {
         "4bac19f35d55cb6aa6caa0dda4a3278b4451b9659bb4cb5da398e5b115fa5838"),
     "rsc-verify-dense-0": (
         ["rsc", "verify"], lambda: _rsc_both(0, *DENSE),
-        "a16c58d5cd01cb861c2b3cefa45b098167a3db5a664d798c483e1a31f769f87c"),
+        "816115b302552c0747f8f5eb2237fc80e3db394194640d1e88259e213c9025db"),
     "rsc-verify-dense-1": (
         ["rsc", "verify"], lambda: _rsc_both(1, *DENSE),
-        "a16c58d5cd01cb861c2b3cefa45b098167a3db5a664d798c483e1a31f769f87c"),
+        "816115b302552c0747f8f5eb2237fc80e3db394194640d1e88259e213c9025db"),
     "rsc-verify-long-0": (
         ["rsc", "verify"], lambda: _rsc_both(0, *LONG),
-        "a16c58d5cd01cb861c2b3cefa45b098167a3db5a664d798c483e1a31f769f87c"),
+        "816115b302552c0747f8f5eb2237fc80e3db394194640d1e88259e213c9025db"),
     "rsc-verify-dense-0-stop-at-20": (
         ["rsc", "verify", "--stop-at", "20"],
         lambda: _rsc_both(0, *DENSE, stop_at=20),
-        "138e23fd2cafd4bac4bc0f83226d0452e4b0d7c65a3839a30fd4713646963a31"),
+        "91133e1f1fad578cbe774c902bb2388f914a8a876ab9c613b6d3d55c106fc777"),
     "rsc-verify-dense-0-all-at-1": (
         ["rsc", "verify"], lambda: _rsc_both(0, *DENSE, all_at_1=True),
-        "6bbbd9ab6971de2d33276fd8a2b830e65513a29b66a3df7af6abc293b71908f3"),
+        "362d4ca8657408851dde80d223019a7da4fd7e5a255dab576f9c855aec5d3e7f"),
     "rsc-verify-long-0-all-at-1": (
         ["rsc", "verify"], lambda: _rsc_both(0, *LONG, all_at_1=True),
-        "42f4a262cfaed71499f2e1048f9bed1769087fdf15c4ae23313abc5ee4ecfe9d"),
+        "b851faf9e124b503f773dad09a9988266fd64011df100fd3a0d515f1a0f71252"),
     # generators write their instance without reading one (make is None)
     "gen-rsc-7": (
         ["gen", "rsc", "--seed", "7", "--n", "20", "--m", "15"], None,

@@ -13,12 +13,14 @@ checks by time-step simulation (`reference.py`).
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from coverplex import rsc
 from coverplex.cover import (ColorAssignment, CoverPreconditionError,
-                             _reserved_filter, compute_cover)
+                             _iterate_vertices, _reserved_filter,
+                             compute_cover)
 from coverplex.generate import POLYGONS, gen_rsc
 from coverplex.geometry import (ConvexPolygon, GridSpec, cross, dot,
                                 grid_spec, perturbation_direction, reflect,
@@ -220,6 +222,68 @@ def check_reserved_filter(case):
     assert got == reserved_ref(poly, i, delta, curve, items, pts, target)
 
 
+FAMILIES = ("colocated", "disjoint", "above")
+
+
+@st.composite
+def clique_filter_cases(draw, family, kite_apex=False):
+    """filter_cases families that shape the clique positions the filter
+    queries.  "colocated" puts every point on one spot at the full level,
+    so every range holds the curve's one corner and they form one clique;
+    "disjoint" queries a subset of the items whose ranges are pairwise
+    disjoint, each its own clique, on the index of all of them; "above"
+    sets the target above the load of every position, so nothing survives
+    where some direction is reserved."""
+    poly, i, pts, weights, ids, level = draw(weighted_cases(kite_apex))
+    if family == "colocated":
+        pts, level = [pts[0]] * len(pts), sum(weights)
+    delta = perturbation_direction(poly)
+    frame = WedgeFrame(poly, i, delta)
+    items = frame.items(pts, weights=weights, ids=ids)
+    curve = LevelCurve(frame, level, items)
+    index = position_index_ranges(curve, items)
+    ranges = index[1]
+    live = [k for k, it in enumerate(items) if ranges[it[2]] is not None]
+    if family == "disjoint":
+        live.sort(key=lambda k: ranges[items[k][2]])
+        picked, end = [], -1
+        for k in live:
+            lo, hi = ranges[items[k][2]]
+            if lo > end and draw(st.booleans()):
+                picked.append(k)
+                end = hi
+        live = picked
+    sub = [items[k] for k in live]
+    sub_pts = [pts[k] for k in live]
+    if family == "above":
+        top = max(sum(w for (U, V, _pid, w) in sub if u <= U and v <= V)
+                  for (u, v) in canonical_positions(curve, sub))
+        target = top + draw(st.integers(1, 3))
+    else:
+        target = draw(st.integers(0, sum(w for *_, w in sub) + 1))
+    return poly, i, delta, curve, index, sub, sub_pts, target
+
+
+@pytest.mark.parametrize("kite_apex", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+@ORACLE
+@given(data=st.data())
+def test_reserved_filter_clique_families_match_direct_oracle(family,
+                                                             kite_apex, data):
+    poly, i, delta, curve, index, sub, sub_pts, target = data.draw(
+        clique_filter_cases(family, kite_apex))
+    spans = [index[1][pid] for (_, _, pid, _w) in sub]
+    if family == "colocated":
+        assert max(lo for lo, _ in spans) <= min(hi for _, hi in spans)
+    if family == "disjoint":
+        spans.sort()
+        assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+    got = _reserved_filter(poly, i, delta, index, sub, sub_pts, target)
+    assert got == reserved_ref(poly, i, delta, curve, sub, sub_pts, target)
+    if family == "above" and strict_support_edges(poly, i):
+        assert got == set()
+
+
 @st.composite
 def curve_queries(draw):
     """A level curve and query items: a random live subset of the curve's
@@ -402,8 +466,8 @@ def test_verify_rsc_matches_simulation_reference(data):
     ref = reference.verify_rsc(inst, sched)
     assert [(c.name, c.passed) for c in got.checks] == \
         [(c.name, c.passed) for c in ref.checks]
-    assert (got.stats, got.ratio, got.alpha) == (ref.stats, ref.ratio,
-                                                 ref.alpha)
+    assert (got.stats, got.ratio, got.alpha, got.not_run) == (
+        ref.stats, ref.ratio, ref.alpha, ref.not_run)
     for c, r in zip(got.checks, ref.checks):
         if c.name != "coverage-at-most-5":
             assert c.witness == r.witness
@@ -450,6 +514,39 @@ def test_superset_index_gives_the_subset_answers(data):
                                stop_at=stop_at).start == \
         rsc.greedy_schedule(curve_rsc_instance(own, sub),
                             stop_at=stop_at).start
+
+
+@ORACLE
+@given(st.data())
+def test_vertex_loop_loads_match_fresh_loads_of_the_live_items(data):
+    # the loop keeps one load difference array per curve and subtracts
+    # each block's choice; heavy weights let t reach 1, and the block
+    # solver chooses a drawn subset of the surviving items
+    poly, _, pts, weights, ids, _ = data.draw(weighted_cases())
+    weights = [64 * poly.n * w for w in weights]
+    level = data.draw(st.integers(1, sum(weights)))
+    pick = set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+    blocks = []
+
+    def solve_block(index, items, t):
+        blocks.append({pid: t for (_, _, pid, _w) in items if pid in pick})
+        return blocks[-1]
+
+    _, records = _iterate_vertices(poly, pts, level, solve_block,
+                                   weights=weights, ids=ids)
+    delta = perturbation_direction(poly)
+    frames = [WedgeFrame(poly, z, delta) for z in range(poly.n)]
+    items = [f.items(pts, weights=weights, ids=ids) for f in frames]
+    curves = [LevelCurve(f, level, its) for f, its in zip(frames, items)]
+    gone = set()
+    for (i, L, t, _x_size, _chosen) in records:
+        assert L == min(
+            min_load_on_curve(curves[z], [it for it in items[z]
+                                          if it[2] not in gone])
+            for z in range(i, poly.n))
+        if t:
+            gone.update(blocks.pop(0))
+    assert not blocks
 
 
 @st.composite

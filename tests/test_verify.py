@@ -164,6 +164,21 @@ def test_report_json_shape():
         assert set(c) == {"name", "pass", "witness"}
 
 
+def test_verify_rsc_without_event_log_lists_closing_semantics_not_run():
+    inst = gen_rsc(3, n=10, m=8, d_max=4)
+    sched = greedy_schedule(inst)
+    report = verify_rsc(inst, Schedule(start=dict(sched.start)))
+    assert "closing-semantics" not in [c.name for c in report.checks]
+    assert report.not_run == ["closing-semantics"]
+    assert report.to_json()["not_run"] == ["closing-semantics"]
+    assert report.ok()
+    # with the log, or with nothing assigned, the replay runs
+    for full in (sched, Schedule()):
+        report = verify_rsc(inst, full)
+        assert "closing-semantics" in [c.name for c in report.checks]
+        assert report.not_run == [] and "not_run" not in report.to_json()
+
+
 def test_verify_rsc_flags_unknown_sensor_and_bad_start():
     inst = RscInstance(4, [(0, 1, 4, 3), (1, 1, 4, 2)])
     assert verify_rsc(inst, Schedule(start={0: 1, 1: 4})).ok()
