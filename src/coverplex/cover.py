@@ -65,24 +65,6 @@ class DecompositionTrace:
     below_threshold: bool = False
 
 
-class _NextFree:
-    """Union-find over position indices: next uncovered index >= i."""
-
-    def __init__(self, n):
-        self.p = list(range(n + 1))
-
-    def find(self, i):
-        r = i
-        while self.p[r] != r:
-            r = self.p[r]
-        while self.p[i] != r:
-            self.p[i], i = r, self.p[i]
-        return r
-
-    def mark(self, i):
-        self.p[i] = i + 1
-
-
 def compute_cover(index, items, t: int):
     """Color generating points of curve intervals with rounds 1..t.
 
@@ -90,62 +72,60 @@ def compute_cover(index, items, t: int):
     holds ``items``: A's positions only split the stretches between those
     of ``items``, on which the wedge content of ``items`` is constant, so
     the colors are the same.  Every position must be contained in at least
-    2t of the items' wedges.  Each round sorts the remaining intervals with
-    containing intervals first, keeps an interval iff it covers a
-    still-uncovered position, prunes redundant kept intervals, and colors
-    the survivors' points with the round number.  Returns {point id:
+    2t of the items' wedges.  The intervals are sorted once, by start and
+    then containing intervals first; each round keeps an interval iff it
+    covers a still-uncovered position, prunes redundant kept intervals, and
+    colors the survivors' points with the round number.  Returns {point id:
     round}.
+
+    Every earlier kept interval starts no later, so the covered part of
+    [lo, K) is [lo, reach] with reach the largest kept end: an interval is
+    kept iff hi > reach, and the kept intervals form a chain with strictly
+    increasing starts and ends.  The prune scans the chain in reverse; on a
+    chain the nearest earlier interval and the nearest later survivor cover
+    whatever any others do, so kept[j] (j > 0) is redundant iff a later
+    survivor starts by kept[j - 1]'s end + 1.  kept[0] alone covers
+    position 0 and the last alone reaches K - 1, so both survive.  Each
+    call costs O(n log n + K + t n) for n intervals over K positions.
     """
     if t <= 0:
         return {}
     positions, ranges = index
     K = len(positions)
-    intervals = [(lo_hi[0], lo_hi[1], pid)
-                 for (_, _, pid, _w) in items
-                 if (lo_hi := ranges[pid]) is not None]
+    intervals = sorted(((lo_hi[0], lo_hi[1], pid)
+                        for (_, _, pid, _w) in items
+                        if (lo_hi := ranges[pid]) is not None),
+                       key=lambda iv: (iv[0], -iv[1], iv[2]))
 
     depth = [0] * (K + 1)
     for lo, hi, _ in intervals:
         depth[lo] += 1
         depth[hi + 1] -= 1
-    run = 0
-    for idx in range(K):
-        run += depth[idx]
-        if run < 2 * t:
-            raise CoverPreconditionError(positions[idx], run, 2 * t)
+    if min(accumulate(depth[:K])) < 2 * t:
+        idx, have = next((idx, run) for idx, run
+                         in enumerate(accumulate(depth)) if run < 2 * t)
+        raise CoverPreconditionError(positions[idx], have, 2 * t)
 
     colors = {}
     remaining = intervals
     for round_no in range(1, t + 1):
-        remaining.sort(key=lambda iv: (iv[0], -iv[1], iv[2]))
-        nxt = _NextFree(K)
         kept = []
-        for lo, hi, pid in remaining:
-            u = nxt.find(lo)
-            if u > hi:
-                continue
-            kept.append((lo, hi, pid))
-            while u <= hi:
-                nxt.mark(u)
-                u = nxt.find(u + 1)
-        # prune redundant intervals, contained-before-containing: while a
-        # container is present its contained intervals are redundant, so
-        # scanning in reverse kept order removes them first and a contained
-        # interval can never outlive its container.  Removals only lower
-        # coverage counts, so a single pass reaches a redundancy-free set,
-        # which in turn covers no position more than twice.
-        cnt = [0] * K
-        for lo, hi, _ in kept:
-            for idx in range(lo, hi + 1):
-                cnt[idx] += 1
-        pruned = []
-        for lo, hi, pid in reversed(kept):
-            if min(cnt[lo:hi + 1]) >= 2:
-                for idx in range(lo, hi + 1):
-                    cnt[idx] -= 1
-            else:
-                pruned.append((lo, hi, pid))
-        assert min(cnt) >= 1 and max(cnt) <= 2
+        reach = -1
+        for iv in remaining:
+            if iv[1] > reach:
+                kept.append(iv)
+                reach = iv[1]
+        # the chain prune above; survivors are listed last first
+        pruned = [kept[-1]]
+        for j in range(len(kept) - 2, -1, -1):
+            if j == 0 or pruned[-1][0] > kept[j - 1][1] + 1:
+                pruned.append(kept[j])
+        # every position lies in one or two survivors: the ends are
+        # covered, consecutive survivors meet and survivors two apart are
+        # disjoint
+        assert pruned[-1][0] == 0 and pruned[0][1] == K - 1
+        assert all(b[0] <= a[1] + 1 for b, a in zip(pruned, pruned[1:]))
+        assert all(c[0] > a[1] for c, a in zip(pruned, pruned[2:]))
         for _, _, pid in pruned:
             colors[pid] = round_no
         remaining = [iv for iv in remaining if iv[2] not in colors]

@@ -4,11 +4,12 @@ range of positions.
 Everything runs in a sheared coordinate frame per (polygon, vertex): the two
 cone rays of the wedge become the positive axes, so "point p lies in the
 wedge with apex a" turns into componentwise dominance  u(p) >= u(a) and
-v(p) >= v(a).  Coordinates are scaled to integers (cross products against the
-integer cone rays, doubled so that midpoints stay integral) and carry a
-symbolic epsilon term that realizes the deterministic general-position rule:
-point with id t behaves as if shifted by t*eps*delta for an infinitesimal
-eps > 0 and a fixed generic integer direction delta.
+v(p) >= v(a).  Coordinates are cross products against the integer cone
+rays, doubled so that midpoints of integer points stay integral (rational
+points give Fractions, halved exactly), and carry a symbolic epsilon term
+that realizes the deterministic general-position rule: point with id t
+behaves as if shifted by t*eps*delta for an infinitesimal eps > 0 and a
+fixed generic integer direction delta.
 
 A coordinate is a pair (main, eps_coefficient); comparison is lexicographic.
 Infinite ray positions use float infinities in the main slot, which compare
@@ -21,6 +22,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import floordiv
 
 from .geometry import ConvexPolygon, cross, int_scaled, perturbation_direction
 
@@ -222,8 +224,11 @@ def _positions_and_ends(curve: LevelCurve, items):
         his.append(canon.setdefault(hi, hi))
     rays = ((NEG_INF, curve.drops[0][1]), (curve.drops[-1][0], NEG_INF))
     ordered = sorted((pos for pos in canon if pos not in rays), key=walk_key)
-    # gap representatives; all base positions have even coordinates, so the
-    # integer midpoint is exact and strictly inside
+    # gap representatives at exact midpoints, so strictly inside: integer
+    # coordinates and every epsilon term are even, so floor division halves
+    # them exactly; rational coordinates are halved as Fractions
+    halve = (floordiv if all(type(u[0]) is int and type(v[0]) is int
+                             for u, v in ordered) else Fraction)
     positions = []
     index_of = {rays[0]: 0}
     for a, b in zip(ordered, ordered[1:]):
@@ -233,13 +238,11 @@ def _positions_and_ends(curve: LevelCurve, items):
         # the walk runs down a vertical segment and right along a
         # horizontal one
         if au == bu:
-            mid = ((av[0] + bv[0]) // 2, (av[1] + bv[1]) // 2)
-            if av > mid > bv:
-                positions.append((au, mid))
+            positions.append(
+                (au, (halve(av[0] + bv[0], 2), (av[1] + bv[1]) // 2)))
         elif av == bv:
-            mid = ((au[0] + bu[0]) // 2, (au[1] + bu[1]) // 2)
-            if au < mid < bu:
-                positions.append((mid, av))
+            positions.append(
+                ((halve(au[0] + bu[0], 2), (au[1] + bu[1]) // 2), av))
         else:
             raise AssertionError("gap straddles a staircase corner")
     index_of[ordered[-1]] = len(positions)

@@ -4,6 +4,7 @@ fast paths are checked against."""
 from bisect import bisect_left
 from fractions import Fraction
 
+from coverplex.cover import CoverPreconditionError
 from coverplex.geometry import cross, dot, perturbation_direction
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions)
@@ -79,6 +80,84 @@ def dominance_loads(positions, items):
         lo_rank = bisect_left(vs, v)
         loads[k] = total - fw.prefix(lo_rank)
     return loads
+
+
+# ---------------------------------------------------------------------------
+# curve covers by union-find and coverage counts
+
+
+class _NextFree:
+    """Union-find over position indices: next uncovered index >= i."""
+
+    def __init__(self, n):
+        self.p = list(range(n + 1))
+
+    def find(self, i):
+        r = i
+        while self.p[r] != r:
+            r = self.p[r]
+        while self.p[i] != r:
+            self.p[i], i = r, self.p[i]
+        return r
+
+    def mark(self, i):
+        self.p[i] = i + 1
+
+
+def compute_cover(index, items, t):
+    """The t-round curve cover with every position counted: each round
+    sorts the remaining intervals (by start, containing intervals first),
+    keeps an interval iff the union-find finds an uncovered position in
+    it, then drops, last kept first, every interval whose positions are
+    all covered at least twice."""
+    if t <= 0:
+        return {}
+    positions, ranges = index
+    K = len(positions)
+    intervals = [(lo_hi[0], lo_hi[1], pid)
+                 for (_, _, pid, _w) in items
+                 if (lo_hi := ranges[pid]) is not None]
+
+    depth = [0] * (K + 1)
+    for lo, hi, _ in intervals:
+        depth[lo] += 1
+        depth[hi + 1] -= 1
+    run = 0
+    for idx in range(K):
+        run += depth[idx]
+        if run < 2 * t:
+            raise CoverPreconditionError(positions[idx], run, 2 * t)
+
+    colors = {}
+    remaining = intervals
+    for round_no in range(1, t + 1):
+        remaining.sort(key=lambda iv: (iv[0], -iv[1], iv[2]))
+        nxt = _NextFree(K)
+        kept = []
+        for lo, hi, pid in remaining:
+            u = nxt.find(lo)
+            if u > hi:
+                continue
+            kept.append((lo, hi, pid))
+            while u <= hi:
+                nxt.mark(u)
+                u = nxt.find(u + 1)
+        cnt = [0] * K
+        for lo, hi, _ in kept:
+            for idx in range(lo, hi + 1):
+                cnt[idx] += 1
+        pruned = []
+        for lo, hi, pid in reversed(kept):
+            if min(cnt[lo:hi + 1]) >= 2:
+                for idx in range(lo, hi + 1):
+                    cnt[idx] -= 1
+            else:
+                pruned.append((lo, hi, pid))
+        assert min(cnt) >= 1 and max(cnt) <= 2
+        for _, _, pid in pruned:
+            colors[pid] = round_no
+        remaining = [iv for iv in remaining if iv[2] not in colors]
+    return colors
 
 
 # ---------------------------------------------------------------------------

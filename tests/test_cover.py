@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -75,6 +76,58 @@ def test_compute_cover_random_postconditions():
         _cover_postconditions(frame, curve, items, t, colors)
 
 
+def assert_round_chains(index, colors, t):
+    """Each round's survivors, ordered by start, form a chain (strictly
+    increasing starts and ends) from position 0 to the last position in
+    which consecutive survivors meet and survivors two apart are
+    disjoint, so every position lies in one or two of them."""
+    positions, ranges = index
+    for round_no in range(1, t + 1):
+        spans = sorted(ranges[pid] for pid, c in colors.items()
+                       if c == round_no)
+        assert spans[0][0] == 0 and spans[-1][1] == len(positions) - 1
+        for a, b in zip(spans, spans[1:]):
+            assert a[0] < b[0] and a[1] < b[1] and b[0] <= a[1] + 1
+        for a, c in zip(spans, spans[2:]):
+            assert c[0] > a[1]
+
+
+def sliding_windows(K, W, copies):
+    """An index of K positions and ``copies`` items for every window
+    [lo, lo + W] inside it; every window joins a round's kept chain."""
+    ranges = {copy * K + lo: (lo, lo + W)
+              for copy in range(copies) for lo in range(K - W)}
+    return (list(range(K)), ranges), [(None, None, pid, 1) for pid in ranges]
+
+
+def test_compute_cover_rounds_are_chains():
+    rng = random.Random(2)
+    for trial in range(25):
+        Y = [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(30)]
+        frame, curve = make_curve(Y, rng.randint(4, 12))
+        items = frame.items(Y)
+        index = position_index_ranges(curve, items)
+        t = rng.randint(1, 3)
+        try:
+            colors = compute_cover(index, items, t)
+        except CoverPreconditionError:
+            continue
+        assert_round_chains(index, colors, t)
+    for K, W, t in ((1, 0, 1), (9, 0, 2), (40, 7, 3), (40, 39, 4)):
+        index, items = sliding_windows(K, W, 2 * t)
+        assert_round_chains(index, compute_cover(index, items, t), t)
+
+
+def test_compute_cover_scales_with_interval_count():
+    # 32,000 windows of 8,001 positions: one sort and a sweep per round;
+    # pruning position by position would take tens of seconds
+    index, items = sliding_windows(16_000, 8_000, 4)
+    start = time.perf_counter()
+    colors = compute_cover(index, items, 2)
+    assert time.perf_counter() - start < 1.0
+    assert_round_chains(index, colors, 2)
+
+
 def test_compute_cover_respects_containment_order():
     # if one point's wedge contains another's, the dominating point is
     # colored whenever the dominated one is
@@ -82,7 +135,6 @@ def test_compute_cover_respects_containment_order():
     for trial in range(10):
         Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(24)]
         frame, curve = make_curve(Y, 8)
-        items = frame.items(Y)
         items = frame.items(Y)
         colors = compute_cover(position_index_ranges(curve, items), items, 4)
         _, ranges = position_index_ranges(curve, items)

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from coverplex.geometry import ConvexPolygon
+from coverplex.generate import POLYGONS
+from coverplex.geometry import ConvexPolygon, reflect
 from coverplex.levelcurve import (EmptyLevelCurveError, LevelCurve,
-                                  WedgeFrame, build_level_curve,
-                                  canonical_positions, min_load_on_curve,
-                                  position_index_ranges, walk_key)
+                                  WedgeFrame, _positions_and_ends,
+                                  build_level_curve, canonical_positions,
+                                  min_load_on_curve, position_index_ranges,
+                                  walk_key)
 from reference import dominance_loads, wedge_contains, wedge_load
 
 # vertex 0 of this CCW square has cone spanned by +y and +x, so its wedge
@@ -180,6 +182,36 @@ def test_canonical_positions_content_constant():
         for v_main in range(lo_main + 1, v_hi[0], 2):
             sample = content(du, (v_main, 0))
             assert sample in canon_contents
+
+
+@pytest.mark.parametrize("rational_share", [0, 0.25, 1])
+def test_every_gap_gets_a_representative(rational_share):
+    # `decomp points` and `plan` (on the reflected polygon, with weights)
+    # both accept "p/q" coordinates, alone or mixed with integers; the
+    # canonical positions and the gap representatives alternate along the
+    # walk, each strictly inside its gap
+    rng = random.Random(11)
+    names = sorted(POLYGONS)
+    for trial in range(60):
+        poly = ConvexPolygon(POLYGONS[names[trial % len(names)]])
+        if trial % 2:
+            poly = reflect(poly)
+
+        def coord():
+            if rng.random() < rational_share:
+                return Fraction(rng.randint(-20, 80), rng.randint(2, 9))
+            return rng.randint(-4, 20)
+
+        pts = [(coord(), coord()) for _ in range(rng.randint(1, 12))]
+        weights = [rng.randint(1, 4) for _ in pts]
+        frame = WedgeFrame(poly, trial % poly.n)
+        items = frame.items(pts, weights=weights)
+        curve = LevelCurve(frame, rng.randint(1, sum(weights)), items)
+        positions, index_of, _, _ = _positions_and_ends(curve, items)
+        assert [pos in index_of for pos in positions] == \
+            [k % 2 == 0 for k in range(len(positions))]
+        keys = [walk_key(pos) for pos in positions]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_min_load_on_curve_examples():

@@ -5,7 +5,8 @@ reference: translate membership by Fraction arithmetic on every edge, the
 extreme-prefix reservation by sorting the members of every canonical curve
 position, position index ranges and curve loads by testing every canonical
 position against every item, the block solvers on an index built from the
-queried items themselves, the coloring check over the positions of all
+queried items themselves, the curve cover by a union-find greedy that counts
+every position's coverage, the coloring check over the positions of all
 points, planar loads and simulation with one membership test per sensor,
 grid cells by Fraction division, and the RSC greedy, durations and schedule
 checks by time-step simulation (`reference.py`).
@@ -547,6 +548,92 @@ def test_vertex_loop_loads_match_fresh_loads_of_the_live_items(data):
         if t:
             gone.update(blocks.pop(0))
     assert not blocks
+
+
+def cover_answer(solver, index, items, t):
+    """A cover solver's colors in insertion order, or the position, count
+    and need of its precondition failure."""
+    try:
+        return list(solver(index, items, t).items())
+    except CoverPreconditionError as err:
+        return ("precondition", err.position, err.have, err.need)
+
+
+@ORACLE
+@given(st.data())
+def test_compute_cover_matches_union_find_oracle(data):
+    # queried on an index of its own items and on one of a superset
+    # high levels and few dropped items keep most positions deep enough
+    poly, i, pts, weights, ids, _ = data.draw(weighted_cases())
+    level = data.draw(st.integers(max(1, sum(weights) // 2), sum(weights)))
+    frame = WedgeFrame(poly, i)
+    items = frame.items(pts, weights=weights, ids=ids)
+    curve = LevelCurve(frame, level, items)
+    keep = data.draw(st.lists(st.sampled_from([True, True, True, False]),
+                              min_size=len(items), max_size=len(items)))
+    sub = [it for it, kept in zip(items, keep) if kept]
+    own = position_index_ranges(curve, sub)
+    # mostly within the precondition, one round past it at the most
+    spans = [own[1][pid] for (_, _, pid, _w) in sub]
+    fewest = min(sum(1 for rng in spans if rng and rng[0] <= idx <= rng[1])
+                 for idx in range(len(own[0])))
+    t = data.draw(st.integers(1, min(4, fewest // 2 + 1)))
+    for index in (own, position_index_ranges(curve, items)):
+        assert cover_answer(compute_cover, index, sub, t) == \
+            cover_answer(reference.compute_cover, index, sub, t)
+
+
+COVER_FAMILIES = ("identical", "nested", "sliding", "random")
+
+
+@st.composite
+def synthetic_covers(draw, family):
+    """An index of K integer positions, interval ranges of one family on
+    it, items in a shuffled order with scattered ids, and t up to 4.
+    "identical" repeats a few ranges many times; "nested" is a deep chain
+    of ranges each inside the one before, over copies of the whole range
+    and of ranges from both ends; "sliding" is 2t copies (or one fewer,
+    which misses position 0) of every window of one width, so every window
+    joins a round's chain; "random" draws ranges freely."""
+    t = draw(st.integers(1, 4))
+    K = draw(st.integers(1, 40))
+    bound = st.integers(0, K - 1)
+    if family == "identical":
+        shapes = [tuple(sorted(draw(st.tuples(bound, bound))))
+                  for _ in range(draw(st.integers(1, 3)))]
+        spans = [(0, K - 1)] * draw(st.integers(0, 2 * t))
+        for span in shapes:
+            spans += [span] * draw(st.integers(1, 4 * t))
+    elif family == "nested":
+        depth = draw(st.integers(0, (K - 1) // 2))
+        spans = [(j, K - 1 - j) for j in range(depth + 1)]
+        spans *= draw(st.integers(1, 2))
+        spans += [(0, K - 1)] * draw(st.integers(0, 2 * t))
+        for _ in range(draw(st.integers(0, 2 * t))):
+            cut = draw(bound)
+            spans += [(0, cut), (cut, K - 1)]
+    elif family == "sliding":
+        width = draw(st.integers(0, K - 1))
+        copies = 2 * t - draw(st.sampled_from([0, 0, 0, 1]))
+        spans = [(lo, lo + width) for lo in range(K - width)] * copies
+    else:
+        spans = [tuple(sorted(draw(st.tuples(bound, bound))))
+                 for _ in range(draw(st.integers(0, 12 * t)))]
+    pids = [3 * k + 1 for k in draw(st.permutations(range(len(spans))))]
+    ranges = dict(zip(pids, spans))
+    ranges[3 * len(spans) + 1] = None  # an item in no wedge on the curve
+    items = [(None, None, pid, 1)
+             for pid in draw(st.permutations(sorted(ranges)))]
+    return (list(range(K)), ranges), items, t
+
+
+@pytest.mark.parametrize("family", COVER_FAMILIES)
+@ORACLE
+@given(data=st.data())
+def test_compute_cover_families_match_union_find_oracle(family, data):
+    index, items, t = data.draw(synthetic_covers(family))
+    assert cover_answer(compute_cover, index, items, t) == \
+        cover_answer(reference.compute_cover, index, items, t)
 
 
 @st.composite
