@@ -128,13 +128,21 @@ def cmd_decomp_translates(args):
     return 0
 
 
+def _coloring_of(doc, points):
+    """The coloring of ``doc``, whose colors list names each point once."""
+    if len(doc["colors"]) != len(points):
+        raise InputError("%d colors for %d points"
+                         % (len(doc["colors"]), len(points)))
+    return jsonio.coloring_from_json(doc)
+
+
 def cmd_decomp_verify(args):
     doc = _read_doc(args)
     try:
         poly = jsonio.polygon_from_json(doc["polygon"])
         points = [jsonio.point_from_json(p) for p in doc["points"]]
         k = jsonio.int_from_json(doc["k"], "k")
-        asg = jsonio.coloring_from_json(doc)
+        asg = _coloring_of(doc, points)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("expected {polygon, points, k, colors, T}: %s" % exc)
     try:
@@ -215,7 +223,7 @@ def cmd_plot_coloring(args):
     doc = _read_doc(args)
     try:
         points = [jsonio.point_from_json(p) for p in doc["points"]]
-        asg = jsonio.coloring_from_json(doc)
+        asg = _coloring_of(doc, points)
     except (KeyError, TypeError) as exc:
         raise InputError("expected {points, colors, T}: %s" % exc)
     _write(args, svgplot.svg_coloring(points, asg))

@@ -85,19 +85,28 @@ def compute_cover(index, items, t: int):
     chain the nearest earlier interval and the nearest later survivor cover
     whatever any others do, so kept[j] (j > 0) is redundant iff a later
     survivor starts by kept[j - 1]'s end + 1.  kept[0] alone covers
-    position 0 and the last alone reaches K - 1, so both survive.  Each
-    call costs O(n log n + K + t n) for n intervals over K positions.
+    position 0 and the last alone reaches K - 1, so both survive.  A
+    whole-range interval sorts first and alone covers every position, so
+    the first rounds take those by id, one each.  Each call costs
+    O(n log n + K + t n) for n intervals over K positions.
     """
     if t <= 0:
         return {}
     positions, ranges = index
     K = len(positions)
-    intervals = sorted(((lo_hi[0], lo_hi[1], pid)
-                        for (_, _, pid, _w) in items
-                        if (lo_hi := ranges[pid]) is not None),
-                       key=lambda iv: (iv[0], -iv[1], iv[2]))
+    full = (0, K - 1)
+    whole, intervals = [], []
+    for (_, _, pid, _w) in items:
+        rng = ranges[pid]
+        if rng == full:
+            whole.append(pid)
+        elif rng is not None:
+            intervals.append((rng[0], rng[1], pid))
+    whole.sort()
+    intervals.sort(key=lambda iv: (iv[0], -iv[1], iv[2]))
 
     depth = [0] * (K + 1)
+    depth[0], depth[K] = len(whole), -len(whole)
     for lo, hi, _ in intervals:
         depth[lo] += 1
         depth[hi + 1] -= 1
@@ -106,15 +115,17 @@ def compute_cover(index, items, t: int):
                          in enumerate(accumulate(depth)) if run < 2 * t)
         raise CoverPreconditionError(positions[idx], have, 2 * t)
 
-    colors = {}
+    colors = dict(zip(whole, range(1, t + 1)))
     remaining = intervals
-    for round_no in range(1, t + 1):
+    for round_no in range(len(colors) + 1, t + 1):
         kept = []
         reach = -1
         for iv in remaining:
             if iv[1] > reach:
                 kept.append(iv)
                 reach = iv[1]
+                if reach == K - 1:
+                    break
         # the chain prune above; survivors are listed last first
         pruned = [kept[-1]]
         for j in range(len(kept) - 2, -1, -1):
@@ -166,7 +177,7 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
     K = len(positions)
     ids = [pid for (_, _, pid, _w) in items]
     ranged = [pid for pid in ids if ranges[pid] is not None]
-    if not support or target <= 0:
+    if not support or target <= 0 or not ranged:
         return set(ranged)
     weight = {pid: w for (_, _, pid, w) in items}
     rankmaps = [_order_ranks(poly, j, delta, points, ids) for j in support]
@@ -187,10 +198,16 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
         """Per clique: smallest rank of the reserved top group, or 0 when
         the whole membership is reserved.  A member is reserved at a clique
         iff its rank >= the clique's threshold, so nothing survives a 0."""
-        tree = _Fenwick(len(ids))  # slot r - 1 holds the member of rank r
-        total = 0
+        # slot r - 1 holds the member of rank r; the members of the first
+        # clique enter the tree in one build, later ones one by one
+        a = bisect_right(add_at, cliques[0])
+        slots = [0] * len(ids)
+        for pid in adds[:a]:
+            slots[rank[pid] - 1] = weight[pid]
+        tree = _Fenwick(len(ids), slots)
+        total = sum(slots)
         thr = []
-        a = e = 0
+        e = 0
         for c in cliques:
             while add_at[a] <= c:
                 pid = adds[a]
@@ -224,11 +241,13 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
             row = table[lev]
             return max(row[lo], row[hi - (1 << lev) + 1])
 
+        # a range that holds every clique meets the largest threshold
+        top, first, last = max(all_thr[0]), cliques[0], cliques[-1]
         out = set()
         for pid in ranged:
             lo, hi = ranges[pid]  # holds at least one clique
-            if rank[pid] < range_max(bisect_left(cliques, lo),
-                                     bisect_right(cliques, hi) - 1):
+            if rank[pid] < (top if lo <= first and last <= hi else range_max(
+                    bisect_left(cliques, lo), bisect_right(cliques, hi) - 1)):
                 out.add(pid)
         return out
 

@@ -22,12 +22,11 @@ import heapq
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import floordiv
+from operator import floordiv, itemgetter
 
 from .geometry import ConvexPolygon, cross, int_scaled, perturbation_direction
 
 NEG_INF = (float("-inf"), 0)
-POS_INF = (float("inf"), 0)
 
 
 class EmptyLevelCurveError(ValueError):
@@ -98,48 +97,45 @@ class LevelCurve:
     def __init__(self, frame: WedgeFrame, level, items):
         if level <= 0:
             raise ValueError("level must be positive")
-        total = sum(w for (_, _, _, w) in items)
+        self.frame = frame
+        self.level = level
+        self.items = items = sorted(items, key=itemgetter(0))
+        # suffix weights, tail first: the shortest U-sorted suffix whose
+        # weight reaches the level starts at last_j, the tail's u
+        reach = list(accumulate(map(itemgetter(3), reversed(items))))
+        total = reach[-1] if reach else 0
         if total < level:
             raise EmptyLevelCurveError(
                 "total load %s below level %s" % (total, level))
-        self.frame = frame
-        self.level = level
-        self.items = sorted(items, key=lambda it: it[0])
-
-        n = len(self.items)
-        # thr[j]: staircase level over apex u in (U_{j-1}, U_j], i.e. the
-        # largest v such that weight{p in items[j:] : V_p >= v} >= level;
-        # None once the suffix is too light.  Scanned right to left with the
-        # minimal "top set" kept in a min-heap on V.
-        thr = [None] * n
-        heap = []
-        top_w = 0
-        for j in range(n - 1, -1, -1):
-            _, V, _, w = self.items[j]
-            if top_w < level or V > heap[0][0]:
+        last_j = len(items) - 1 - bisect_left(reach, level)
+        # the staircase level over apex u in (U_{j-1}, U_j] is the lowest V
+        # of the minimal top set of items[j:] that reaches the level, kept
+        # in a min-heap on V: the suffix at last_j in bulk, then the scan
+        # from right to left, one drop wherever the level changes
+        heap = list(map(itemgetter(1, 3), items[last_j:]))
+        heapq.heapify(heap)
+        self.tail = (items[last_j][0], heap[0][0])
+        top_w = reach[-1 - last_j]
+        while top_w - heap[0][1] >= level:
+            top_w -= heapq.heappop(heap)[1]
+        low = heap[0][0]
+        drops = [(items[last_j][0], low, NEG_INF)]
+        for j in range(last_j - 1, -1, -1):
+            U, V, _, w = items[j]
+            if V > low:
                 heapq.heappush(heap, (V, w))
                 top_w += w
                 while top_w - heap[0][1] >= level:
-                    top_w -= heap[0][1]
-                    heapq.heappop(heap)
-            if top_w >= level:
-                thr[j] = heap[0][0]
-        last_j = max(j for j in range(n) if thr[j] is not None)
-        us = [it[0] for it in self.items]
-        drops = []
-        prev = thr[0]
-        for j in range(1, last_j + 1):
-            if thr[j] != prev:
-                drops.append((us[j - 1], prev, thr[j]))
-                prev = thr[j]
-        drops.append((us[last_j], prev, NEG_INF))
+                    top_w -= heapq.heappop(heap)[1]
+                if heap[0][0] != low:
+                    drops.append((U, heap[0][0], low))
+                    low = heap[0][0]
+        drops.reverse()
         self.drops = drops
         self._drop_us = [d[0] for d in drops]
         # v_below tail to head: strictly increasing, for bisect
         self._vlos_rev = [d[2] for d in reversed(drops)]
         self.head = (drops[0][0], drops[0][1])
-        tail_candidates = [self.items[j][1] for j in range(last_j, n)]
-        self.tail = (us[last_j], min([thr[last_j]] + tail_candidates))
         self._base = None
 
     def _base_positions(self):
@@ -202,27 +198,31 @@ def build_level_curve(poly, i, points, level, weights=None):
 
 
 def _positions_and_ends(curve: LevelCurve, items):
-    """Canonical positions, each interval end's index among them, and per
-    item the two ends of its interval (None when empty), from one interval
-    pass.
+    """Canonical positions, each interval end's index among them, the ids
+    of the whole-curve items and (id, lo, hi) for every other item, its
+    interval's two ends (None when empty), from one interval pass.
 
     A ray end is the ray itself, (NEG_INF, head level) or (tail u,
-    NEG_INF), and indexes the ray representative at that end.  Equal ends
-    are kept as one tuple, so the ends add no objects for the garbage
+    NEG_INF), and indexes the ray representative at that end.  An item
+    with U >= tail u and V >= head level holds both rays, so every
+    position, and is settled without an interval query.  Equal ends are
+    kept as one tuple, so the ends add no objects for the garbage
     collector to count beyond the distinct positions.
     """
     canon = {pos: pos for pos in curve._base_positions()}
-    los, his = [], []
-    for (U, V, _pid, _w) in items:
+    head_level, tail_u = curve.drops[0][1], curve.drops[-1][0]
+    whole, part = [], []
+    for (U, V, pid, _w) in items:
+        if U >= tail_u and V >= head_level:
+            whole.append(pid)
+            continue
         iv = curve._ends(U, V)
         if iv is None:
-            los.append(None)
-            his.append(None)
+            part.append((pid, None, None))
             continue
         lo, hi = iv
-        los.append(canon.setdefault(lo, lo))
-        his.append(canon.setdefault(hi, hi))
-    rays = ((NEG_INF, curve.drops[0][1]), (curve.drops[-1][0], NEG_INF))
+        part.append((pid, canon.setdefault(lo, lo), canon.setdefault(hi, hi)))
+    rays = ((NEG_INF, head_level), (tail_u, NEG_INF))
     ordered = sorted((pos for pos in canon if pos not in rays), key=walk_key)
     # gap representatives at exact midpoints, so strictly inside: integer
     # coordinates and every epsilon term are even, so floor division halves
@@ -248,7 +248,7 @@ def _positions_and_ends(curve: LevelCurve, items):
     index_of[ordered[-1]] = len(positions)
     positions.append(ordered[-1])
     index_of[rays[1]] = len(positions) - 1
-    return positions, index_of, los, his
+    return positions, index_of, whole, part
 
 
 def canonical_positions(curve: LevelCurve, q_items):
@@ -271,10 +271,10 @@ def position_index_ranges(curve: LevelCurve, items):
     Items with the same interval share one range tuple, so an index held
     through a whole vertex loop stays small.
     """
-    positions, index_of, los, his = _positions_and_ends(curve, items)
-    ranges = {}
+    positions, index_of, whole, part = _positions_and_ends(curve, items)
+    ranges = dict.fromkeys(whole, (0, len(positions) - 1))
     span_of = {(None, None): None}  # interval ends -> shared range
-    for (_, _, pid, _w), lo, hi in zip(items, los, his):
+    for pid, lo, hi in part:
         ends = lo, hi
         if ends not in span_of:
             span_of[ends] = (index_of[lo], index_of[hi])
@@ -286,14 +286,22 @@ def index_load_diff(index, items):
     """Difference array of the load over the positions of ``index``
     (positions, ranges from position_index_ranges), one entry past the
     last position: the weight of each item joins at the first position of
-    its range and leaves after the last."""
+    its range and leaves after the last.  Whole-range items enter as one
+    sum."""
     positions, ranges = index
-    diff = [0] * (len(positions) + 1)
+    K = len(positions)
+    full = (0, K - 1)
+    diff = [0] * (K + 1)
+    whole = 0
     for (_, _, pid, w) in items:
         rng = ranges[pid]
-        if rng is not None:
+        if rng == full:
+            whole += w
+        elif rng is not None:
             diff[rng[0]] += w
             diff[rng[1] + 1] -= w
+    diff[0] += whole
+    diff[K] -= whole
     return diff
 
 
@@ -304,9 +312,16 @@ def index_min_load(index, items):
 
 
 class _Fenwick:
-    def __init__(self, n):
+    def __init__(self, n, values=None):
+        """Tree over slots 0..n-1, all zero or holding ``values`` (n
+        numbers), built in O(n)."""
         self.n = n
-        self.t = [0] * (n + 1)
+        self.t = t = [0] * (n + 1)
+        if values is not None:
+            t[1:] = values
+            for i in range(1, n + 1):
+                if (j := i + (i & -i)) <= n:
+                    t[j] += t[i]
 
     def add(self, i, w):
         i += 1

@@ -1,12 +1,13 @@
 """Reference oracles shared by the tests: plain formulas that the library's
 fast paths are checked against."""
 
+import heapq
 from bisect import bisect_left
 from fractions import Fraction
 
 from coverplex.cover import CoverPreconditionError
 from coverplex.geometry import cross, dot, perturbation_direction
-from coverplex.levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
+from coverplex.levelcurve import (NEG_INF, LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions)
 from coverplex.rsc import INF, Assignment, Schedule
 from coverplex.verify import VerificationReport, check_assignments
@@ -54,6 +55,40 @@ def wedge_load(poly, i, apex, points, weights=None, symbolic=True):
         if inside:
             total += 1 if weights is None else weights[idx]
     return total
+
+
+def level_curve(level, items):
+    """The level curve's (drops, head, tail, items sorted by U) by a full
+    scan: the staircase level over apex u in (U_{j-1}, U_j] for every
+    U-sorted suffix items[j:], from right to left, with the minimal top
+    set that reaches the level kept in a min-heap on V (None while the
+    suffix is too light); a drop wherever consecutive levels differ."""
+    items = sorted(items, key=lambda it: it[0])
+    n = len(items)
+    thr = [None] * n
+    heap = []
+    top_w = 0
+    for j in range(n - 1, -1, -1):
+        _, V, _, w = items[j]
+        if top_w < level or V > heap[0][0]:
+            heapq.heappush(heap, (V, w))
+            top_w += w
+            while top_w - heap[0][1] >= level:
+                top_w -= heap[0][1]
+                heapq.heappop(heap)
+        if top_w >= level:
+            thr[j] = heap[0][0]
+    last_j = max(j for j in range(n) if thr[j] is not None)
+    us = [it[0] for it in items]
+    drops = []
+    prev = thr[0]
+    for j in range(1, last_j + 1):
+        if thr[j] != prev:
+            drops.append((us[j - 1], prev, thr[j]))
+            prev = thr[j]
+    drops.append((us[last_j], prev, NEG_INF))
+    tail_v = min([thr[last_j]] + [items[j][1] for j in range(last_j, n)])
+    return drops, (drops[0][0], drops[0][1]), (us[last_j], tail_v), items
 
 
 def dominance_loads(positions, items):

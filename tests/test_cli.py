@@ -434,6 +434,26 @@ def test_level_out_of_range_exit_2(tmp_path, capsys, argv, make, path,
     _check_exit_2(tmp_path, capsys, argv, make, path, value)
 
 
+@pytest.mark.parametrize("colors", [[1], [1, 2], [1, 1, 1], []],
+                         ids=["1", "1,2", "1,1,1", "empty"])
+@pytest.mark.parametrize("argv", [["decomp", "verify"], ["plot", "coloring"]],
+                         ids=["decomp-verify", "plot-coloring"])
+def test_colors_not_one_per_point_exit_2(tmp_path, capsys, argv, colors):
+    # one point: every entry past the first would name a point that does
+    # not exist
+    doc = dict(jsonio.decomp_instance_to_json(polygon("triangle"),
+                                              [(1, 1)], 1),
+               colors=colors, T=1)
+    p = tmp_path / "in.json"
+    p.write_text(jsonio.dumps(doc))
+    code, out, err = run(argv + ["--in", str(p)], capsys)
+    if len(colors) == 1:
+        assert code == 0 and not err
+        return
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_rational_center_accepted(tmp_path, capsys):
     doc = _with(_planar_doc(), ("sensors", 0, "center"), ["21/2", "-3/1"])
     p = tmp_path / "in.json"

@@ -6,8 +6,9 @@ import pytest
 from coverplex import cover, levelcurve
 from coverplex.cover import (CoverPreconditionError, compute_cover,
                              decompose_points, decompose_translates)
-from coverplex.generate import gen_planar, polygon
-from coverplex.geometry import ConvexPolygon, reflect, strict_support_edges
+from coverplex.generate import gen_planar, gen_points, polygon
+from coverplex.geometry import (ConvexPolygon, perturbation_direction, reflect,
+                                strict_support_edges)
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions,
                                   position_index_ranges)
@@ -265,6 +266,36 @@ def test_decompose_points_builds_each_curve_index_once(monkeypatch):
     asg, trace = decompose_points(TRIANGLE, pts, 400)
     assert all(r.t >= 1 for r in trace.records)  # every block solver ran
     assert builds == [len(pts)] * TRIANGLE.n
+
+
+def test_decompose_points_queries_intervals_only_off_the_whole_curve(
+        monkeypatch):
+    # criterion-8 seed 2: most points lie in every wedge of a curve, U at
+    # least the tail's and V at least the head level, and are settled
+    # without an interval query
+    poly = polygon("hexagon")
+    k = 256 * poly.n
+    pts = gen_points(2, size=k + k // 8, span=60)
+    delta = perturbation_direction(poly)
+    partial = 0
+    for i in range(poly.n):
+        frame = WedgeFrame(poly, i, delta)
+        items = frame.items(pts)
+        curve = LevelCurve(frame, k, items)
+        (_, head_level), tail_u = curve.head, curve.tail[0]
+        partial += sum(1 for (U, V, _pid, _w) in items
+                       if U < tail_u or V < head_level)
+    queries = []
+    real = LevelCurve._ends
+
+    def counted(curve, U, V):
+        queries.append((U, V))
+        return real(curve, U, V)
+
+    monkeypatch.setattr(LevelCurve, "_ends", counted)
+    decompose_points(poly, pts, k)
+    assert len(queries) == partial
+    assert 3 * partial < poly.n * len(pts)
 
 
 def maximal_member_sets(index, items):

@@ -3,13 +3,14 @@
 Each oracle is the plain formula the fast path replaced, kept here as the
 reference: translate membership by Fraction arithmetic on every edge, the
 extreme-prefix reservation by sorting the members of every canonical curve
-position, position index ranges and curve loads by testing every canonical
-position against every item, the block solvers on an index built from the
-queried items themselves, the curve cover by a union-find greedy that counts
-every position's coverage, the coloring check over the positions of all
-points, planar loads and simulation with one membership test per sensor,
-grid cells by Fraction division, and the RSC greedy, durations and schedule
-checks by time-step simulation (`reference.py`).
+position, the level curve by a scan of every U-sorted suffix, position
+index ranges and curve loads by testing every canonical position against
+every item, the block solvers on an index built from the queried items
+themselves, the curve cover by a union-find greedy that counts every
+position's coverage, the coloring check over the positions of all points,
+planar loads and simulation with one membership test per sensor, grid cells
+by Fraction division, and the RSC greedy, durations and schedule checks by
+time-step simulation (`reference.py`).
 """
 
 from fractions import Fraction
@@ -223,7 +224,13 @@ def check_reserved_filter(case):
     assert got == reserved_ref(poly, i, delta, curve, items, pts, target)
 
 
-FAMILIES = ("colocated", "disjoint", "above")
+FAMILIES = ("colocated", "disjoint", "above", "whole")
+
+
+def near_total(draw, weights):
+    """A level in the top quarter of the total weight, where most items
+    hold the whole curve."""
+    return max(1, sum(weights) - draw(st.integers(0, sum(weights) // 4)))
 
 
 @st.composite
@@ -234,10 +241,13 @@ def clique_filter_cases(draw, family, kite_apex=False):
     "disjoint" queries a subset of the items whose ranges are pairwise
     disjoint, each its own clique, on the index of all of them; "above"
     sets the target above the load of every position, so nothing survives
-    where some direction is reserved."""
+    where some direction is reserved; "whole" sets the level near the total
+    weight."""
     poly, i, pts, weights, ids, level = draw(weighted_cases(kite_apex))
     if family == "colocated":
         pts, level = [pts[0]] * len(pts), sum(weights)
+    if family == "whole":
+        level = near_total(draw, weights)
     delta = perturbation_direction(poly)
     frame = WedgeFrame(poly, i, delta)
     items = frame.items(pts, weights=weights, ids=ids)
@@ -286,13 +296,15 @@ def test_reserved_filter_clique_families_match_direct_oracle(family,
 
 
 @st.composite
-def curve_queries(draw):
+def curve_queries(draw, whole=False):
     """A level curve and query items: a random live subset of the curve's
     own items, extra points from a wider box, maybe an item outside every
     wedge (below the head level, left of the head), and maybe items on the
     head ray and on the tail ray (at the head or tail when the offset is
-    0)."""
+    0).  With ``whole`` the level is near the total weight."""
     poly, i, pts, weights, ids, level = draw(weighted_cases())
+    if whole:
+        level = near_total(draw, weights)
     frame = WedgeFrame(poly, i)
     items = frame.items(pts, weights=weights, ids=ids)
     curve = LevelCurve(frame, level, items)
@@ -318,6 +330,16 @@ def curve_queries(draw):
 @ORACLE
 @given(curve_queries())
 def test_position_index_and_min_load_match_membership_oracle(case):
+    check_position_index(case)
+
+
+@ORACLE
+@given(curve_queries(whole=True))
+def test_position_index_whole_curve_family_matches_membership_oracle(case):
+    check_position_index(case)
+
+
+def check_position_index(case):
     curve, items = case
     positions, ranges = position_index_ranges(curve, items)
     assert positions == canonical_positions(curve, items)
@@ -481,6 +503,36 @@ def test_verify_rsc_matches_simulation_reference(data):
                        for u in range(min(sched.start.values()), t))
 
 
+@st.composite
+def level_curve_cases(draw):
+    """A random convex polygon (maybe rational, maybe reflected), a vertex,
+    integer or rational points, some shifted along the cone ray e2 so that
+    they share a main U coordinate, unit or duration weights, and a level
+    of 1, the total weight or one between."""
+    poly = draw(polygons())
+    frame = WedgeFrame(poly, draw(st.integers(0, poly.n - 1)))
+    spot = st.tuples(rationals, rationals) | st.tuples(coords, coords)
+    pts = draw(st.lists(spot, min_size=1, max_size=12))
+    e2x, e2y = frame.e2
+    for _ in range(draw(st.integers(0, 4))):
+        (x, y), s = draw(st.sampled_from(pts)), draw(st.integers(-2, 2))
+        pts.append((x + s * e2x, y + s * e2y))
+    weights = draw(st.none() | st.lists(st.integers(1, 9), min_size=len(pts),
+                                        max_size=len(pts)))
+    total = len(pts) if weights is None else sum(weights)
+    level = draw(st.sampled_from([1, total]) | st.integers(1, total))
+    return frame, frame.items(pts, weights=weights), level
+
+
+@ORACLE
+@given(level_curve_cases())
+def test_level_curve_matches_full_scan_reference(case):
+    frame, items, level = case
+    curve = LevelCurve(frame, level, items)
+    assert (curve.drops, curve.head, curve.tail, curve.items) == \
+        reference.level_curve(level, items)
+
+
 @ORACLE
 @given(st.data())
 def test_superset_index_gives_the_subset_answers(data):
@@ -583,7 +635,25 @@ def test_compute_cover_matches_union_find_oracle(data):
             cover_answer(reference.compute_cover, index, sub, t)
 
 
-COVER_FAMILIES = ("identical", "nested", "sliding", "random")
+@ORACLE
+@given(st.data())
+def test_compute_cover_whole_curve_family_matches_union_find_oracle(data):
+    # most items hold the whole curve, and t sits at half their count, so
+    # the whole-range intervals fill every round or run out
+    poly, i, pts, weights, ids, _ = data.draw(weighted_cases())
+    frame = WedgeFrame(poly, i)
+    items = frame.items(pts, weights=weights, ids=ids)
+    curve = LevelCurve(frame, near_total(data.draw, weights), items)
+    index = position_index_ranges(curve, items)
+    full = (0, len(index[0]) - 1)
+    whole = sum(1 for (_, _, pid, _w) in items if index[1][pid] == full)
+    t = max(1, whole // 2 + data.draw(st.integers(0, 1)))
+    assert cover_answer(compute_cover, index, items, t) == \
+        cover_answer(reference.compute_cover, index, items, t)
+
+
+COVER_FAMILIES = ("identical", "nested", "sliding", "random", "whole-many",
+                  "whole-few")
 
 
 @st.composite
@@ -594,7 +664,9 @@ def synthetic_covers(draw, family):
     of ranges each inside the one before, over copies of the whole range
     and of ranges from both ends; "sliding" is 2t copies (or one fewer,
     which misses position 0) of every window of one width, so every window
-    joins a round's chain; "random" draws ranges freely."""
+    joins a round's chain; "random" draws ranges freely; "whole-many" and
+    "whole-few" hold at least 2t and fewer than 2t copies of the whole
+    range, with halves split at a cut and free ranges besides."""
     t = draw(st.integers(1, 4))
     K = draw(st.integers(1, 40))
     bound = st.integers(0, K - 1)
@@ -616,9 +688,19 @@ def synthetic_covers(draw, family):
         width = draw(st.integers(0, K - 1))
         copies = 2 * t - draw(st.sampled_from([0, 0, 0, 1]))
         spans = [(lo, lo + width) for lo in range(K - width)] * copies
-    else:
+    elif family == "random":
         spans = [tuple(sorted(draw(st.tuples(bound, bound))))
                  for _ in range(draw(st.integers(0, 12 * t)))]
+    else:
+        low = 2 * t if family == "whole-many" else 0
+        whole = draw(st.integers(low, low + 2 * t - 1))
+        spans = []
+        for _ in range(draw(st.integers(0, 2 * t))):
+            cut = draw(bound)
+            spans += [(0, cut), (cut, K - 1)]
+        spans += [tuple(sorted(draw(st.tuples(bound, bound))))
+                  for _ in range(draw(st.integers(0, 4 * t)))]
+        spans = [(0, K - 1)] * whole + [s for s in spans if s != (0, K - 1)]
     pids = [3 * k + 1 for k in draw(st.permutations(range(len(spans))))]
     ranges = dict(zip(pids, spans))
     ranges[3 * len(spans) + 1] = None  # an item in no wedge on the curve
