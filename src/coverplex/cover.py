@@ -17,10 +17,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 
-from .geometry import (ConvexPolygon, cell_partition, dot, grid_spec,
-                       int_scaled, perturbation_direction, reflect,
-                       strict_support_edges)
+from .geometry import (ConvexPolygon, cell_partition, grid_spec,
+                       perturbation_direction, reflect, strict_support_edges)
 from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick, index_load_diff,
                          position_index_ranges)
 
@@ -32,12 +32,12 @@ class CoverPreconditionError(ValueError):
     """Some curve position has fewer than 2t candidate points."""
 
     def __init__(self, position, have, need):
-        self.position = position
-        self.have = have
-        self.need = need
-        super().__init__(
-            "curve position %r has %d candidates, need %d"
-            % (position, have, need))
+        super().__init__(position, have, need)
+        self.position, self.have, self.need = position, have, need
+
+    def __str__(self):
+        return "curve position %r has %d candidates, need %d" % (
+            self.position, self.have, self.need)
 
 
 @dataclass
@@ -143,19 +143,7 @@ def compute_cover(index, items, t: int):
     return colors
 
 
-def _order_ranks(poly, j, delta, points, ids):
-    """Rank 1..len(ids) of each point id along the inward normal of edge j,
-    ties broken by the same symbolic general-position shift the wedge frames
-    use.  The normal is scaled to an integer vector, which keeps the order."""
-    nj = int_scaled(*poly.inward_normal(j))
-    shift = dot(delta, nj)
-    order = sorted(range(len(ids)),
-                   key=lambda idx: (dot(points[idx], nj),
-                                    (ids[idx] + 1) * shift))
-    return {ids[idx]: r for r, idx in enumerate(order, 1)}
-
-
-def _reserved_filter(poly, i, delta, index, items, points, target):
+def _reserved_filter(poly, i, u_sorted, index, items, target):
     """Point ids that survive the extreme-prefix reservation.
 
     ``index`` is position_index_ranges(curve, A) for an item set A that
@@ -164,6 +152,11 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
     reserved direction whose total weight reaches ``target`` is reserved; a
     point survives if some position has it as a non-reserved member.  With
     unit weights the prefix is simply the first ``target`` points.
+
+    Frame j's U is the key along edge j's inward normal, ties broken by the
+    general-position shift, times a positive constant, so the ranks come
+    from ``u_sorted[j]``: frame j's items in U order (LevelCurve.items), a
+    superset of ``items`` that orders the members as their own ranks would.
 
     Only the maximal-clique positions of the items' ranges are queried: the
     range ends with some range starting after the previous end.  This is
@@ -175,18 +168,19 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
     support = sorted(strict_support_edges(poly, i))
     positions, ranges = index
     K = len(positions)
-    ids = [pid for (_, _, pid, _w) in items]
-    ranged = [pid for pid in ids if ranges[pid] is not None]
-    if not support or target <= 0 or not ranged:
-        return set(ranged)
-    weight = {pid: w for (_, _, pid, w) in items}
-    rankmaps = [_order_ranks(poly, j, delta, points, ids) for j in support]
+    spans = [(rng[0], rng[1], pid, w) for (_, _, pid, w) in items
+             if (rng := ranges[pid]) is not None]
+    if not support or target <= 0 or not spans:
+        return {pid for (_, _, pid, _w) in spans}
+    rankmaps = [dict(zip(map(itemgetter(2), u_sorted[j]),
+                         range(1, len(u_sorted[j]) + 1))) for j in support]
     # members join at the first position of their range and leave after the
-    # last; the events are sorted by position and end in a sentinel K
-    adds = sorted(ranged, key=lambda pid: ranges[pid][0])
-    leaves = sorted(ranged, key=lambda pid: ranges[pid][1])
-    add_at = [ranges[pid][0] for pid in adds] + [K]
-    leave_at = [ranges[pid][1] for pid in leaves] + [K]
+    # last; the events are sorted by position and end in a sentinel K, and
+    # the order within one position changes no sum and no member set
+    adds = sorted(spans, key=itemgetter(0))
+    leaves = sorted(spans, key=itemgetter(1))
+    add_at = [*map(itemgetter(0), adds), K]
+    leave_at = [*map(itemgetter(1), leaves), K]
     cliques = []
     a = 0
     for c in leave_at[:-1]:
@@ -201,23 +195,23 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
         # slot r - 1 holds the member of rank r; the members of the first
         # clique enter the tree in one build, later ones one by one
         a = bisect_right(add_at, cliques[0])
-        slots = [0] * len(ids)
-        for pid in adds[:a]:
-            slots[rank[pid] - 1] = weight[pid]
-        tree = _Fenwick(len(ids), slots)
+        slots = [0] * len(rank)
+        for (_, _, pid, w) in adds[:a]:
+            slots[rank[pid] - 1] = w
+        tree = _Fenwick(len(rank), slots)
         total = sum(slots)
         thr = []
         e = 0
         for c in cliques:
             while add_at[a] <= c:
-                pid = adds[a]
-                tree.add(rank[pid] - 1, weight[pid])
-                total += weight[pid]
+                _, _, pid, w = adds[a]
+                tree.add(rank[pid] - 1, w)
+                total += w
                 a += 1
             while leave_at[e] < c:
-                pid = leaves[e]
-                tree.add(rank[pid] - 1, -weight[pid])
-                total -= weight[pid]
+                _, _, pid, w = leaves[e]
+                tree.add(rank[pid] - 1, -w)
+                total -= w
                 e += 1
             # largest rank x with prefix(x) <= total - target; the threshold
             # member is rank x + 1
@@ -244,8 +238,7 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
         # a range that holds every clique meets the largest threshold
         top, first, last = max(all_thr[0]), cliques[0], cliques[-1]
         out = set()
-        for pid in ranged:
-            lo, hi = ranges[pid]  # holds at least one clique
+        for lo, hi, pid, _w in spans:  # each range holds a clique
             if rank[pid] < (top if lo <= first and last <= hi else range_max(
                     bisect_left(cliques, lo), bisect_right(cliques, hi) - 1)):
                 out.add(pid)
@@ -257,10 +250,10 @@ def _reserved_filter(poly, i, delta, index, items, points, target):
     a = e = 0
     for c, *thrs in zip(cliques, *all_thr):
         while add_at[a] <= c:
-            members.add(adds[a])
+            members.add(adds[a][2])
             a += 1
         while leave_at[e] < c:
-            members.discard(leaves[e])
+            members.discard(leaves[e][2])
             e += 1
         if all(thrs):
             for pid in members:
@@ -294,12 +287,13 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     delta = perturbation_direction(poly)
     frames = [WedgeFrame(poly, i, delta) for i in range(n)]
     all_items = [f.items(points, weights=weights, ids=ids) for f in frames]
-    indexes = [position_index_ranges(LevelCurve(frames[i], level, items),
-                                     items)
-               for i, items in enumerate(all_items)]
+    u_sorted, indexes = [], []  # U order ranks the reserved directions
+    for frame, items in zip(frames, all_items):
+        curve = LevelCurve(frame, level, items)
+        u_sorted.append(curve.items)
+        indexes.append(position_index_ranges(curve, items))
     loads = [index_load_diff(index, items)
              for index, items in zip(indexes, all_items)]
-    point_of = dict(zip(range(len(points)) if ids is None else ids, points))
     weight_of = {pid: w for (_, _, pid, w) in all_items[0]}
 
     chosen = {}
@@ -312,11 +306,13 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
             records.append((i, L, 0, 0, 0))
             continue
         live = [it for it in all_items[i] if it[2] not in chosen]
-        keep = _reserved_filter(poly, i, delta, index, live,
-                                [point_of[it[2]] for it in live],
-                                L // (2 * n))
+        keep = _reserved_filter(poly, i, u_sorted, index, live, L // (2 * n))
         x_items = [it for it in live if it[2] in keep]
-        block = solve_block(index, x_items, t_i)
+        try:
+            block = solve_block(index, x_items, t_i)
+        except CoverPreconditionError as exc:  # name the position by pairs
+            exc.position = tuple(map(frames[i].split, exc.position))
+            raise
         chosen.update(block)
         # the chosen items leave the loads of the curves still to come
         for (_, ranges), diff in zip(indexes[i + 1:], loads[i + 1:]):

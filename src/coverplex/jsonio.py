@@ -66,8 +66,10 @@ def point_from_json(v):
 
 
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
-                      indent=1) + "\n"
+    # a Fraction inside a result (a coloring witness's apex) is a "p/q";
+    # any other value that JSON cannot hold stays a TypeError
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1,
+                      default=lambda v: num_to_json(Fraction(v))) + "\n"
 
 
 # -- polygons ---------------------------------------------------------------
@@ -225,8 +227,8 @@ def planar_schedule_from_json(doc):
 
 def curve_to_json(curve, i, r):
     f = curve.frame
-    head = f.to_real(*[c[0] for c in curve.head])
-    tail = f.to_real(*[c[0] for c in curve.tail])
+    head = f.to_real(*curve.head)
+    tail = f.to_real(*curve.tail)
     return {"i": i, "r": num_to_json(r),
             "chain": [point_to_json(p) for p in curve.chain_real()],
             "head": point_to_json(head), "tail": point_to_json(tail)}

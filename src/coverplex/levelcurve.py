@@ -5,15 +5,15 @@ Everything runs in a sheared coordinate frame per (polygon, vertex): the two
 cone rays of the wedge become the positive axes, so "point p lies in the
 wedge with apex a" turns into componentwise dominance  u(p) >= u(a) and
 v(p) >= v(a).  Coordinates are cross products against the integer cone
-rays, doubled so that midpoints of integer points stay integral (rational
-points give Fractions, halved exactly), and carry a symbolic epsilon term
-that realizes the deterministic general-position rule: point with id t
-behaves as if shifted by t*eps*delta for an infinitesimal eps > 0 and a
-fixed generic integer direction delta.
+rays, doubled so that midpoints of points stay exact, and carry a symbolic
+epsilon term that realizes the deterministic general-position rule: point
+with id t behaves as if shifted by t*eps*delta for an infinitesimal
+eps > 0 and a fixed generic integer direction delta.
 
-A coordinate is a pair (main, eps_coefficient); comparison is lexicographic.
-Infinite ray positions use float infinities in the main slot, which compare
-correctly against ints.
+A coordinate (main, eps) is one int, the flat key (D*main)*B + eps: D
+clears the point set's denominators and B is a power of two above twice
+its largest |eps|, so keys order as the pairs do, lexicographically.  The
+rays' infinite ends are float infinities, which compare right with ints.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import floordiv, itemgetter
+from itertools import accumulate, chain, repeat
+from math import lcm
+from operator import attrgetter, itemgetter
 
-from .geometry import ConvexPolygon, cross, int_scaled, perturbation_direction
+from .geometry import (ConvexPolygon, _norm, cross, int_scaled,
+                       perturbation_direction)
 
-NEG_INF = (float("-inf"), 0)
+NEG_INF = float("-inf")
 
 
 class EmptyLevelCurveError(ValueError):
@@ -48,42 +50,51 @@ class WedgeFrame:
         self.sigma = 1 if c > 0 else -1
         self.absc = abs(c)
         self.delta = delta if delta is not None else perturbation_direction(poly)
-        # doubled scale keeps midpoints of point coordinates integral
+        # doubled scale keeps midpoints of point coordinates exact
         self._u_eps = 2 * self.sigma * cross(self.delta, self.e2)
         self._v_eps = 2 * self.sigma * cross(self.e1, self.delta)
+        self.scale = self.base = None
 
-    def ucoord(self, p, pid=0):
-        return (2 * self.sigma * (p[0] * self.e2[1] - p[1] * self.e2[0]),
-                self._u_eps * pid)
+    def split(self, key):
+        """The (main, eps) pair of a flat key, main an int or a Fraction."""
+        dm, eps = divmod(key + self.base // 2, self.base)
+        return _norm(Fraction(dm, self.scale)), eps - self.base // 2
 
-    def vcoord(self, p, pid=0):
-        return (2 * self.sigma * (self.e1[0] * p[1] - self.e1[1] * p[0]),
-                self._v_eps * pid)
-
-    def to_real(self, u_main, v_main):
-        """Real-plane point for sheared coords, epsilon term dropped."""
-        u = Fraction(u_main, 2 * self.absc)
-        v = Fraction(v_main, 2 * self.absc)
+    def to_real(self, u, v):
+        """Real-plane point at flat keys u, v, epsilon term dropped."""
+        u, v = (Fraction(self.split(c)[0], 2 * self.absc) for c in (u, v))
         return (u * self.e1[0] + v * self.e2[0],
                 u * self.e1[1] + v * self.e2[1])
 
     def items(self, points, weights=None, ids=None):
-        """Sheared (U, V, pid, w) records for a point collection: the
-        coordinates of ucoord and vcoord with epsilon index pid + 1."""
-        s2 = 2 * self.sigma
+        """Sheared (U, V, pid, w) records for a point collection: flat keys
+        with epsilon index pid + 1.  The first call fixes the frame's D
+        (scale) and B (base) for its points; later points must fit them."""
+        ids = range(len(points)) if ids is None else ids
+        scale = lcm(*set(map(attrgetter("denominator"),
+                             chain.from_iterable(points))))
+        reach = 2 * max(abs(self._u_eps), abs(self._v_eps)) * (  # 2 max|eps|
+            max(max(ids) + 1, -1 - min(ids)) if len(ids) else 0)
+        if self.base is None:
+            self.scale, self.base = scale, 1 << reach.bit_length()
+        elif self.scale % scale or reach >= self.base:
+            raise ValueError("points or ids outside the frame's key range")
+        if scale != 1:
+            points = [(int(x * self.scale), int(y * self.scale))
+                      for x, y in points]
+        s2b = 2 * self.sigma * self.base * (self.scale if scale == 1 else 1)
         (e1x, e1y), (e2x, e2y) = self.e1, self.e2
+        ux, uy, vx, vy = s2b * e2y, -s2b * e2x, -s2b * e1y, s2b * e1x
         u_eps, v_eps = self._u_eps, self._v_eps
-        return [((s2 * (x * e2y - y * e2x), u_eps * (pid + 1)),
-                 (s2 * (e1x * y - e1y * x), v_eps * (pid + 1)), pid, w)
+        return [(x * ux + y * uy + u_eps * (pid + 1),
+                 x * vx + y * vy + v_eps * (pid + 1), pid, w)
                 for (x, y), pid, w in zip(
-                    points, range(len(points)) if ids is None else ids,
-                    repeat(1) if weights is None else weights)]
+                    points, ids, repeat(1) if weights is None else weights)]
 
 
 def walk_key(pos):
     """Total order of curve positions from head (small u, large v) to tail."""
-    (u, v) = pos
-    return (u[0], u[1], -v[0], -v[1])
+    return (pos[0], -pos[1])
 
 
 class LevelCurve:
@@ -144,12 +155,11 @@ class LevelCurve:
         if self._base is None:
             head_u, head_level = self.head
             tail_u, tail_v = self.tail
-            base = [((head_u[0] - 2, head_u[1]), head_level), self.head]
-            for (du, v_hi, v_lo) in self.drops:
-                base.append((du, v_hi))
-                if v_lo != NEG_INF:
-                    base.append((du, v_lo))
-            base += [self.tail, (tail_u, (tail_v[0] - 2, tail_v[1]))]
+            ray = 2 * self.frame.scale * self.frame.base  # main - 2
+            base = [(head_u - ray, head_level), self.head]
+            base += [(du, v) for du, v_hi, v_lo in self.drops
+                     for v in (v_hi, v_lo) if v != NEG_INF]
+            base += [self.tail, (tail_u, tail_v - ray)]
             self._base = base
         return self._base
 
@@ -183,13 +193,8 @@ class LevelCurve:
 
     def chain_real(self):
         """Finite staircase vertices in the real plane, head to tail."""
-        pts = []
-        f = self.frame
-        for (du, v_hi, v_lo) in self.drops:
-            pts.append(f.to_real(du[0], v_hi[0]))
-            if v_lo != NEG_INF:
-                pts.append(f.to_real(du[0], v_lo[0]))
-        return pts
+        return [self.frame.to_real(du, v) for du, v_hi, v_lo in self.drops
+                for v in (v_hi, v_lo) if v != NEG_INF]
 
 
 def build_level_curve(poly, i, points, level, weights=None):
@@ -224,11 +229,8 @@ def _positions_and_ends(curve: LevelCurve, items):
         part.append((pid, canon.setdefault(lo, lo), canon.setdefault(hi, hi)))
     rays = ((NEG_INF, head_level), (tail_u, NEG_INF))
     ordered = sorted((pos for pos in canon if pos not in rays), key=walk_key)
-    # gap representatives at exact midpoints, so strictly inside: integer
-    # coordinates and every epsilon term are even, so floor division halves
-    # them exactly; rational coordinates are halved as Fractions
-    halve = (floordiv if all(type(u[0]) is int and type(v[0]) is int
-                             for u, v in ordered) else Fraction)
+    # gap representatives at exact midpoints, so strictly inside: D*main
+    # and every epsilon term are even, so halving a sum of keys is exact
     positions = []
     index_of = {rays[0]: 0}
     for a, b in zip(ordered, ordered[1:]):
@@ -238,11 +240,9 @@ def _positions_and_ends(curve: LevelCurve, items):
         # the walk runs down a vertical segment and right along a
         # horizontal one
         if au == bu:
-            positions.append(
-                (au, (halve(av[0] + bv[0], 2), (av[1] + bv[1]) // 2)))
+            positions.append((au, (av + bv) // 2))
         elif av == bv:
-            positions.append(
-                ((halve(au[0] + bu[0], 2), (au[1] + bu[1]) // 2), av))
+            positions.append(((au + bu) // 2, av))
         else:
             raise AssertionError("gap straddles a staircase corner")
     index_of[ordered[-1]] = len(positions)

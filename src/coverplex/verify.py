@@ -231,7 +231,8 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
                 if run == 0:
                     u, v = positions[idx]
                     failure = {"i": i, "color": color,
-                               "apex_u": u, "apex_v": v}
+                               "apex_u": frame.split(u),
+                               "apex_v": frame.split(v)}
                     break
             if failure:
                 break

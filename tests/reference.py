@@ -6,7 +6,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from coverplex.cover import CoverPreconditionError
-from coverplex.geometry import cross, dot, perturbation_direction
+from coverplex.geometry import cross, dot, int_scaled, perturbation_direction
 from coverplex.levelcurve import (NEG_INF, LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions)
 from coverplex.rsc import INF, Assignment, Schedule
@@ -40,14 +40,37 @@ def order_key(poly, i, p):
     return Fraction(dot(p, poly.inward_normal(i)))
 
 
+def ucoord(frame, p, pid=0):
+    """Sheared u of point p in ``frame`` as the pair (main, eps), with
+    epsilon index pid: the coordinate a flat key encodes."""
+    return (2 * frame.sigma * cross(p, frame.e2), frame._u_eps * pid)
+
+
+def vcoord(frame, p, pid=0):
+    """Sheared v of point p in ``frame`` as the pair (main, eps)."""
+    return (2 * frame.sigma * cross(frame.e1, p), frame._v_eps * pid)
+
+
+def order_ranks(poly, j, delta, points, ids):
+    """Rank 1..len(ids) of each point id along the inward normal of edge j,
+    ties broken by the same symbolic general-position shift the wedge frames
+    use.  The normal is scaled to an integer vector, which keeps the order."""
+    nj = int_scaled(*poly.inward_normal(j))
+    shift = dot(delta, nj)
+    order = sorted(range(len(ids)),
+                   key=lambda idx: (dot(points[idx], nj),
+                                    (ids[idx] + 1) * shift))
+    return {ids[idx]: r for r, idx in enumerate(order, 1)}
+
+
 def wedge_load(poly, i, apex, points, weights=None, symbolic=True):
     """Count (or weighted sum) of points inside the wedge at vertex i with
     the given apex; the apex itself carries no symbolic shift."""
     frame = WedgeFrame(poly, i)
-    ua, va = frame.ucoord(apex), frame.vcoord(apex)
+    ua, va = ucoord(frame, apex), vcoord(frame, apex)
     total = 0
     for idx, p in enumerate(points):
-        pu, pv = frame.ucoord(p, idx + 1), frame.vcoord(p, idx + 1)
+        pu, pv = ucoord(frame, p, idx + 1), vcoord(frame, p, idx + 1)
         if symbolic:
             inside = pu >= ua and pv >= va
         else:

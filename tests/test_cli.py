@@ -6,9 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coverplex import cli, jsonio
-from coverplex.generate import gen_planar, gen_rsc, gen_points, polygon
+from coverplex.generate import (POLYGONS, gen_planar, gen_rsc, gen_points,
+                                polygon)
 from coverplex.rsc import Schedule, greedy_schedule
 
 
@@ -463,6 +465,61 @@ def test_rational_center_accepted(tmp_path, capsys):
     p.write_text(jsonio.dumps({"instance": doc, "schedule": json.loads(out)}))
     code, out, _ = run(["plan", "verify", "--in", str(p)], capsys)
     assert code == 0 and json.loads(out)["L"] >= 1
+
+
+@pytest.mark.parametrize("points, apex_u, apex_v", [
+    ([[2, "12/2"], [7, "21/2"], [9, "1/2"]], [0, 12], [36, 12]),
+    ([[1, "1/3"], ["5/3", 2], [3, "1/3"]], ["-2/3", 12], [12, 12]),
+], ids=["integral-apex", "rational-apex"])
+def test_decomp_verify_failing_rational_coloring(tmp_path, capsys, points,
+                                                 apex_u, apex_v):
+    # color 1 is on a point below the head level of the square's vertex 0,
+    # so it misses the wedge at the head-ray representative, whose sheared
+    # coordinates are written exactly: integers, or "p/q" strings
+    doc = {"polygon": {"vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]},
+           "points": points, "k": 1, "colors": [1, 2, None], "T": 2}
+    p = tmp_path / "in.json"
+    p.write_text(jsonio.dumps(doc))
+    code, out, err = run(["decomp", "verify", "--in", str(p)], capsys)
+    assert code == 1 and not err
+    assert json.loads(out)["checks"][0]["witness"] == {
+        "i": 0, "color": 1, "apex_u": apex_u, "apex_v": apex_v}
+
+
+@st.composite
+def rational_colorings(draw):
+    """A named polygon, a few points with "p/q" coordinates (denominators
+    1 to 9), a level up to one past their count, a vertex, and a partial
+    coloring with T in 0..3."""
+    poly = polygon(draw(st.sampled_from(sorted(POLYGONS))))
+    coord = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+    T = draw(st.integers(0, 3))
+    colors = draw(st.lists(st.none() | st.integers(1, T + 1),
+                           min_size=len(points), max_size=len(points)))
+    return dict(jsonio.decomp_instance_to_json(
+        poly, points, draw(st.integers(1, len(points) + 1))),
+        i=draw(st.integers(0, poly.n - 1)), colors=colors, T=T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=rational_colorings())
+def test_rational_documents_never_raise(tmp_path, capsys, doc):
+    p = tmp_path / "in.json"
+    p.write_text(jsonio.dumps(doc))
+    for argv in (["decomp", "points"], ["decomp", "verify"],
+                 ["plot", "curve", "--format", "json"],
+                 ["plot", "coloring"]):
+        code, out, err = run(argv + ["--in", str(p)], capsys)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1, err
+        elif argv[1] == "coloring":
+            assert out.startswith("<svg")
+        else:
+            json.loads(out)
 
 
 # a schedule that is not an object is an input error for both readers

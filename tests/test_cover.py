@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -23,24 +24,33 @@ def make_curve(points, level, poly=SQUARE, i=0):
     return frame, LevelCurve(frame, level, frame.items(points))
 
 
+def curve_and_queries(points, queries, ids):
+    """A level-1 curve of ``points`` on SQUARE and the items of
+    ``queries`` with ``ids``, keyed in the same frame call."""
+    frame = WedgeFrame(SQUARE, 0)
+    items = frame.items(points + queries,
+                        ids=list(range(len(points))) + ids)
+    return (LevelCurve(frame, 1, items[:len(points)]),
+            items[len(points):])
+
+
 def test_compute_cover_zero_rounds():
-    frame, curve = make_curve([(1, 3), (3, 1)], 1)
-    items = frame.items([(5, 5)] * 4)
+    curve, items = curve_and_queries([(1, 3), (3, 1)], [(5, 5)] * 4,
+                                     [0, 1, 2, 3])
     assert compute_cover(position_index_ranges(curve, items), items, 0) == {}
 
 
 def test_compute_cover_full_intervals():
     # 2t points whose intervals are the whole curve: one survivor per round
-    frame, curve = make_curve([(1, 3), (3, 1)], 1)
-    q = frame.items([(5, 5)] * 4, ids=[7, 8, 9, 10])
+    curve, q = curve_and_queries([(1, 3), (3, 1)], [(5, 5)] * 4,
+                                 [7, 8, 9, 10])
     colors = compute_cover(position_index_ranges(curve, q), q, 2)
     assert len(colors) == 2
     assert sorted(colors.values()) == [1, 2]
 
 
 def test_compute_cover_precondition_error():
-    frame, curve = make_curve([(1, 3), (3, 1)], 1)
-    q = frame.items([(5, 5)] * 2, ids=[0, 1])
+    curve, q = curve_and_queries([(1, 3), (3, 1)], [(5, 5)] * 2, [0, 1])
     with pytest.raises(CoverPreconditionError):
         compute_cover(position_index_ranges(curve, q), q, 2)
 
@@ -151,6 +161,27 @@ def test_compute_cover_respects_containment_order():
                           and ranges[pid] != ranges[pid2])
                 if proper and pid2 in colors:
                     assert pid in colors, (pid, pid2)
+
+
+def test_vertex_loop_names_a_precondition_position_by_pairs():
+    # a block solver asked for more rounds than the curve holds fails at
+    # the head-ray representative, which the loop names by (main, eps)
+    pts = [(Fraction(x, 3), Fraction(y, 3))
+           for x, y in gen_points(4, size=20, span=30)]
+    weights = [200] * len(pts)
+
+    def greedy_cover(index, items, t):
+        return compute_cover(index, items, 10 ** 6)
+
+    with pytest.raises(CoverPreconditionError) as err:
+        cover._iterate_vertices(TRIANGLE, pts, 600, greedy_cover,
+                                weights=weights)
+    frame = WedgeFrame(TRIANGLE, 0)
+    items = frame.items(pts, weights=weights)
+    head_ray = canonical_positions(LevelCurve(frame, 600, items), items)[0]
+    assert err.value.position == tuple(map(frame.split, head_ray))
+    assert str(err.value) == "curve position %r has %d candidates, need %d" \
+        % (err.value.position, err.value.have, 2 * 10 ** 6)
 
 
 def test_decompose_points_coincident_cluster():
@@ -334,9 +365,9 @@ def test_reserved_filter_descends_once_per_clique_and_direction(
     calls = []
     real_filter = cover._reserved_filter
 
-    def recorded(poly, i, delta, index, items, points, target):
+    def recorded(poly, i, u_sorted, index, items, target):
         before = len(descents)
-        out = real_filter(poly, i, delta, index, items, points, target)
+        out = real_filter(poly, i, u_sorted, index, items, target)
         directions = len(strict_support_edges(poly, i))
         calls.append((len(descents) - before,
                       maximal_member_sets(index, items) * directions,

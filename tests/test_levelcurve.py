@@ -5,12 +5,13 @@ import pytest
 
 from coverplex.generate import POLYGONS
 from coverplex.geometry import ConvexPolygon, reflect
-from coverplex.levelcurve import (EmptyLevelCurveError, LevelCurve,
+from coverplex.levelcurve import (NEG_INF, EmptyLevelCurveError, LevelCurve,
                                   WedgeFrame, _positions_and_ends,
                                   build_level_curve, canonical_positions,
                                   min_load_on_curve, position_index_ranges,
                                   walk_key)
-from reference import dominance_loads, wedge_contains, wedge_load
+from reference import (dominance_loads, ucoord, vcoord, wedge_contains,
+                       wedge_load)
 
 # vertex 0 of this CCW square has cone spanned by +y and +x, so its wedge
 # with apex a contains exactly the points >= a componentwise
@@ -52,8 +53,8 @@ def test_single_point_curve():
     curve = build_level_curve(SQUARE, 0, [(3, 5)], 1)
     assert chain_corners(SQUARE, 0, [(3, 5)], 1) == {(3, 5)}
     f = curve.frame
-    assert f.to_real(curve.head[0][0], curve.head[1][0]) == (3, 5)
-    assert f.to_real(curve.tail[0][0], curve.tail[1][0]) == (3, 5)
+    assert f.to_real(*curve.head) == (3, 5)
+    assert f.to_real(*curve.tail) == (3, 5)
 
 
 def test_two_point_staircase():
@@ -111,7 +112,8 @@ def test_observation_containment():
         tried = 0
         for _ in range(500):
             apex = (rng.randint(0, 30), rng.randint(0, 30))
-            au, av = frame.ucoord(apex), frame.vcoord(apex)
+            # id -1 gives the apex no epsilon term
+            (au, av, _, _), = frame.items([apex], ids=[-1])
             load = sum(1 for (U, V, _, _) in items if U >= au and V >= av)
             if load < r:
                 continue
@@ -178,9 +180,10 @@ def test_canonical_positions_content_constant():
     # doubled (even), so odd samples tie with nothing and behave like real
     # positions strictly between canonical ones
     for (du, v_hi, v_lo) in curve.drops:
-        lo_main = v_lo[0] if v_lo[0] > -10 ** 9 else v_hi[0] - 9
-        for v_main in range(lo_main + 1, v_hi[0], 2):
-            sample = content(du, (v_main, 0))
+        hi_main = frame.split(v_hi)[0]
+        lo_main = frame.split(v_lo)[0] if v_lo != NEG_INF else hi_main - 9
+        for v_main in range(lo_main + 1, hi_main, 2):
+            sample = content(du, v_main * frame.scale * frame.base)
             assert sample in canon_contents
 
 
@@ -252,3 +255,17 @@ def test_weighted_curve_load_window():
     loads = dominance_loads(positions, items)
     assert min(loads) >= level
     assert min(loads) <= level + max(ws)
+
+
+def test_first_items_call_fixes_the_frame_keys():
+    # D = 2 and B from |id + 1| <= 6; a later call must fit both
+    frame = WedgeFrame(SQUARE, 0)
+    frame.items([(Fraction(1, 2), 3)], ids=[5])
+    p = (7, Fraction(3, 2))
+    (U, V, _, _), = frame.items([p], ids=[-7])
+    assert frame.split(U) == ucoord(frame, p, -6)
+    assert frame.split(V) == vcoord(frame, p, -6)
+    with pytest.raises(ValueError):
+        frame.items([(Fraction(1, 3), 0)], ids=[0])
+    with pytest.raises(ValueError):
+        frame.items([(0, 0)], ids=[10 ** 6])

@@ -213,14 +213,20 @@ def test_reserved_filter_several_directions_matches_direct_oracle(case):
     check_reserved_filter(case)
 
 
+def u_orders(poly, delta, pts, weights, ids):
+    """Every frame's items sorted by U: the order the filter ranks by."""
+    return [sorted(WedgeFrame(poly, j, delta).items(pts, weights, ids))
+            for j in range(poly.n)]
+
+
 def check_reserved_filter(case):
     poly, i, pts, weights, ids, level, target = case
     delta = perturbation_direction(poly)
     frame = WedgeFrame(poly, i, delta)
     items = frame.items(pts, weights=weights, ids=ids)
     curve = LevelCurve(frame, level, items)
-    got = _reserved_filter(poly, i, delta, position_index_ranges(curve, items),
-                           items, pts, target)
+    got = _reserved_filter(poly, i, u_orders(poly, delta, pts, weights, ids),
+                           position_index_ranges(curve, items), items, target)
     assert got == reserved_ref(poly, i, delta, curve, items, pts, target)
 
 
@@ -272,7 +278,8 @@ def clique_filter_cases(draw, family, kite_apex=False):
         target = top + draw(st.integers(1, 3))
     else:
         target = draw(st.integers(0, sum(w for *_, w in sub) + 1))
-    return poly, i, delta, curve, index, sub, sub_pts, target
+    orders = u_orders(poly, delta, pts, weights, ids)
+    return poly, i, delta, curve, index, sub, sub_pts, target, orders
 
 
 @pytest.mark.parametrize("kite_apex", [False, True])
@@ -281,7 +288,7 @@ def clique_filter_cases(draw, family, kite_apex=False):
 @given(data=st.data())
 def test_reserved_filter_clique_families_match_direct_oracle(family,
                                                              kite_apex, data):
-    poly, i, delta, curve, index, sub, sub_pts, target = data.draw(
+    poly, i, delta, curve, index, sub, sub_pts, target, orders = data.draw(
         clique_filter_cases(family, kite_apex))
     spans = [index[1][pid] for (_, _, pid, _w) in sub]
     if family == "colocated":
@@ -289,7 +296,7 @@ def test_reserved_filter_clique_families_match_direct_oracle(family,
     if family == "disjoint":
         spans.sort()
         assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
-    got = _reserved_filter(poly, i, delta, index, sub, sub_pts, target)
+    got = _reserved_filter(poly, i, orders, index, sub, target)
     assert got == reserved_ref(poly, i, delta, curve, sub, sub_pts, target)
     if family == "above" and strict_support_edges(poly, i):
         assert got == set()
@@ -305,22 +312,24 @@ def curve_queries(draw, whole=False):
     poly, i, pts, weights, ids, level = draw(weighted_cases())
     if whole:
         level = near_total(draw, weights)
-    frame = WedgeFrame(poly, i)
-    items = frame.items(pts, weights=weights, ids=ids)
-    curve = LevelCurve(frame, level, items)
-    live = [it for it in items if draw(st.booleans())]
+    keep = [draw(st.booleans()) for _ in pts]
     wide = st.tuples(st.integers(-8, 16), st.integers(-8, 16))
     extra = draw(st.lists(wide, max_size=4))
     next_id = 3 * len(pts) + 2
-    live += frame.items(extra, weights=[2] * len(extra),
-                        ids=list(range(next_id, next_id + len(extra))))
+    frame = WedgeFrame(poly, i)
+    # one call, so the extra points share the frame's keys
+    items = frame.items(pts + extra, weights=weights + [2] * len(extra),
+                        ids=ids + list(range(next_id, next_id + len(extra))))
+    curve = LevelCurve(frame, level, items[:len(pts)])
+    live = [it for it, kept in zip(items, keep) if kept] + items[len(pts):]
     next_id += len(extra)
     (head_u, head_v), (tail_u, tail_v) = curve.head, curve.tail
-    gap = 2 * draw(st.integers(1, 3))
-    off = 2 * draw(st.integers(0, 3))
-    rays = [((head_u[0] - gap, 0), (head_v[0] - gap, 0)),  # in no wedge
-            ((head_u[0] - off, head_u[1]), head_v),
-            (tail_u, (tail_v[0] - off, tail_v[1]))]
+    unit = frame.scale * frame.base  # one step of the main coordinate
+    gap = 2 * draw(st.integers(1, 3)) * unit
+    off = 2 * draw(st.integers(0, 3)) * unit
+    rays = [(head_u - gap, head_v - gap),  # in no wedge
+            (head_u - off, head_v),
+            (tail_u, tail_v - off)]
     for k, (U, V) in enumerate(rays):
         if draw(st.booleans()):
             live.append((U, V, next_id + k, draw(st.integers(1, 4))))
@@ -533,6 +542,80 @@ def test_level_curve_matches_full_scan_reference(case):
         reference.level_curve(level, items)
 
 
+@st.composite
+def keyed_points(draw):
+    """A named, kite or random convex polygon, maybe reflected, points with
+    integer or rational coordinates (denominators 2 to 9) or both, and
+    distinct ids that are scattered, negative or of magnitude above
+    2**40."""
+    shape = draw(st.sampled_from(sorted(POLYGONS) + ["kite", "random"]))
+    if shape == "random":
+        poly = draw(polygons())
+    else:
+        poly = ConvexPolygon(KITE if shape == "kite" else POLYGONS[shape])
+        if draw(st.booleans()):
+            poly = reflect(poly)
+    fracs = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 9))
+    spot = st.tuples(coords, coords) | st.tuples(fracs, fracs) | st.tuples(
+        coords, fracs)
+    pts = draw(st.lists(spot, min_size=1, max_size=12))
+    perm = draw(st.permutations(range(len(pts))))
+    spread = draw(st.sampled_from(["scattered", "negative", "large"]))
+    ids = [3 * k + 1 if spread == "scattered" else -3 * k - 1
+           if spread == "negative" else (-1) ** k * (2 ** 40 + 5 * k)
+           for k in perm]
+    return poly, pts, ids
+
+
+@ORACLE
+@given(keyed_points())
+def test_frame_u_order_ranks_match_normal_order_reference(case):
+    # the reservation ranks by frame j's U order, which is the order along
+    # edge j's inward normal with the same tie shift
+    poly, pts, ids = case
+    delta = perturbation_direction(poly)
+    for i in range(poly.n):
+        for j in strict_support_edges(poly, i):
+            frame = WedgeFrame(poly, j, delta)
+            curve = LevelCurve(frame, 1, frame.items(pts, ids=ids))
+            got = {pid: r for r, (_, _, pid, _w) in enumerate(curve.items, 1)}
+            assert got == reference.order_ranks(poly, j, delta, pts, ids)
+
+
+@ORACLE
+@given(keyed_points(), st.data())
+def test_flat_keys_order_and_decode_as_reference_pairs(case, data):
+    # key order is the (main, eps) order, and decoding a key gives the
+    # reference pair: of every item, of both ray representatives (main 2
+    # below the head's u and the tail's v) and of every gap midpoint
+    poly, pts, ids = case
+    frame = WedgeFrame(poly, data.draw(st.integers(0, poly.n - 1)))
+    items = frame.items(pts, ids=ids)
+    refs = [{}, {}]  # key -> reference pair, for U and for V
+    for c, coord in enumerate((reference.ucoord, reference.vcoord)):
+        pairs = [coord(frame, p, pid + 1) for p, pid in zip(pts, ids)]
+        keys = [it[c] for it in items]
+        assert all((a < b) == (pa < pb) and (a == b) == (pa == pb)
+                   for a, pa in zip(keys, pairs) for b, pb in zip(keys, pairs))
+        assert [frame.split(key) for key in keys] == pairs
+        refs[c] = dict(zip(keys, pairs))
+    curve = LevelCurve(frame, data.draw(st.integers(1, len(pts))), items)
+    positions = canonical_positions(curve, items)
+    K = len(positions)
+    want = [None] * K
+    for k in range(0, K, 2):
+        u, v = positions[k]
+        want[k] = [refs[0].get(u), refs[1].get(v)]
+    (main, eps), (vmain, veps) = refs[0][curve.head[0]], refs[1][curve.tail[1]]
+    want[0][0], want[-1][1] = (main - 2, eps), (vmain - 2, veps)
+    for k in range(1, K, 2):
+        want[k] = [(Fraction(a[0] + b[0], 2), (a[1] + b[1]) // 2)
+                   for a, b in zip(want[k - 1], want[k + 1])]
+        assert all((a[1] + b[1]) % 2 == 0
+                   for a, b in zip(want[k - 1], want[k + 1]))
+    assert [list(map(frame.split, pos)) for pos in positions] == want
+
+
 @ORACLE
 @given(st.data())
 def test_superset_index_gives_the_subset_answers(data):
@@ -546,14 +629,14 @@ def test_superset_index_gives_the_subset_answers(data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(items),
                               max_size=len(items)))
     sub = [it for it, kept in zip(items, keep) if kept]
-    sub_pts = [p for p, kept in zip(pts, keep) if kept]
     full, own = (position_index_ranges(curve, items),
                  position_index_ranges(curve, sub))
     load = index_min_load(own, sub)
     assert index_min_load(full, sub) == load
     target = data.draw(st.integers(0, sum(weights) + 1))
-    assert _reserved_filter(poly, i, delta, full, sub, sub_pts, target) == \
-        _reserved_filter(poly, i, delta, own, sub, sub_pts, target)
+    orders = u_orders(poly, delta, pts, weights, ids)
+    assert _reserved_filter(poly, i, orders, full, sub, target) == \
+        _reserved_filter(poly, i, orders, own, sub, target)
     t = data.draw(st.integers(0, load // 2 + 1))
     answers = []
     for index in (full, own):
@@ -768,9 +851,9 @@ def test_verify_coloring_matches_all_points_oracle(case):
     w, r = got.checks[0].witness, ref.checks[0].witness
     assert (w["i"], w["color"]) == (r["i"], r["color"])
     frame = WedgeFrame(poly, w["i"])
-    items = frame.items(pts)
-    inside = [pid for (U, V, pid, _w) in items
-              if U >= w["apex_u"] and V >= w["apex_v"]]
+    inside = [pid for pid, p in enumerate(pts)
+              if reference.ucoord(frame, p, pid + 1) >= w["apex_u"]
+              and reference.vcoord(frame, p, pid + 1) >= w["apex_v"]]
     assert len(inside) >= k
     assert all(asg.colors.get(pid) != w["color"] for pid in inside)
 
