@@ -53,6 +53,14 @@ def _emit_json(args, doc):
     _write(args, jsonio.dumps(doc))
 
 
+def _plot(args, draw, *data):
+    """Write the SVG draw(*data), whose numbers must fit in a float."""
+    try:
+        _write(args, draw(*data))
+    except OverflowError as exc:
+        raise InputError("too large to plot: %s" % exc)
+
+
 # -- rsc --------------------------------------------------------------------
 
 def cmd_rsc_solve(args):
@@ -215,7 +223,7 @@ def cmd_plot_curve(args):
     if args.format == "json":
         _emit_json(args, jsonio.curve_to_json(curve, i, r))
     else:
-        _write(args, svgplot.svg_curve(curve, points))
+        _plot(args, svgplot.svg_curve, curve, points)
     return 0
 
 
@@ -226,7 +234,7 @@ def cmd_plot_coloring(args):
         asg = _coloring_of(doc, points)
     except (KeyError, TypeError) as exc:
         raise InputError("expected {points, colors, T}: %s" % exc)
-    _write(args, svgplot.svg_coloring(points, asg))
+    _plot(args, svgplot.svg_coloring, points, asg)
     return 0
 
 
@@ -237,7 +245,7 @@ def cmd_plot_schedule(args):
         sched = jsonio.schedule_from_json(doc["schedule"])
     except (KeyError, TypeError) as exc:
         raise InputError("expected {instance, schedule}: %s" % exc)
-    _write(args, svgplot.svg_schedule(inst, sched))
+    _plot(args, svgplot.svg_schedule, inst, sched)
     return 0
 
 

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .geometry import (ConvexPolygon, cell_partition, grid_spec,
                        perturbation_direction, reflect, strict_support_edges)
-from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick, index_load_diff,
+from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
                          position_index_ranges)
 
 # unused here; perfbench/tracer.py patches this name in this module
@@ -278,22 +278,22 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     refine those of any subset, and a subset's wedge content is constant
     between its own positions, so the answers are those of an index built
     from the subset.  Each curve's load is one difference array over its
-    index, built once; a block's chosen items are subtracted from the
-    curves still to come.  Curve i's index and load are dropped at vertex
-    i.  Returns the chosen map and one (i, L, t, x_size, chosen) record per
-    vertex.
+    index, built in the walk that builds the index; a block's chosen items
+    are subtracted from the curves still to come.  Curve i's index and
+    load are dropped at vertex i.  Returns the chosen map and one (i, L,
+    t, x_size, chosen) record per vertex.
     """
     n = poly.n
     delta = perturbation_direction(poly)
     frames = [WedgeFrame(poly, i, delta) for i in range(n)]
     all_items = [f.items(points, weights=weights, ids=ids) for f in frames]
-    u_sorted, indexes = [], []  # U order ranks the reserved directions
+    u_sorted, indexes, loads = [], [], []  # U order ranks reservations
     for frame, items in zip(frames, all_items):
         curve = LevelCurve(frame, level, items)
         u_sorted.append(curve.items)
-        indexes.append(position_index_ranges(curve, items))
-    loads = [index_load_diff(index, items)
-             for index, items in zip(indexes, all_items)]
+        index, diff = position_index_ranges(curve, items, load=True)
+        indexes.append(index)
+        loads.append(diff)
     weight_of = {pid: w for (_, _, pid, w) in all_items[0]}
 
     chosen = {}

@@ -203,9 +203,10 @@ def build_level_curve(poly, i, points, level, weights=None):
 
 
 def _positions_and_ends(curve: LevelCurve, items):
-    """Canonical positions, each interval end's index among them, the ids
-    of the whole-curve items and (id, lo, hi) for every other item, its
-    interval's two ends (None when empty), from one interval pass.
+    """Canonical positions, each interval end's index among them, the
+    weights of the whole-curve items by id and (id, lo, hi, w) for every
+    other item, its interval's two ends (None when empty) and its weight,
+    from one interval pass.
 
     A ray end is the ray itself, (NEG_INF, head level) or (tail u,
     NEG_INF), and indexes the ray representative at that end.  An item
@@ -216,17 +217,18 @@ def _positions_and_ends(curve: LevelCurve, items):
     """
     canon = {pos: pos for pos in curve._base_positions()}
     head_level, tail_u = curve.drops[0][1], curve.drops[-1][0]
-    whole, part = [], []
-    for (U, V, pid, _w) in items:
+    whole, part = {}, []
+    for (U, V, pid, w) in items:
         if U >= tail_u and V >= head_level:
-            whole.append(pid)
+            whole[pid] = w
             continue
         iv = curve._ends(U, V)
         if iv is None:
-            part.append((pid, None, None))
+            part.append((pid, None, None, w))
             continue
         lo, hi = iv
-        part.append((pid, canon.setdefault(lo, lo), canon.setdefault(hi, hi)))
+        part.append((pid, canon.setdefault(lo, lo), canon.setdefault(hi, hi),
+                     w))
     rays = ((NEG_INF, head_level), (tail_u, NEG_INF))
     ordered = sorted((pos for pos in canon if pos not in rays), key=walk_key)
     # gap representatives at exact midpoints, so strictly inside: D*main
@@ -262,9 +264,10 @@ def canonical_positions(curve: LevelCurve, q_items):
     return _positions_and_ends(curve, q_items)[0]
 
 
-def position_index_ranges(curve: LevelCurve, items):
+def position_index_ranges(curve: LevelCurve, items, load=False):
     """Canonical positions of the curve plus, per item, the closed index
-    range of positions whose wedge contains it (None when empty).
+    range of positions whose wedge contains it (None when empty); with
+    ``load``, that pair and the items' index_load_diff from the same walk.
 
     Interval endpoints are themselves canonical, so the snapping is exact;
     infinite ray endpoints snap to the ray representatives at the ends.
@@ -272,36 +275,33 @@ def position_index_ranges(curve: LevelCurve, items):
     through a whole vertex loop stays small.
     """
     positions, index_of, whole, part = _positions_and_ends(curve, items)
-    ranges = dict.fromkeys(whole, (0, len(positions) - 1))
+    K = len(positions)
+    ranges = dict.fromkeys(whole, (0, K - 1))
+    whole_w = sum(whole.values())
+    diff = [whole_w] + [0] * (K - 1) + [-whole_w]
     span_of = {(None, None): None}  # interval ends -> shared range
-    for pid, lo, hi in part:
+    for pid, lo, hi, w in part:
         ends = lo, hi
         if ends not in span_of:
             span_of[ends] = (index_of[lo], index_of[hi])
-        ranges[pid] = span_of[ends]
-    return positions, ranges
+        rng = ranges[pid] = span_of[ends]
+        if rng is not None:
+            diff[rng[0]] += w
+            diff[rng[1] + 1] -= w
+    return ((positions, ranges), diff) if load else (positions, ranges)
 
 
 def index_load_diff(index, items):
     """Difference array of the load over the positions of ``index``
     (positions, ranges from position_index_ranges), one entry past the
     last position: the weight of each item joins at the first position of
-    its range and leaves after the last.  Whole-range items enter as one
-    sum."""
+    its range and leaves after the last."""
     positions, ranges = index
-    K = len(positions)
-    full = (0, K - 1)
-    diff = [0] * (K + 1)
-    whole = 0
+    diff = [0] * (len(positions) + 1)
     for (_, _, pid, w) in items:
-        rng = ranges[pid]
-        if rng == full:
-            whole += w
-        elif rng is not None:
+        if (rng := ranges[pid]) is not None:
             diff[rng[0]] += w
             diff[rng[1] + 1] -= w
-    diff[0] += whole
-    diff[K] -= whole
     return diff
 
 
@@ -328,13 +328,6 @@ class _Fenwick:
         while i <= self.n:
             self.t[i] += w
             i += i & -i
-
-    def prefix(self, i):
-        s = 0
-        while i > 0:
-            s += self.t[i]
-            i -= i & -i
-        return s
 
     def longest_prefix_within(self, rem):
         """Largest x with prefix(x) <= rem, for non-negative weights."""

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from fractions import Fraction
+from itertools import accumulate, compress, groupby, repeat
+from math import isqrt, lcm
+from operator import eq
 
-from .geometry import ConvexPolygon, perturbation_direction
-from .levelcurve import LevelCurve, WedgeFrame, canonical_positions
+from .geometry import (ConvexPolygon, _norm, cross, int_scaled,
+                       perturbation_direction)
 
 INF = float("inf")
 
@@ -148,97 +151,93 @@ def rsc_opt_bruteforce(instance):
 # ---------------------------------------------------------------------------
 # coloring verifier
 
+# perfbench/tracer.py binds these names here; this check calls neither
+LevelCurve = canonical_positions = None
 
-def _member_range(positions, U, V):
-    """Closed index range of positions whose wedge contains (U, V), found by
-    binary search on the direct dominance predicate; None when empty.
 
-    Along the walk the u coordinates are non-decreasing and the v coordinates
-    non-increasing, so membership (u <= U and v <= V) is contiguous.
-    """
-    K = len(positions)
-    # first index with v <= V
-    a, b = 0, K
-    while a < b:
-        mid = (a + b) // 2
-        if positions[mid][1] <= V:
-            b = mid
-        else:
-            a = mid + 1
-    lo = a
-    # last index with u <= U
-    a, b = -1, K - 1
-    while a < b:
-        mid = (a + b + 1) // 2
-        if positions[mid][0] <= U:
-            a = mid
-        else:
-            b = mid - 1
-    hi = a
-    if lo > hi:
-        return None
-    return lo, hi
+def _apex(key, least, M, scale):
+    """The least (main, eps) above a key M*main + eps, in WedgeFrame's
+    doubled units; a key below ``least``, the points' least, is an open
+    side, put below every point."""
+    main, eps = divmod(max(key, least) + M // 2, M)
+    main = _norm(Fraction(2 * main, scale))
+    return (main, 2 * (eps - M // 2) + 1) if key >= least else (main - 2, 0)
 
 
 def verify_coloring(poly: ConvexPolygon, points, assignment, k):
-    """Check that every wedge with apex on any level-k curve contains every
-    color 1..T (others count for none; T < 0 fails); alpha = k / T."""
+    """Check that every wedge at a vertex of ``poly`` that holds at least k
+    of the points holds every color 1..T (others count for none; T < 0
+    fails); alpha = k / T.
+
+    Wedge i holds the points whose u and v, cross(e, p) for edges i and
+    i - 1 with p shifted by (pid + 1)*eps*delta, are at least its apex's
+    (WedgeFrame's frame, whose sigma is -1).  It misses color c iff no c
+    point dominates the apex, so c fails iff k points lie strictly beyond
+    a corner of c's staircase, the c points no other c point dominates.
+    """
+    if k <= 0:
+        raise ValueError("level must be positive")
+    N = len(points)
+    if N < k:
+        raise ValueError("total load %s below level %s" % (N, k))
     report = VerificationReport()
     T = assignment.T
     report.alpha = (k / T) if T > 0 else None
     report.stats["T"] = T
-    delta = perturbation_direction(poly)
     if T <= 0:
-        # no class to search for, but the level must still be one that a
-        # level curve accepts (ValueError otherwise)
-        frame = WedgeFrame(poly, 0, delta)
-        LevelCurve(frame, k, frame.items(points))
         report.add("colors-present", T == 0,
                    "no common colors; vacuous" if T == 0 else {"T": T})
         return report
-    failure = None
+    members = {}  # the ids of each color of 1..T that some point has
+    for pid, color in assignment.colors.items():
+        if color is not None and 1 <= color <= T and pid in range(N):
+            members.setdefault(color, []).append(pid)
+    scale = lcm(*{c.denominator for p in points for c in p})
+    if scale != 1:
+        points = [(int(x * scale), int(y * scale)) for x, y in points]
+    delta = perturbation_direction(poly)
+    edges = [int_scaled(*poly.edge_vec(j)) for j in range(poly.n)]
+    # M is a power of two above twice every |eps|: ints order as pairs do
+    M = 1 << (2 * N * max(abs(cross(e, delta)) for e in edges)).bit_length()
+    keys = []  # per edge, each point's cross(edge, p) with its shift
+    for ex, ey in edges:
+        a, b, d = -M * ey, M * ex, cross((ex, ey), delta)
+        keys.append([x * a + y * b + s for (x, y), s in zip(
+            points, range(d, d * (N + 1), d))])
+    size = 2 * isqrt(N) + 1  # of the sorted v blocks
     for i in range(poly.n):
-        frame = WedgeFrame(poly, i, delta)
-        items = frame.items(points)
-        curve = LevelCurve(frame, k, items)
-        # only points of colors 1..T are counted, and their wedge content is
-        # constant between their own canonical positions, so those positions
-        # decide the check
-        counted = [(it, color) for it in items
-                   if (color := assignment.colors.get(it[2])) is not None
-                   and 1 <= color <= T]
-        positions = canonical_positions(curve, [it for it, _ in counted])
-        K = len(positions)
-        # difference rows for the colors that occur only, so the cost
-        # follows the points and not the value of T
-        present = {}
-        for (U, V, _pid, _w), color in counted:
-            rng = _member_range(positions, U, V)
-            if rng is None:
-                continue
-            row = present.get(color)
-            if row is None:
-                row = present[color] = [0] * (K + 1)
-            row[rng[0]] += 1
-            row[rng[1] + 1] -= 1
-        # a color without a row is in no wedge, so it fails at position 0:
-        # the scan ends within len(present) + 1 colors
+        U, V = keys[i], keys[i - 1]
+        order = sorted(range(N), key=U.__getitem__)
+        us = list(map(U.__getitem__, order))
+        vs = list(map(V.__getitem__, order))  # in u order
+        blocks = [sorted(vs[a:a + size]) for a in range(0, N, size)]
+        least = us[0], min(vs)
+
+        def beyond(u0, v0):
+            """The number of points with u > u0 and v > v0."""
+            p = bisect_right(us, u0)
+            q = p // size + 1  # the first block wholly past p
+            end = min(q * size, N)
+            return (sum(map(v0.__lt__, vs[p:end])) + N - end
+                    - sum(map(bisect_right, blocks[q:], repeat(v0))))
         for color in range(1, T + 1):
-            row = present.get(color, [0])
-            run = 0
-            for idx in range(K):
-                run += row[idx]
-                if run == 0:
-                    u, v = positions[idx]
-                    failure = {"i": i, "color": color,
-                               "apex_u": frame.split(u),
-                               "apex_v": frame.split(v)}
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    report.add("colors-present", failure is None, failure)
+            # the staircase by falling u: each point above all after it
+            pids = sorted(members.get(color, ()), key=U.__getitem__)[::-1]
+            su, sv = [U[p] for p in pids], [V[p] for p in pids]
+            top = list(map(eq, sv, accumulate(sv, max)))
+            # corners from the tail: (U_r, -inf), (U_r-1, V_r), ...,
+            # (-inf, V_1); a color without points has the one (-inf, -inf)
+            cu = list(compress(su, top)) + [least[0] - 1]
+            cv = [least[1] - 1] + list(compress(sv, top))
+            hit = next(compress(zip(cu, cv), map(k.__le__,
+                                                 map(beyond, cu, cv))), None)
+            if hit is not None:
+                report.add("colors-present", False, {
+                    "i": i, "color": color,
+                    "apex_u": _apex(hit[0], least[0], M, scale),
+                    "apex_v": _apex(hit[1], least[1], M, scale)})
+                return report
+    report.add("colors-present", True)
     return report
 
 

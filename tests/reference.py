@@ -114,6 +114,16 @@ def level_curve(level, items):
     return drops, (drops[0][0], drops[0][1]), (us[last_j], tail_v), items
 
 
+class _PrefixFenwick(_Fenwick):
+    def prefix(self, i):
+        """Sum of slots 0..i-1."""
+        s = 0
+        while i > 0:
+            s += self.t[i]
+            i -= i & -i
+        return s
+
+
 def dominance_loads(positions, items):
     """Load (weight of dominating points) at each position, via one sweep.
 
@@ -121,7 +131,7 @@ def dominance_loads(positions, items):
     list parallel to positions.
     """
     vs = sorted(it[1] for it in items)
-    fw = _Fenwick(len(vs))
+    fw = _PrefixFenwick(len(vs))
     by_u = sorted(range(len(items)), key=lambda k: items[k][0], reverse=True)
     order = sorted(range(len(positions)), key=lambda k: positions[k][0],
                    reverse=True)
@@ -249,6 +259,98 @@ def verify_coloring(poly, points, assignment, k):
                            if U >= u and V >= v):
                     failure = {"i": i, "color": color,
                                "apex_u": u, "apex_v": v}
+                    break
+            if failure:
+                break
+        if failure:
+            break
+    report.add("colors-present", failure is None, failure)
+    return report
+
+
+def _member_range(positions, U, V):
+    """Closed index range of positions whose wedge contains (U, V), found by
+    binary search on the direct dominance predicate; None when empty.
+
+    Along the walk the u coordinates are non-decreasing and the v coordinates
+    non-increasing, so membership (u <= U and v <= V) is contiguous.
+    """
+    K = len(positions)
+    # first index with v <= V
+    a, b = 0, K
+    while a < b:
+        mid = (a + b) // 2
+        if positions[mid][1] <= V:
+            b = mid
+        else:
+            a = mid + 1
+    lo = a
+    # last index with u <= U
+    a, b = -1, K - 1
+    while a < b:
+        mid = (a + b + 1) // 2
+        if positions[mid][0] <= U:
+            a = mid
+        else:
+            b = mid - 1
+    hi = a
+    if lo > hi:
+        return None
+    return lo, hi
+
+
+def verify_coloring_by_curve(poly, points, assignment, k):
+    """The coloring check on each vertex's level-k curve: the canonical
+    positions of the points of colors 1..T, and per color a difference row
+    over them of the positions whose wedge holds one of its points; the
+    first color of 1..T some position misses, at its first such position."""
+    report = VerificationReport()
+    T = assignment.T
+    report.alpha = (k / T) if T > 0 else None
+    report.stats["T"] = T
+    delta = perturbation_direction(poly)
+    if T <= 0:
+        # no class to search for, but the level must still be one that a
+        # level curve accepts (ValueError otherwise)
+        frame = WedgeFrame(poly, 0, delta)
+        LevelCurve(frame, k, frame.items(points))
+        report.add("colors-present", T == 0,
+                   "no common colors; vacuous" if T == 0 else {"T": T})
+        return report
+    failure = None
+    for i in range(poly.n):
+        frame = WedgeFrame(poly, i, delta)
+        items = frame.items(points)
+        curve = LevelCurve(frame, k, items)
+        # only points of colors 1..T are counted, and their wedge content is
+        # constant between their own canonical positions, so those positions
+        # decide the check
+        counted = [(it, color) for it in items
+                   if (color := assignment.colors.get(it[2])) is not None
+                   and 1 <= color <= T]
+        positions = canonical_positions(curve, [it for it, _ in counted])
+        K = len(positions)
+        present = {}
+        for (U, V, _pid, _w), color in counted:
+            rng = _member_range(positions, U, V)
+            if rng is None:
+                continue
+            row = present.get(color)
+            if row is None:
+                row = present[color] = [0] * (K + 1)
+            row[rng[0]] += 1
+            row[rng[1] + 1] -= 1
+        # a color without a row is in no wedge, so it fails at position 0
+        for color in range(1, T + 1):
+            row = present.get(color, [0])
+            run = 0
+            for idx in range(K):
+                run += row[idx]
+                if run == 0:
+                    u, v = positions[idx]
+                    failure = {"i": i, "color": color,
+                               "apex_u": frame.split(u),
+                               "apex_v": frame.split(v)}
                     break
             if failure:
                 break

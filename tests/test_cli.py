@@ -386,6 +386,11 @@ BAD_NUMBERS = [
     (["decomp", "verify"], _coloring_doc, ("T",), -1),
     (["decomp", "translates"], _translates_doc, ("k",), False),
     (["decomp", "translates"], _translates_doc, ("centers", 0), [1, "1/0"]),
+    # exact, but beyond the floats an SVG is drawn in
+    (["plot", "coloring"], _coloring_doc, ("points", 0), [10 ** 400, 0]),
+    (["plot", "curve"], _points_doc, ("points", 0), [10 ** 400, 0]),
+    (["plot", "schedule"], _rsc_both, ("instance", "sensors", 0, "d"),
+     10 ** 400),
 ]
 
 
@@ -468,14 +473,15 @@ def test_rational_center_accepted(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("points, apex_u, apex_v", [
-    ([[2, "12/2"], [7, "21/2"], [9, "1/2"]], [0, 12], [36, 12]),
-    ([[1, "1/3"], ["5/3", 2], [3, "1/3"]], ["-2/3", 12], [12, 12]),
+    ([[2, "12/2"], [7, "21/2"], [9, "1/2"]], [24, 5], [6, 0]),
+    ([[1, "1/3"], ["5/3", 2], [3, "1/3"]], ["4/3", 5], [2, 0]),
 ], ids=["integral-apex", "rational-apex"])
 def test_decomp_verify_failing_rational_coloring(tmp_path, capsys, points,
                                                  apex_u, apex_v):
-    # color 1 is on a point below the head level of the square's vertex 0,
-    # so it misses the wedge at the head-ray representative, whose sheared
-    # coordinates are written exactly: integers, or "p/q" strings
+    # color 1 is on one point, so the wedge at the square's vertex 0 just
+    # beyond that point's u, open below, misses it but holds point 1 or 2;
+    # the apex's sheared coordinates are written exactly: integers, or
+    # "p/q" strings
     doc = {"polygon": {"vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]},
            "points": points, "k": 1, "colors": [1, 2, None], "T": 2}
     p = tmp_path / "in.json"

@@ -212,10 +212,10 @@ CASES = {
         "e411a20f03cd8f2351a1437b239c4d1b6529f5ea701533a8ba12b0562cee8c74"),
     "decomp-verify-color-1-dropped": (
         ["decomp", "verify"], lambda: _colored(drop=1),
-        "c83142d6b70d5eda7e9992b1c1bfaa8bc9839a181ef9258168df68631e0abba0"),
+        "ae7f82fbf762a1250c6f0c96f096f89696f7d00b1e2bd40445208c1e503cbbcd"),
     "decomp-verify-T-plus-2": (
         ["decomp", "verify"], lambda: _colored(T_extra=2),
-        "386d470066f95d52f97f2baeb69978cf9d4c3058b97f0bac90fd8baac507fa04"),
+        "6cf1dcdeeb25d8e3c8ffcef5e39df6ebf5240d8f87f085d6908e1f33ca904dee"),
     "plan-verify-1-small": (
         ["plan", "verify"], lambda: _plan_both(1, 400),
         "513fc8514de152a668c7cfef822ff4c3af4c56640a4c58c4ddeb57586c2fbf9f"),

@@ -7,7 +7,8 @@ position, the level curve by a scan of every U-sorted suffix, position
 index ranges and curve loads by testing every canonical position against
 every item, the block solvers on an index built from the queried items
 themselves, the curve cover by a union-find greedy that counts every
-position's coverage, the coloring check over the positions of all points,
+position's coverage, the coloring check over the positions of all points
+and over the level curve's positions of the colored points,
 planar loads and simulation with one membership test per sensor, grid cells
 by Fraction division, and the RSC greedy, durations and schedule checks by
 time-step simulation (`reference.py`).
@@ -807,11 +808,32 @@ def colorings(draw):
     coloring (every point has color 1, T = 1) that is then kept, has its
     color dropped from some points, has T raised by one, or has points
     recolored at random (to no color, to a color above T, or to another
-    color)."""
-    shape = draw(st.sampled_from(sorted(POLYGONS)))
-    poly = ConvexPolygon(POLYGONS[shape])
-    pts = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                        min_size=1, max_size=40))
+    color).  The points are random small integers, an antichain or a
+    diagonal chain (in some vertex frame every point of a color is on its
+    staircase), a few co-located spots, or rationals; the polygon is a
+    named one or the kite, and may be reflected."""
+    shape = draw(st.sampled_from(sorted(POLYGONS) + ["kite"]))
+    poly = ConvexPolygon(KITE if shape == "kite" else POLYGONS[shape])
+    if draw(st.booleans()):
+        poly = reflect(poly)
+    layout = draw(st.sampled_from(["random", "antichain", "chain",
+                                   "co-located", "rational"]))
+    n = draw(st.integers(1, 40))
+    if layout == "random":
+        pts = draw(st.lists(st.tuples(st.integers(0, 12),
+                                      st.integers(0, 12)),
+                            min_size=1, max_size=40))
+    elif layout == "antichain":
+        pts = [(i, n - i) for i in range(n)]
+    elif layout == "chain":
+        pts = [(i, i) for i in range(n)]
+    elif layout == "co-located":
+        spots = draw(st.lists(st.tuples(coords, coords), min_size=1,
+                              max_size=3))
+        pts = [draw(st.sampled_from(spots)) for _ in range(n)]
+    else:
+        pts = draw(st.lists(st.tuples(rationals, rationals), min_size=1,
+                            max_size=40))
     k = draw(st.integers(1, len(pts)))
     if draw(st.booleans()):
         T = draw(st.integers(0, 4))
@@ -841,8 +863,11 @@ def test_verify_coloring_matches_all_points_oracle(case):
     poly, pts, k, asg = case
     got = verify_coloring(poly, pts, asg, k)
     ref = reference.verify_coloring(poly, pts, asg, k)
+    by_curve = reference.verify_coloring_by_curve(poly, pts, asg, k)
     assert got.ok() == ref.ok()
     assert (got.alpha, got.stats) == (ref.alpha, ref.stats)
+    assert (got.ok(), got.alpha, got.stats) == (
+        by_curve.ok(), by_curve.alpha, by_curve.stats)
     if ref.ok() or asg.T <= 0:
         assert got.to_json() == ref.to_json()
         return
@@ -850,6 +875,8 @@ def test_verify_coloring_matches_all_points_oracle(case):
     # missing from a wedge of load at least k
     w, r = got.checks[0].witness, ref.checks[0].witness
     assert (w["i"], w["color"]) == (r["i"], r["color"])
+    c = by_curve.checks[0].witness
+    assert (w["i"], w["color"]) == (c["i"], c["color"])
     frame = WedgeFrame(poly, w["i"])
     inside = [pid for pid, p in enumerate(pts)
               if reference.ucoord(frame, p, pid + 1) >= w["apex_u"]

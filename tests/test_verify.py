@@ -1,7 +1,12 @@
+import ast
 import random
+import time
+from importlib.util import resolve_name
+from pathlib import Path
 
 import pytest
 
+from coverplex import verify
 from coverplex.cover import ColorAssignment, decompose_points
 from coverplex.generate import gen_points, gen_rsc, polygon
 from coverplex.rsc import (RscInstance, Schedule, duration, greedy_schedule,
@@ -153,6 +158,34 @@ def test_verify_coloring_zero_classes_vacuous():
     report = verify_coloring(TRIANGLE, [(0, 0)], Empty(), 1)
     assert report.ok()
     assert report.alpha is None
+
+
+def test_verify_coloring_scales_with_staircase_size():
+    # in the frame of the triangle's vertex 0 every point is on the
+    # staircase, so there are 16,001 corners to count: a scan of all the
+    # points per corner would make 2.6e8 comparisons
+    n = 16_000
+    pts = [(i, n - i) for i in range(n)]
+    asg = ColorAssignment(dict.fromkeys(range(n), 1), 1)
+    t0 = time.perf_counter()
+    report = verify_coloring(TRIANGLE, pts, asg, n // 2)
+    assert time.perf_counter() - t0 < 3.0
+    assert report.ok()
+
+
+def test_verify_module_imports_only_geometry_from_the_package():
+    """A verifier shares no code with the algorithms it checks."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(verify.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = resolve_name("." * node.level + (node.module or ""),
+                                  "coverplex") if node.level else node.module
+            imported |= ({module + "." + a.name for a in node.names}
+                         if module == "coverplex" else {module})
+    assert {name for name in imported if name.split(".")[0] == "coverplex"} \
+        == {"coverplex.geometry"}
 
 
 def test_report_json_shape():
