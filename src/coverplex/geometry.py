@@ -33,6 +33,10 @@ class GeometryError(ValueError):
     pass
 
 
+class EmptyLevelCurveError(ValueError):
+    """Raised when the requested level exceeds the total available load."""
+
+
 def _norm(v):
     """Keep coordinates as plain ints where possible, exact Fractions else."""
     f = Fraction(v)

@@ -25,14 +25,10 @@ from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import attrgetter, itemgetter
 
-from .geometry import (ConvexPolygon, _norm, cross, int_scaled,
-                       perturbation_direction)
+from .geometry import (ConvexPolygon, EmptyLevelCurveError, _norm,
+                       cross, int_scaled, perturbation_direction)
 
 NEG_INF = float("-inf")
-
-
-class EmptyLevelCurveError(ValueError):
-    """Raised when the requested level exceeds the total available load."""
 
 
 class WedgeFrame:
@@ -347,4 +343,5 @@ def min_load_on_curve(curve: LevelCurve, q_items):
     """Minimum load over the canonical positions of the curve with respect to
     the given items; correct because the load is piecewise constant between
     canonical positions."""
-    return index_min_load(position_index_ranges(curve, q_items), q_items)
+    _, diff = position_index_ranges(curve, q_items, load=True)
+    return min(accumulate(diff[:-1]))

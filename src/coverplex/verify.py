@@ -15,8 +15,8 @@ from itertools import accumulate, compress, groupby, repeat
 from math import isqrt, lcm
 from operator import eq
 
-from .geometry import (ConvexPolygon, _norm, cross, int_scaled,
-                       perturbation_direction)
+from .geometry import (ConvexPolygon, EmptyLevelCurveError, _norm,
+                       cross, int_scaled, perturbation_direction)
 
 INF = float("inf")
 
@@ -179,7 +179,7 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
         raise ValueError("level must be positive")
     N = len(points)
     if N < k:
-        raise ValueError("total load %s below level %s" % (N, k))
+        raise EmptyLevelCurveError("total load %s below level %s" % (N, k))
     report = VerificationReport()
     T = assignment.T
     report.alpha = (k / T) if T > 0 else None
@@ -192,9 +192,8 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
     for pid, color in assignment.colors.items():
         if color is not None and 1 <= color <= T and pid in range(N):
             members.setdefault(color, []).append(pid)
-    scale = lcm(*{c.denominator for p in points for c in p})
-    if scale != 1:
-        points = [(int(x * scale), int(y * scale)) for x, y in points]
+    scale = lcm(*{c.denominator for p in points for c in p})  # int keys only
+    points = [(int(x * scale), int(y * scale)) for x, y in points]
     delta = perturbation_direction(poly)
     edges = [int_scaled(*poly.edge_vec(j)) for j in range(poly.n)]
     # M is a power of two above twice every |eps|: ints order as pairs do

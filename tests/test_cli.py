@@ -475,13 +475,16 @@ def test_rational_center_accepted(tmp_path, capsys):
 @pytest.mark.parametrize("points, apex_u, apex_v", [
     ([[2, "12/2"], [7, "21/2"], [9, "1/2"]], [24, 5], [6, 0]),
     ([[1, "1/3"], ["5/3", 2], [3, "1/3"]], ["4/3", 5], [2, 0]),
-], ids=["integral-apex", "rational-apex"])
+    ([[1, 0], ["4/2", 1], [0, 3]], [0, 5], [-2, 0]),
+    ([["12/2", 0], [1, "4/2"], [0, 3]], [0, 5], [-2, 0]),
+], ids=["integral-apex", "rational-apex", "int-beside-fraction-x",
+        "int-beside-fraction-xy"])
 def test_decomp_verify_failing_rational_coloring(tmp_path, capsys, points,
                                                  apex_u, apex_v):
     # color 1 is on one point, so the wedge at the square's vertex 0 just
     # beyond that point's u, open below, misses it but holds point 1 or 2;
     # the apex's sheared coordinates are written exactly: integers, or
-    # "p/q" strings
+    # "p/q" strings.  "4/2" reads as Fraction(2, 1) beside plain ints
     doc = {"polygon": {"vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]},
            "points": points, "k": 1, "colors": [1, 2, None], "T": 2}
     p = tmp_path / "in.json"

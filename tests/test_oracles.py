@@ -808,7 +808,8 @@ def colorings(draw):
     coloring (every point has color 1, T = 1) that is then kept, has its
     color dropped from some points, has T raised by one, or has points
     recolored at random (to no color, to a color above T, or to another
-    color).  The points are random small integers, an antichain or a
+    color).  The points are random small integers (some coordinates as
+    Fraction(n, 1) beside plain ints, or not), an antichain or a
     diagonal chain (in some vertex frame every point of a color is on its
     staircase), a few co-located spots, or rationals; the polygon is a
     named one or the kite, and may be reflected."""
@@ -816,13 +817,17 @@ def colorings(draw):
     poly = ConvexPolygon(KITE if shape == "kite" else POLYGONS[shape])
     if draw(st.booleans()):
         poly = reflect(poly)
-    layout = draw(st.sampled_from(["random", "antichain", "chain",
+    layout = draw(st.sampled_from(["random", "mixed", "antichain", "chain",
                                    "co-located", "rational"]))
     n = draw(st.integers(1, 40))
-    if layout == "random":
+    if layout in ("random", "mixed"):
         pts = draw(st.lists(st.tuples(st.integers(0, 12),
                                       st.integers(0, 12)),
                             min_size=1, max_size=40))
+        if layout == "mixed":  # ints beside Fraction(n, 1), as "4/2" reads
+            pts = [(Fraction(x), y) if pid % 3 == 1 else
+                   (x, Fraction(y)) if pid % 3 == 2 else (x, y)
+                   for pid, (x, y) in enumerate(pts)]
     elif layout == "antichain":
         pts = [(i, n - i) for i in range(n)]
     elif layout == "chain":

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coverplex import verify
+from coverplex import EmptyLevelCurveError, verify
 from coverplex.cover import ColorAssignment, decompose_points
 from coverplex.generate import gen_points, gen_rsc, polygon
 from coverplex.rsc import (RscInstance, Schedule, duration, greedy_schedule,
@@ -158,6 +158,13 @@ def test_verify_coloring_zero_classes_vacuous():
     report = verify_coloring(TRIANGLE, [(0, 0)], Empty(), 1)
     assert report.ok()
     assert report.alpha is None
+
+
+@pytest.mark.parametrize("T", [0, 1])
+def test_verify_coloring_level_above_point_count_is_empty_level_curve(T):
+    asg = ColorAssignment({0: 1} if T else {}, T)
+    with pytest.raises(EmptyLevelCurveError):
+        verify_coloring(TRIANGLE, [(0, 0)], asg, 2)
 
 
 def test_verify_coloring_scales_with_staircase_size():
