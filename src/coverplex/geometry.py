@@ -11,6 +11,7 @@ half-planes once per polygon, so integer inputs never build a Fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -144,6 +145,22 @@ class ConvexPolygon:
                 return False
         return True
 
+    @cached_property
+    def _support_edges(self):
+        """Per vertex, the edges whose inward normal it strictly maximizes
+        (strict_support_edges)."""
+        table = []
+        for i, pi in enumerate(self.vertices):
+            out = []
+            for j in range(self.n):
+                nj = self.inward_normal(j)
+                best = dot(pi, nj)
+                if all(dot(v, nj) < best for k, v in enumerate(self.vertices)
+                       if k != i):
+                    out.append(j)
+            table.append(tuple(out))
+        return tuple(table)
+
     def bounding_box(self):
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
@@ -184,17 +201,10 @@ def strict_support_edges(poly: ConvexPolygon, i: int):
     meets the polygon in exactly that vertex.
 
     Equivalent exact test: vertex i is the strict unique maximizer of the
-    inward normal of edge j over all vertices.
+    inward normal of edge j over all vertices.  The table of every vertex
+    is computed once per polygon.
     """
-    out = set()
-    pi = poly.vertex(i)
-    for j in range(poly.n):
-        nj = poly.inward_normal(j)
-        best = dot(pi, nj)
-        if all(dot(v, nj) < best for k, v in enumerate(poly.vertices)
-               if k != i % poly.n):
-            out.add(j)
-    return out
+    return set(poly._support_edges[i % poly.n])
 
 
 def _seg_point_dist2(a, b, p):
@@ -261,10 +271,12 @@ def grid_spec(poly: ConvexPolygon) -> GridSpec:
 
 
 def cell_partition(points, grid: GridSpec):
-    """Assign every point to exactly one half-open grid cell."""
+    """Assign every point to exactly one half-open grid cell; the cell of
+    each distinct point is computed once."""
+    cell_at = {p: grid.cell_of(p) for p in dict.fromkeys(points)}
     cells = {}
     for idx, p in enumerate(points):
-        cells.setdefault(grid.cell_of(p), []).append(idx)
+        cells.setdefault(cell_at[p], []).append(idx)
     return cells
 
 

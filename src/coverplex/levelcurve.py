@@ -13,22 +13,29 @@ eps > 0 and a fixed generic integer direction delta.
 A coordinate (main, eps) is one int, the flat key (D*main)*B + eps: D
 clears the point set's denominators and B is a power of two above twice
 its largest |eps|, so keys order as the pairs do, lexicographically.  The
-rays' infinite ends are float infinities, which compare right with ints.
+rays' infinite ends are float infinities, which compare right with ints;
+they never meet an int in arithmetic, which would round it to a float.
+
+A position (u, v) on a staircase is named by one int, its walk coordinate
+u - v: along the walk from head to tail v falls on the vertical segments
+and u rises on the horizontal ones, so the walk coordinate strictly
+increases, and the segment it falls on gives back u and v.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, sub
 
 from .geometry import (ConvexPolygon, EmptyLevelCurveError, _norm,
                        cross, int_scaled, perturbation_direction)
 
-NEG_INF = float("-inf")
+NEG_INF, INF = float("-inf"), float("inf")
 
 
 class WedgeFrame:
@@ -88,11 +95,6 @@ class WedgeFrame:
                     points, ids, repeat(1) if weights is None else weights)]
 
 
-def walk_key(pos):
-    """Total order of curve positions from head (small u, large v) to tail."""
-    return (pos[0], -pos[1])
-
-
 class LevelCurve:
     """Monotone staircase bounding the apex region of wedge load >= level.
 
@@ -139,53 +141,45 @@ class LevelCurve:
                     low = heap[0][0]
         drops.reverse()
         self.drops = drops
-        self._drop_us = [d[0] for d in drops]
-        # v_below tail to head: strictly increasing, for bisect
-        self._vlos_rev = [d[2] for d in reversed(drops)]
+        # the staircase's v: the head level, then each drop's v_below; the
+        # last position with u <= U is at v = _steps_v[bisect_right(_us,
+        # U)].  Reversed, v increases, and the first position with v <= V
+        # is on the drop whose u is at the same reversed index (after a
+        # pad) as the last v <= V, or out on the head ray, whose u is -inf
+        self._us = us = [d[0] for d in drops]
+        self._steps_v = steps_v = [drops[0][1], *map(itemgetter(2), drops)]
+        self._steps_v_rev = steps_v[::-1]
+        self._us_rev = [None, *reversed(us), NEG_INF]
+        # walk coordinates of each drop's top and bottom corner, head to
+        # tail; the tail drop's bottom is +inf
+        self._tops = list(map(sub, us, steps_v))
+        self._bottoms = [*map(sub, us, steps_v[1:-1]), INF]
         self.head = (drops[0][0], drops[0][1])
-        self._base = None
 
-    def _base_positions(self):
-        """The head-ray representative, the head, every staircase corner,
-        the tail and the tail-ray representative; listed on first use."""
-        if self._base is None:
-            head_u, head_level = self.head
-            tail_u, tail_v = self.tail
-            ray = 2 * self.frame.scale * self.frame.base  # main - 2
-            base = [(head_u - ray, head_level), self.head]
-            base += [(du, v) for du, v_hi, v_lo in self.drops
-                     for v in (v_hi, v_lo) if v != NEG_INF]
-            base += [self.tail, (tail_u, tail_v - ray)]
-            self._base = base
-        return self._base
+    def _base_walk(self):
+        """Walk coordinates of the head-ray representative, the tail, the
+        tail-ray representative and every staircase corner, the head
+        among them, and +inf."""
+        ray = 2 * self.frame.scale * self.frame.base  # main - 2
+        head_u, head_level = self.head
+        tail_u, tail_v = self.tail
+        return [head_u - head_level - ray, tail_u - tail_v,
+                tail_u - tail_v + ray, *self._tops, *self._bottoms]
 
     # -- queries ---------------------------------------------------------
 
     def _ends(self, U_q, V_q):
-        """Closed range (lo, hi) of curve positions whose wedge contains the
-        point with sheared coords (U_q, V_q); None when empty."""
-        drops = self.drops
-        # latest position with u <= U_q
-        idx = bisect_left(self._drop_us, U_q)
-        if idx == len(drops):
-            hi = (drops[-1][0], NEG_INF)  # the whole tail ray qualifies
-        elif drops[idx][0] == U_q:
-            hi = (U_q, drops[idx][2])
-        else:
-            hi = (U_q, drops[idx][1])
-        if V_q < hi[1]:
+        """Walk coordinates (lo, hi) of the closed range of curve positions
+        whose wedge contains the point with sheared coords (U_q, V_q), a
+        ray end as -inf or +inf; None when empty."""
+        hi_v = self._steps_v[bisect_right(self._us, U_q)]
+        if V_q < hi_v:
             return None
-        # earliest position with v <= V_q
-        head_level = drops[0][1]
-        if V_q >= head_level:
-            lo = (NEG_INF, head_level)
-        else:
-            # first drop whose v_below is <= V_q
-            a = len(drops) - bisect_right(self._vlos_rev, V_q)
-            lo = (drops[a][0], V_q)
-        if lo[0] > U_q:
+        lo_u = self._us_rev[bisect_right(self._steps_v_rev, V_q)]
+        if lo_u > U_q:
             return None
-        return lo, hi
+        return (NEG_INF if lo_u is NEG_INF else lo_u - V_q,
+                INF if hi_v is NEG_INF else U_q - hi_v)
 
     def chain_real(self):
         """Finite staircase vertices in the real plane, head to tail."""
@@ -198,55 +192,85 @@ def build_level_curve(poly, i, points, level, weights=None):
     return LevelCurve(frame, level, frame.items(points, weights))
 
 
-def _positions_and_ends(curve: LevelCurve, items):
-    """Canonical positions, each interval end's index among them, the
-    weights of the whole-curve items by id and (id, lo, hi, w) for every
-    other item, its interval's two ends (None when empty) and its weight,
-    from one interval pass.
+class WalkPositions(Sequence):
+    """The canonical positions of a level curve, head to tail, as a
+    read-only sequence of (u, v) flat-key pairs.
 
-    A ray end is the ray itself, (NEG_INF, head level) or (tail u,
-    NEG_INF), and indexes the ray representative at that end.  An item
-    with U >= tail u and V >= head level holds both rays, so every
-    position, and is settled without an interval query.  Equal ends are
-    kept as one tuple, so the ends add no objects for the garbage
-    collector to count beyond the distinct positions.
+    It holds only the walk coordinates of the even-indexed positions, in
+    increasing order; position 2r + 1 is the midpoint of positions 2r and
+    2r + 2, strictly inside their gap.  D*main and every epsilon term are
+    even, so every walk coordinate is even and the midpoint is exact.  A
+    position is decoded from its walk coordinate s when read: on drop j's
+    vertical segment u is the drop's u and v = u - s; on the horizontal
+    segment after it (or the head ray) v is its v_below (or the head
+    level) and u = s + v.
     """
-    canon = {pos: pos for pos in curve._base_positions()}
+
+    __slots__ = ("_walk", "_tops", "_bottoms", "_us", "_steps_v")
+
+    def __init__(self, curve: LevelCurve, walk):
+        self._walk = walk
+        self._tops, self._bottoms = curve._tops, curve._bottoms
+        self._us, self._steps_v = curve._us, curve._steps_v
+
+    def __len__(self):
+        return 2 * len(self._walk) - 1
+
+    def __getitem__(self, k):
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("curve position index out of range")
+        walk, r = self._walk, k >> 1
+        s = walk[r] if k % 2 == 0 else (walk[r] + walk[r + 1]) // 2
+        j = bisect_right(self._tops, s) - 1
+        if j >= 0 and s <= self._bottoms[j]:
+            return self._us[j], self._us[j] - s
+        v = self._steps_v[j + 1]  # the head level when j is -1
+        return s + v, v
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _positions_and_ends(curve: LevelCurve, items):
+    """Canonical positions, the weights of the whole-curve items by id, and
+    (ids, ranges, weights) of the other items as three parallel sequences,
+    each range the closed index range of positions whose wedge contains
+    the item (None when empty).
+
+    Each item's interval ends are walk coordinates from LevelCurve._ends.
+    They, the staircase corners, head, tail and the two ray representatives
+    are the positions at even indexes, so one sort of ints orders them and
+    an end's index is twice its rank; a ray end, -inf or +inf, indexes the
+    ray representative at that end.  Items with equal ends share one range
+    tuple.  An item with U >= tail u and V >= head level holds both rays,
+    so every position, and is settled without an interval query.
+    """
     head_level, tail_u = curve.drops[0][1], curve.drops[-1][0]
-    whole, part = {}, []
-    for (U, V, pid, w) in items:
-        if U >= tail_u and V >= head_level:
-            whole[pid] = w
-            continue
-        iv = curve._ends(U, V)
-        if iv is None:
-            part.append((pid, None, None, w))
-            continue
-        lo, hi = iv
-        part.append((pid, canon.setdefault(lo, lo), canon.setdefault(hi, hi),
-                     w))
-    rays = ((NEG_INF, head_level), (tail_u, NEG_INF))
-    ordered = sorted((pos for pos in canon if pos not in rays), key=walk_key)
-    # gap representatives at exact midpoints, so strictly inside: D*main
-    # and every epsilon term are even, so halving a sum of keys is exact
-    positions = []
-    index_of = {rays[0]: 0}
-    for a, b in zip(ordered, ordered[1:]):
-        index_of[a] = len(positions)
-        positions.append(a)
-        (au, av), (bu, bv) = a, b
-        # the walk runs down a vertical segment and right along a
-        # horizontal one
-        if au == bu:
-            positions.append((au, (av + bv) // 2))
-        elif av == bv:
-            positions.append(((au + bu) // 2, av))
-        else:
-            raise AssertionError("gap straddles a staircase corner")
-    index_of[ordered[-1]] = len(positions)
-    positions.append(ordered[-1])
-    index_of[rays[1]] = len(positions) - 1
-    return positions, index_of, whole, part
+    part = [it for it in items if it[0] < tail_u or it[1] < head_level]
+    whole = {} if len(part) == len(items) else {
+        pid: w for (U, V, pid, w) in items if U >= tail_u and V >= head_level}
+    Us, Vs, pids, ws = [*zip(*part)] or [()] * 4
+    ends = list(map(curve._ends, Us, Vs))
+    hits = list(filter(None, ends))
+    los, his = [*zip(*hits)] or [(), ()]
+    walk = {*curve._base_walk(), *los, *his}
+    walk.discard(NEG_INF)
+    walk.discard(INF)
+    walk = sorted(walk)
+    index_of = dict(zip(walk, range(0, 2 * len(walk), 2)))
+    index_of[NEG_INF], index_of[INF] = 0, 2 * len(walk) - 2
+    # equal ends keep the first as key and the last range as value
+    span_of = dict(zip(hits, zip(map(index_of.__getitem__, los),
+                                 map(index_of.__getitem__, his))))
+    return WalkPositions(curve, walk), whole, (
+        pids, list(map(span_of.get, ends)), ws)
 
 
 def canonical_positions(curve: LevelCurve, q_items):
@@ -255,7 +279,8 @@ def canonical_positions(curve: LevelCurve, q_items):
 
     Includes every interval endpoint, every staircase corner, head and tail,
     one representative out on each infinite ray, and one representative
-    strictly inside each remaining gap.
+    strictly inside each remaining gap; a WalkPositions sequence of (u, v)
+    pairs.
     """
     return _positions_and_ends(curve, q_items)[0]
 
@@ -270,20 +295,15 @@ def position_index_ranges(curve: LevelCurve, items, load=False):
     Items with the same interval share one range tuple, so an index held
     through a whole vertex loop stays small.
     """
-    positions, index_of, whole, part = _positions_and_ends(curve, items)
+    positions, whole, (pids, spans, ws) = _positions_and_ends(curve, items)
     K = len(positions)
     ranges = dict.fromkeys(whole, (0, K - 1))
+    ranges.update(zip(pids, spans))
     whole_w = sum(whole.values())
     diff = [whole_w] + [0] * (K - 1) + [-whole_w]
-    span_of = {(None, None): None}  # interval ends -> shared range
-    for pid, lo, hi, w in part:
-        ends = lo, hi
-        if ends not in span_of:
-            span_of[ends] = (index_of[lo], index_of[hi])
-        rng = ranges[pid] = span_of[ends]
-        if rng is not None:
-            diff[rng[0]] += w
-            diff[rng[1] + 1] -= w
+    for (lo, hi), w in zip(filter(None, spans), compress(ws, spans)):
+        diff[lo] += w
+        diff[hi + 1] -= w
     return ((positions, ranges), diff) if load else (positions, ranges)
 
 

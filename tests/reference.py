@@ -114,6 +114,112 @@ def level_curve(level, items):
     return drops, (drops[0][0], drops[0][1]), (us[last_j], tail_v), items
 
 
+def walk_key(pos):
+    """Total order of curve positions from head (small u, large v) to tail."""
+    return (pos[0], -pos[1])
+
+
+def base_positions(curve):
+    """The head-ray representative, the head, every staircase corner, the
+    tail and the tail-ray representative, as (u, v) flat-key pairs."""
+    head_u, head_level = curve.head
+    tail_u, tail_v = curve.tail
+    ray = 2 * curve.frame.scale * curve.frame.base  # main - 2
+    base = [(head_u - ray, head_level), curve.head]
+    base += [(du, v) for du, v_hi, v_lo in curve.drops
+             for v in (v_hi, v_lo) if v != NEG_INF]
+    base += [curve.tail, (tail_u, tail_v - ray)]
+    return base
+
+
+def tuple_ends(curve, U_q, V_q):
+    """Closed range (lo, hi) of curve positions, as (u, v) pairs, whose
+    wedge contains the point with sheared coords (U_q, V_q); None when
+    empty.  A ray end is the ray itself, (NEG_INF, head level) or (tail u,
+    NEG_INF)."""
+    drops = curve.drops
+    # latest position with u <= U_q
+    idx = bisect_left([d[0] for d in drops], U_q)
+    if idx == len(drops):
+        hi = (drops[-1][0], NEG_INF)  # the whole tail ray qualifies
+    elif drops[idx][0] == U_q:
+        hi = (U_q, drops[idx][2])
+    else:
+        hi = (U_q, drops[idx][1])
+    if V_q < hi[1]:
+        return None
+    # earliest position with v <= V_q
+    head_level = drops[0][1]
+    if V_q >= head_level:
+        lo = (NEG_INF, head_level)
+    else:
+        # first drop whose v_below is <= V_q
+        a = next(a for a, d in enumerate(drops) if d[2] <= V_q)
+        lo = (drops[a][0], V_q)
+    if lo[0] > U_q:
+        return None
+    return lo, hi
+
+
+def tuple_positions_and_ends(curve, items):
+    """The position index built from (u, v) pairs: canonical positions as
+    a list of pairs in walk_key order with an explicit midpoint in every
+    gap, each interval end's index among them (a ray end indexes the ray
+    representative at its end), the whole-curve items' weights by id and
+    (id, lo, hi, w) for every other item."""
+    canon = {pos: pos for pos in base_positions(curve)}
+    head_level, tail_u = curve.drops[0][1], curve.drops[-1][0]
+    whole, part = {}, []
+    for (U, V, pid, w) in items:
+        if U >= tail_u and V >= head_level:
+            whole[pid] = w
+            continue
+        iv = tuple_ends(curve, U, V)
+        if iv is None:
+            part.append((pid, None, None, w))
+            continue
+        lo, hi = iv
+        part.append((pid, canon.setdefault(lo, lo), canon.setdefault(hi, hi),
+                     w))
+    rays = ((NEG_INF, head_level), (tail_u, NEG_INF))
+    ordered = sorted((pos for pos in canon if pos not in rays), key=walk_key)
+    positions = []
+    index_of = {rays[0]: 0}
+    for a, b in zip(ordered, ordered[1:]):
+        index_of[a] = len(positions)
+        positions.append(a)
+        (au, av), (bu, bv) = a, b
+        # the walk runs down a vertical segment and right along a
+        # horizontal one
+        if au == bu:
+            positions.append((au, (av + bv) // 2))
+        elif av == bv:
+            positions.append(((au + bu) // 2, av))
+        else:
+            raise AssertionError("gap straddles a staircase corner")
+    index_of[ordered[-1]] = len(positions)
+    positions.append(ordered[-1])
+    index_of[rays[1]] = len(positions) - 1
+    return positions, index_of, whole, part
+
+
+def tuple_position_index(curve, items):
+    """((positions, ranges), diff) of the pair-built index, as
+    position_index_ranges(curve, items, load=True) gives them."""
+    positions, index_of, whole, part = tuple_positions_and_ends(curve, items)
+    K = len(positions)
+    ranges = dict.fromkeys(whole, (0, K - 1))
+    whole_w = sum(whole.values())
+    diff = [whole_w] + [0] * (K - 1) + [-whole_w]
+    for pid, lo, hi, w in part:
+        rng = ranges[pid] = None if lo is None else (index_of[lo],
+                                                     index_of[hi])
+        if rng is not None:
+            diff[rng[0]] += w
+            diff[rng[1] + 1] -= w
+    return (positions, ranges), diff
+
+
 class _PrefixFenwick(_Fenwick):
     def prefix(self, i):
         """Sum of slots 0..i-1."""

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import re
 import time
@@ -693,3 +694,86 @@ def test_one_command_parser_matches_full_parser(key, capsys):
             assert (one is not None) == valid, argv
         if one is not None:
             assert type(got[0]) is dict, argv
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root's () first."""
+    yield path
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _paths(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+FUZZ_TARGETS = [(["plan", "solve"], _planar_doc),
+                (["plan", "verify"], _plan_both),
+                (["decomp", "points"], _points_doc),
+                (["decomp", "verify"], _coloring_doc),
+                (["decomp", "translates"], _translates_doc)]
+
+
+FUZZ_VALUES = [None, True, False, "x", "1/2", "-3/1", 1.5, [], {}, [1],
+               0, -1, 10 ** 30, -10 ** 30, 10 ** 400]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid input of one of `plan solve|verify` and `decomp
+    points|verify|translates`, with one to three mutations at random
+    paths: a value of another type, a negated or zeroed number, a huge
+    integer, or a removed key or list element."""
+    argv, make = draw(st.sampled_from(FUZZ_TARGETS))
+    doc = json.loads(json.dumps(make()))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        if not path:
+            doc = value
+            break
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        how = draw(st.sampled_from(["value", "sign", "drop"]))
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "sign" and type(old) is int:
+            parent[path[-1]] = draw(st.sampled_from(
+                [-old, 0, old * 10 ** 30, old * 10 ** 400]))
+        else:
+            parent[path[-1]] = value
+    return argv, doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_documents())
+def test_mutated_documents_exit_cleanly(tmp_path, capsys, case):
+    # a result (0), a failed check (1) or a one-line input error (2),
+    # never an uncaught exception
+    argv, doc = case
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(argv + ["--in", str(p)], capsys)
+    assert code in (0, 1, 2), (argv, doc)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1, err
+    else:
+        json.loads(out)
+
+
+@pytest.mark.parametrize("argv, make, path", [
+    (["decomp", "points"], _points_doc, ("points", 0)),
+    (["decomp", "translates"], _translates_doc, ("centers", 0)),
+    (["plan", "solve"], _planar_doc, ("sensors", 0, "center")),
+], ids=["decomp-points", "decomp-translates", "plan-solve"])
+def test_coordinate_beyond_floats_solves(tmp_path, capsys, argv, make, path):
+    # exact ints throughout: no key or walk coordinate meets a float
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(_with(make(), path, [10 ** 400, -10 ** 400])))
+    code, out, err = run(argv + ["--in", str(p)], capsys)
+    assert (code, err) == (0, "")
+    json.loads(out)

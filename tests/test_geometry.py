@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coverplex.geometry import (ConvexPolygon, GeometryError,
+from coverplex.geometry import (ConvexPolygon, GeometryError, GridSpec,
                                 cell_partition, grid_spec, reflect,
                                 strict_support_edges)
 from reference import order_key, wedge_contains
@@ -126,6 +126,9 @@ def test_support_edges_brute_force_hexagon():
 
     for i in range(hexa.n):
         assert strict_support_edges(hexa, i) == oracle(i)
+    # each call hands out its own set from the polygon's one table
+    strict_support_edges(hexa, 0).add(99)
+    assert strict_support_edges(hexa, hexa.n) == oracle(0)
 
 
 def test_duality():
@@ -184,6 +187,31 @@ def test_cell_partition_properties():
     cells = cell_partition(pts, grid)
     seen = sorted(idx for subset in cells.values() for idx in subset)
     assert seen == list(range(100))
+
+
+def test_cell_partition_one_cell_lookup_per_distinct_point(monkeypatch):
+    # the cells, their key order and each cell's index order of one lookup
+    # per point, from one lookup per distinct point; (1, 2) and
+    # (Fraction(1), 2) are one point
+    grid = grid_spec(SQUARE)
+    rng = random.Random(6)
+    spots = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(9)]
+    pts = [rng.choice(spots) for _ in range(200)]
+    pts += [(Fraction(x), y) for x, y in pts[:20]]
+    want = {}
+    for idx, p in enumerate(pts):
+        want.setdefault(grid.cell_of(p), []).append(idx)
+    calls = []
+    real = GridSpec.cell_of
+
+    def counted(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(GridSpec, "cell_of", counted)
+    cells = cell_partition(pts, grid)
+    assert list(cells.items()) == list(want.items())
+    assert len(calls) == len(set(pts))
 
 
 def test_cell_partition_boundary_point():

@@ -1,17 +1,18 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from coverplex.generate import POLYGONS
-from coverplex.geometry import ConvexPolygon, reflect
+from coverplex import cli, jsonio
+from coverplex.generate import POLYGONS, gen_points, polygon
+from coverplex.geometry import ConvexPolygon, perturbation_direction, reflect
 from coverplex.levelcurve import (NEG_INF, EmptyLevelCurveError, LevelCurve,
-                                  WedgeFrame, _positions_and_ends,
-                                  build_level_curve, canonical_positions,
-                                  min_load_on_curve, position_index_ranges,
-                                  walk_key)
-from reference import (dominance_loads, ucoord, vcoord, wedge_contains,
-                       wedge_load)
+                                  WedgeFrame, build_level_curve,
+                                  canonical_positions, min_load_on_curve,
+                                  position_index_ranges)
+from reference import (dominance_loads, tuple_ends, tuple_positions_and_ends,
+                       ucoord, vcoord, walk_key, wedge_contains, wedge_load)
 
 # vertex 0 of this CCW square has cone spanned by +y and +x, so its wedge
 # with apex a contains exactly the points >= a componentwise
@@ -133,7 +134,7 @@ def test_interval_contiguity_and_membership():
         for (U, V, pid, _w) in items:
             member = [idx for idx, (u, v) in enumerate(positions)
                       if u <= U and v <= V]
-            iv = curve._ends(U, V)
+            iv = tuple_ends(curve, U, V)
             if not member:
                 assert iv is None
                 continue
@@ -210,7 +211,7 @@ def test_every_gap_gets_a_representative(rational_share):
         frame = WedgeFrame(poly, trial % poly.n)
         items = frame.items(pts, weights=weights)
         curve = LevelCurve(frame, rng.randint(1, sum(weights)), items)
-        positions, index_of, _, _ = _positions_and_ends(curve, items)
+        positions, index_of, _, _ = tuple_positions_and_ends(curve, items)
         assert [pos in index_of for pos in positions] == \
             [k % 2 == 0 for k in range(len(positions))]
         keys = [walk_key(pos) for pos in positions]
@@ -269,3 +270,35 @@ def test_first_items_call_fixes_the_frame_keys():
         frame.items([(Fraction(1, 3), 0)], ids=[0])
     with pytest.raises(ValueError):
         frame.items([(0, 0)], ids=[10 ** 6])
+
+
+@pytest.mark.parametrize("name", ["triangle", "hexagon"])
+def test_huge_translation_keeps_every_index_and_the_coloring(
+        name, tmp_path, capsys):
+    # a translation adds one constant to every U and one to every V, so
+    # every walk coordinate moves by the same exact int, at any size
+    poly = polygon(name)
+    k = 256 * poly.n
+    pts = gen_points(1, size=k + k // 8, span=60)
+    dx, dy = 10 ** 30, -7 * 10 ** 29
+    moved = [(x + dx, y + dy) for x, y in pts]
+    delta = perturbation_direction(poly)
+    for i in range(poly.n):
+        indexes = []
+        for where in (pts, moved):
+            frame = WedgeFrame(poly, i, delta)
+            items = frame.items(where)
+            indexes.append(position_index_ranges(LevelCurve(frame, k, items),
+                                                 items))
+        (positions, ranges), (moved_positions, moved_ranges) = indexes
+        assert len(moved_positions) == len(positions)
+        assert moved_ranges == ranges
+    outputs = []
+    for where in (pts, moved):
+        path = tmp_path / "in.json"
+        path.write_text(jsonio.dumps(
+            jsonio.decomp_instance_to_json(poly, where, k)))
+        assert cli.main(["decomp", "points", "--in", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["T"] >= 1

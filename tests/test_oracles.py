@@ -7,10 +7,11 @@ position, the level curve by a scan of every U-sorted suffix, position
 index ranges and curve loads by testing every canonical position against
 every item, the block solvers on an index built from the queried items
 themselves, the curve cover by a union-find greedy that counts every
-position's coverage, the coloring check over the positions of all points
-and over the level curve's positions of the colored points,
-planar loads and simulation with one membership test per sensor, grid cells
-by Fraction division, and the RSC greedy, durations and schedule checks by
+position's coverage, the position index by one built from (u, v) pairs
+with explicit gap midpoints, the coloring check over the positions of all
+points and over the level curve's positions of the colored points, planar
+loads and simulation with one membership test per sensor, grid cells by
+Fraction division, and the RSC greedy, durations and schedule checks by
 time-step simulation (`reference.py`).
 """
 
@@ -364,6 +365,86 @@ def check_position_index(case):
     brute = min(sum(w for (U, V, _pid, w) in items if U >= u and V >= v)
                 for (u, v) in positions)
     assert min_load_on_curve(curve, items) == brute
+
+
+@st.composite
+def walk_index_cases(draw):
+    """A level curve and query items for the walk-coordinate index: a named,
+    kite or random polygon that may be reflected; weighted points with
+    integer, rational, mixed int and Fraction(n, 1), or integer coordinates
+    beyond every float; a level anywhere or near the total weight (most
+    items hold the whole curve); a live subset of the curve's items; maybe
+    an item in no wedge and items on the head ray and the tail ray; and a
+    round count t for compute_cover."""
+    shape = draw(st.sampled_from(sorted(POLYGONS) + ["kite", "random"]))
+    if shape == "random":
+        poly = draw(polygons())
+    else:
+        poly = ConvexPolygon(KITE if shape == "kite" else POLYGONS[shape])
+        if draw(st.booleans()):
+            poly = reflect(poly)
+    layout = draw(st.sampled_from(["integer", "rational", "mixed", "huge"]))
+    size = draw(st.integers(1, 14))
+    if layout == "rational":
+        spot = st.tuples(rationals, rationals)
+    else:
+        spot = st.tuples(st.integers(-4, 10), st.integers(-4, 10))
+    pts = draw(st.lists(spot, min_size=size, max_size=size))
+    if layout == "mixed":  # ints beside Fraction(n, 1), as "4/2" reads
+        pts = [(Fraction(x), y) if pid % 3 == 1 else
+               (x, Fraction(y)) if pid % 3 == 2 else (x, y)
+               for pid, (x, y) in enumerate(pts)]
+    elif layout == "huge":  # beyond every float
+        pts = [(x + 10 ** 400, y - 3 * 10 ** 399) for x, y in pts]
+    weights = draw(st.lists(st.integers(1, 4), min_size=size,
+                            max_size=size))
+    ids = [3 * pid + 1 for pid in draw(st.permutations(range(size)))]
+    level = (near_total(draw, weights) if draw(st.booleans())
+             else draw(st.integers(1, sum(weights))))
+    frame = WedgeFrame(poly, draw(st.integers(0, poly.n - 1)))
+    items = frame.items(pts, weights=weights, ids=ids)
+    curve = LevelCurve(frame, level, items)
+    live = [it for it in items if draw(st.booleans())]
+    (head_u, head_v), (tail_u, tail_v) = curve.head, curve.tail
+    unit = frame.scale * frame.base  # one step of the main coordinate
+    gap = 2 * draw(st.integers(1, 3)) * unit
+    off = 2 * draw(st.integers(0, 3)) * unit
+    extra = [(head_u - gap, head_v - gap),  # in no wedge
+             (head_u - off, head_v),
+             (tail_u, tail_v - off)]
+    next_id = 3 * size + 2
+    for k, (U, V) in enumerate(extra):
+        if draw(st.booleans()):
+            live.append((U, V, next_id + k, draw(st.integers(1, 4))))
+    return curve, live, draw(st.integers(1, len(live) + 1))
+
+
+@ORACLE
+@given(walk_index_cases())
+def test_walk_index_matches_pair_built_reference(case):
+    # the index of one int per position gives the K, decoded positions,
+    # ranges and load differences of the index built from (u, v) pairs
+    # with explicit gap midpoints, and compute_cover names the same
+    # failing position through either
+    curve, items, t = case
+    (positions, ranges), diff = position_index_ranges(curve, items,
+                                                      load=True)
+    (ref_positions, ref_ranges), ref_diff = reference.tuple_position_index(
+        curve, items)
+    K = len(ref_positions)
+    assert len(positions) == K
+    assert list(positions) == ref_positions
+    assert [positions[k - K] for k in range(K)] == ref_positions
+    assert canonical_positions(curve, items) == ref_positions
+    with pytest.raises(IndexError):
+        positions[K]
+    assert ranges == ref_ranges
+    assert diff == ref_diff
+    shared = {}
+    assert all(shared.setdefault(rng, rng) is rng
+               for rng in ranges.values() if rng is not None)
+    assert cover_answer(compute_cover, (positions, ranges), items, t) == \
+        cover_answer(compute_cover, (ref_positions, ref_ranges), items, t)
 
 
 @st.composite
