@@ -12,8 +12,8 @@ from .levelcurve import (EmptyLevelCurveError, LevelCurve, WedgeFrame,
 from .planar import (PlanarInstance, PlanarSchedule, PlanarSensor,
                      curve_rsc_instance, plan_schedule, planar_load,
                      verify_planar)
-from .rsc import (RscInstance, Schedule, Sensor, coverage_profile,
-                  duration, duration_at, greedy_schedule, load)
+from .rsc import (RscInstance, Schedule, Sensor, duration, greedy_schedule,
+                  load)
 from .verify import (VerificationReport, rsc_opt_bruteforce, verify_coloring,
                      verify_rsc)
 

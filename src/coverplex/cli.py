@@ -186,7 +186,16 @@ def cmd_plan_verify(args):
 
 # -- gen --------------------------------------------------------------------
 
+def _at_least(args, **least):
+    """Reject the first flag whose value is below its least value."""
+    for dest, low in least.items():
+        if (value := getattr(args, dest)) < low:
+            raise InputError("--%s must be at least %d, got %d"
+                             % (dest.replace("_", "-"), low, value))
+
+
 def cmd_gen_rsc(args):
+    _at_least(args, m=1, d_max=1)
     inst = generate.gen_rsc(args.seed, n=args.n, m=args.m,
                             d_max=args.d_max, family=args.family)
     _emit_json(args, jsonio.rsc_instance_to_json(inst))
@@ -194,6 +203,7 @@ def cmd_gen_rsc(args):
 
 
 def cmd_gen_points(args):
+    _at_least(args, span=0)
     points = generate.gen_points(args.seed, size=args.size, span=args.span)
     poly = generate.polygon(args.poly)
     _emit_json(args, jsonio.decomp_instance_to_json(poly, points, args.k))
@@ -201,6 +211,7 @@ def cmd_gen_points(args):
 
 
 def cmd_gen_planar(args):
+    _at_least(args, d_max=1, spread=0)
     inst = generate.gen_planar(args.seed, poly_name=args.poly,
                                n_sensors=args.n, d_max=args.d_max,
                                spread=args.spread,

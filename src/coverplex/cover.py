@@ -68,7 +68,7 @@ class DecompositionTrace:
 def compute_cover(index, items, t: int):
     """Color generating points of curve intervals with rounds 1..t.
 
-    ``index`` is position_index_ranges(curve, A) for any item set A that
+    ``index`` is position_index_ranges(curve, A)[0] for any item set A that
     holds ``items``: A's positions only split the stretches between those
     of ``items``, on which the wedge content of ``items`` is constant, so
     the colors are the same.  Every position must be contained in at least
@@ -146,7 +146,7 @@ def compute_cover(index, items, t: int):
 def _reserved_filter(poly, i, u_sorted, index, items, target):
     """Point ids that survive the extreme-prefix reservation.
 
-    ``index`` is position_index_ranges(curve, A) for an item set A that
+    ``index`` is position_index_ranges(curve, A)[0] for an item set A that
     holds ``items``, as for compute_cover.  At each curve position, the
     minimal prefix of current wedge members in decreasing order along every
     reserved direction whose total weight reaches ``target`` is reserved; a
@@ -291,7 +291,7 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     for frame, items in zip(frames, all_items):
         curve = LevelCurve(frame, level, items)
         u_sorted.append(curve.items)
-        index, diff = position_index_ranges(curve, items, load=True)
+        index, diff = position_index_ranges(curve, items)
         indexes.append(index)
         loads.append(diff)
     weight_of = {pid: w for (_, _, pid, w) in all_items[0]}

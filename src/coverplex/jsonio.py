@@ -108,9 +108,18 @@ def rsc_instance_from_json(doc):
         raise InputError("bad scheduling instance: %s" % exc) from exc
 
 
+def _assignments_to_json(start):
+    return [{"id": sid, "t": t} for sid, t in sorted(start.items())]
+
+
+def _assignments_from_json(doc):
+    """The {id: t} start times of a schedule document's assignments."""
+    return {int_from_json(a["id"], "id"): int_from_json(a["t"], "t")
+            for a in doc["assignments"]}
+
+
 def schedule_to_json(sched: Schedule, M=None, L=None):
-    doc = {"assignments": [{"id": sid, "t": t}
-                           for sid, t in sorted(sched.start.items())]}
+    doc = {"assignments": _assignments_to_json(sched.start)}
     if M is not None:
         doc["M"] = M
     if L is not None:
@@ -120,11 +129,7 @@ def schedule_to_json(sched: Schedule, M=None, L=None):
 
 def schedule_from_json(doc, stop_at=None):
     try:
-        sched = Schedule(stop_at=stop_at)
-        for a in doc["assignments"]:
-            sched.start[int_from_json(a["id"], "id")] = int_from_json(
-                a["t"], "t")
-        return sched
+        return Schedule(start=_assignments_from_json(doc), stop_at=stop_at)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad schedule: %s" % exc) from exc
 
@@ -204,8 +209,7 @@ def planar_instance_from_json(doc):
 
 
 def planar_schedule_to_json(sched: PlanarSchedule):
-    return {"assignments": [{"id": sid, "t": t}
-                            for sid, t in sorted(sched.start.items())],
+    return {"assignments": _assignments_to_json(sched.start),
             "trivial": sched.trivial}
 
 
@@ -214,11 +218,8 @@ def planar_schedule_from_json(doc):
         raise InputError("bad planar schedule: expected an object, got %s"
                          % type(doc).__name__)
     try:
-        sched = PlanarSchedule(trivial=bool(doc.get("trivial", False)))
-        for a in doc["assignments"]:
-            sched.start[int_from_json(a["id"], "id")] = int_from_json(
-                a["t"], "t")
-        return sched
+        return PlanarSchedule(start=_assignments_from_json(doc),
+                              trivial=bool(doc.get("trivial", False)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad planar schedule: %s" % exc) from exc
 

@@ -285,10 +285,11 @@ def canonical_positions(curve: LevelCurve, q_items):
     return _positions_and_ends(curve, q_items)[0]
 
 
-def position_index_ranges(curve: LevelCurve, items, load=False):
+def position_index_ranges(curve: LevelCurve, items):
     """Canonical positions of the curve plus, per item, the closed index
-    range of positions whose wedge contains it (None when empty); with
-    ``load``, that pair and the items' index_load_diff from the same walk.
+    range of positions whose wedge contains it (None when empty), and the
+    items' load difference array over those positions, one entry past the
+    last, from the same walk: ((positions, ranges), diff).
 
     Interval endpoints are themselves canonical, so the snapping is exact;
     infinite ray endpoints snap to the ray representatives at the ends.
@@ -304,27 +305,7 @@ def position_index_ranges(curve: LevelCurve, items, load=False):
     for (lo, hi), w in zip(filter(None, spans), compress(ws, spans)):
         diff[lo] += w
         diff[hi + 1] -= w
-    return ((positions, ranges), diff) if load else (positions, ranges)
-
-
-def index_load_diff(index, items):
-    """Difference array of the load over the positions of ``index``
-    (positions, ranges from position_index_ranges), one entry past the
-    last position: the weight of each item joins at the first position of
-    its range and leaves after the last."""
-    positions, ranges = index
-    diff = [0] * (len(positions) + 1)
-    for (_, _, pid, w) in items:
-        if (rng := ranges[pid]) is not None:
-            diff[rng[0]] += w
-            diff[rng[1] + 1] -= w
-    return diff
-
-
-def index_min_load(index, items):
-    """Minimum load over the positions of ``index``: the load at a position
-    is the weight of the items whose range contains it."""
-    return min(accumulate(index_load_diff(index, items)[:-1]))
+    return (positions, ranges), diff
 
 
 class _Fenwick:
@@ -363,5 +344,5 @@ def min_load_on_curve(curve: LevelCurve, q_items):
     """Minimum load over the canonical positions of the curve with respect to
     the given items; correct because the load is piecewise constant between
     canonical positions."""
-    _, diff = position_index_ranges(curve, q_items, load=True)
+    _, diff = position_index_ranges(curve, q_items)
     return min(accumulate(diff[:-1]))

@@ -71,7 +71,7 @@ def planar_load(instance: PlanarInstance):
 
 def curve_rsc_instance(index, items):
     """1-D scheduling instance over the canonical positions of ``index``,
-    position_index_ranges(curve, A) for an item set A that holds ``items``.
+    position_index_ranges(curve, A)[0] for an item set A that holds ``items``.
 
     Each item (a sensor's center in sheared coordinates, weight = duration)
     becomes a 1-D sensor, with the same id, whose range is the index range

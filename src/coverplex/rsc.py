@@ -215,9 +215,10 @@ def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
     return sched
 
 
-def _segment_spans(schedule: Schedule, instance: RscInstance):
-    """The segments' first coordinates (then m + 1), and for each segment
-    the (start, end) spans of the assigned sensors that hold it."""
+def duration(schedule: Schedule, instance: RscInstance):
+    """M(S) = min over coordinates x of M(S, x), the run of times 1, 2, ...
+    at which x is covered: per segment, the (start, end) spans of the
+    assigned sensors that hold it, merged in start order."""
     cuts, seg = instance._segments
     spans = [[] for _ in range(len(cuts) - 1)]
     for sid, l, r, d in instance.sensors:
@@ -226,48 +227,13 @@ def _segment_spans(schedule: Schedule, instance: RscInstance):
             span = (t0, t0 + d - 1)
             for k in range(seg[l], seg[r + 1]):
                 spans[k].append(span)
-    return cuts, spans
-
-
-def _covered_prefix(spans):
-    """Length of the run of times 1, 2, ... covered by (start, end) spans."""
-    t = 0
-    for a, b in sorted(spans):
-        if a > t + 1:
-            break
-        if b > t:
-            t = b
-    return t
-
-
-def duration_at(schedule: Schedule, instance: RscInstance, x: int):
-    """M(S, x): longest prefix of times 1, 2, ... at which x is covered.
-    Boundary coordinates 0 and m+1 count as always covered."""
-    if x < 1 or x > instance.m:
-        return INF
-    cuts, spans = _segment_spans(schedule, instance)
-    return _covered_prefix(spans[bisect_right(cuts, x) - 1])
-
-
-def duration(schedule: Schedule, instance: RscInstance):
-    """M(S) = min over coordinates of M(S, x)."""
-    return min(map(_covered_prefix, _segment_spans(schedule, instance)[1]))
-
-
-def coverage_profile(schedule: Schedule, instance: RscInstance):
-    """Exact active-sensor counts per (coordinate, time); list indexed by
-    coordinate 1..m of lists indexed by time 1..horizon."""
-    horizon = 0
-    for s in instance.sensors:
-        t0 = schedule.start.get(s.id)
-        if t0 is not None:
-            horizon = max(horizon, t0 + s.d - 1)
-    prof = [[0] * (horizon + 1) for _ in range(instance.m + 1)]
-    for s in instance.sensors:
-        t0 = schedule.start.get(s.id)
-        if t0 is None:
-            continue
-        for x in range(s.l, s.r + 1):
-            for tt in range(t0, t0 + s.d):
-                prof[x][tt] += 1
-    return prof
+    best = INF
+    for held in spans:
+        t = 0
+        for a, b in sorted(held):
+            if a > t + 1:
+                break
+            if b > t:
+                t = b
+        best = min(best, t)
+    return best

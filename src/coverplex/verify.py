@@ -119,12 +119,15 @@ def rsc_opt_bruteforce(instance):
                 s = sensors[idx]
                 if not (s.l <= x <= s.r):
                     continue
-                sig = (s.l, s.r, s.d)
+                # bits above T are masked off, so a longer duration acts
+                # as T and its window's size follows T, not the duration
+                d = min(s.d, T)
+                sig = (s.l, s.r, d)
                 if sig in tried:
                     continue
                 tried.add(sig)
-                win = (1 << s.d) - 1
-                for start in range(max(1, t - s.d + 1), t + 1):
+                win = (1 << d) - 1
+                for start in range(max(1, t - d + 1), t + 1):
                     new = list(masks)
                     for c in range(s.l, s.r + 1):
                         new[c] = masks[c] | (win << start)

@@ -205,7 +205,7 @@ def tuple_positions_and_ends(curve, items):
 
 def tuple_position_index(curve, items):
     """((positions, ranges), diff) of the pair-built index, as
-    position_index_ranges(curve, items, load=True) gives them."""
+    position_index_ranges(curve, items) gives them."""
     positions, index_of, whole, part = tuple_positions_and_ends(curve, items)
     K = len(positions)
     ranges = dict.fromkeys(whole, (0, K - 1))
@@ -218,6 +218,15 @@ def tuple_position_index(curve, items):
             diff[rng[0]] += w
             diff[rng[1] + 1] -= w
     return (positions, ranges), diff
+
+
+def index_min_load(index, items):
+    """Minimum load over the positions of ``index`` (positions, ranges):
+    at each position, the weight of the items whose range holds it."""
+    positions, ranges = index
+    return min(sum(w for (_, _, pid, w) in items
+                   if ranges[pid] and ranges[pid][0] <= k <= ranges[pid][1])
+               for k in range(len(positions)))
 
 
 class _PrefixFenwick(_Fenwick):
@@ -635,6 +644,25 @@ def duration_at(schedule, instance, x):
 def duration(schedule, instance):
     return min(duration_at(schedule, instance, x)
                for x in range(1, instance.m + 1))
+
+
+def coverage_profile(schedule, instance):
+    """Exact active-sensor counts per (coordinate, time); list indexed by
+    coordinate 1..m of lists indexed by time 1..horizon."""
+    horizon = 0
+    for s in instance.sensors:
+        t0 = schedule.start.get(s.id)
+        if t0 is not None:
+            horizon = max(horizon, t0 + s.d - 1)
+    prof = [[0] * (horizon + 1) for _ in range(instance.m + 1)]
+    for s in instance.sensors:
+        t0 = schedule.start.get(s.id)
+        if t0 is None:
+            continue
+        for x in range(s.l, s.r + 1):
+            for tt in range(t0, t0 + s.d):
+                prof[x][tt] += 1
+    return prof
 
 
 def verify_rsc(instance, schedule):

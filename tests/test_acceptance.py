@@ -20,9 +20,9 @@ from coverplex.generate import gen_planar, gen_points, gen_rsc, polygon
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
                                   position_index_ranges)
 from coverplex.planar import planar_load, plan_schedule, verify_planar
-from coverplex.rsc import (coverage_profile, duration, greedy_schedule, load)
+from coverplex.rsc import duration, greedy_schedule, load
 from coverplex.verify import rsc_opt_bruteforce, verify_coloring
-from reference import dominance_loads
+from reference import coverage_profile, dominance_loads
 
 ALPHA_CEILING = 512.0   # max k/T over the criterion-8 seed set
 RATIO_FLOOR = 0.00099   # min M_achieved/L over the criterion-10 seed set
@@ -179,12 +179,12 @@ def test_criterion_7_curve_coloring_contract():
         items = frame.items(Y)
         curve = LevelCurve(frame, r, items)
         try:
-            colors = compute_cover(position_index_ranges(curve, items),
+            colors = compute_cover(position_index_ranges(curve, items)[0],
                                    items, t)
         except CoverPreconditionError:
             continue
         done += 1
-        positions, ranges = position_index_ranges(curve, items)
+        positions, ranges = position_index_ranges(curve, items)[0]
         for idx in range(len(positions)):
             present = set()
             count = 0

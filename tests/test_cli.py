@@ -559,6 +559,34 @@ def test_rsc_oracle_huge_load_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_rsc_oracle_huge_duration_beside_small_load(tmp_path, capsys):
+    """A duration far above L acts as L in the oracle's search, so its
+    bitmasks stay as small as the load."""
+    doc = {"m": 2, "sensors": [{"id": 0, "l": 1, "r": 1, "d": 1},
+                               {"id": 1, "l": 2, "r": 2, "d": 10 ** 30}]}
+    p = tmp_path / "inst.json"
+    p.write_text(jsonio.dumps(doc))
+    code, out, err = run(["rsc", "oracle", "--in", str(p)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"OPT": 1, "M": 1, "L": 1, "pass": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "rsc", "--m", "0"],
+    ["gen", "rsc", "--m", "-1"],
+    ["gen", "rsc", "--d-max", "0"],
+    ["gen", "points", "--span", "-1"],
+    ["gen", "planar", "--d-max", "0"],
+    ["gen", "planar", "--spread", "-1"],
+], ids=" ".join)
+def test_generator_flag_out_of_range_exit_2(capsys, argv):
+    # the one-line error names the flag
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s " % argv[2]), err
+    assert err.count("\n") == 1, err
+
+
 def test_decomp_verify_cost_ignores_value_of_T(tmp_path, capsys):
     """Colors 1..T are scanned upward until the first missing one, so a
     huge T fails at once, with the witness of T = points + 1."""
@@ -707,11 +735,36 @@ def _paths(node, path=()):
             yield from _paths(child, path + (i,))
 
 
+def _tiny_rsc_doc():
+    return jsonio.rsc_instance_to_json(gen_rsc(6, n=6, m=6, d_max=4))
+
+
+def _tiny_rsc_both():
+    inst = gen_rsc(6, n=6, m=6, d_max=4)
+    return {"instance": jsonio.rsc_instance_to_json(inst),
+            "schedule": jsonio.schedule_to_json(greedy_schedule(inst))}
+
+
+def _tiny_points_doc():
+    return jsonio.decomp_instance_to_json(polygon("triangle"),
+                                          gen_points(1, size=6, span=10), 3)
+
+
+def _tiny_coloring_doc():
+    return dict(_tiny_points_doc(), colors=[1, 2, 1, 2, 1, 2], T=2)
+
+
 FUZZ_TARGETS = [(["plan", "solve"], _planar_doc),
                 (["plan", "verify"], _plan_both),
                 (["decomp", "points"], _points_doc),
                 (["decomp", "verify"], _coloring_doc),
-                (["decomp", "translates"], _translates_doc)]
+                (["decomp", "translates"], _translates_doc),
+                (["rsc", "solve"], _tiny_rsc_doc),
+                (["rsc", "verify"], _tiny_rsc_both),
+                (["rsc", "oracle"], _tiny_rsc_doc),
+                (["plot", "curve"], _tiny_points_doc),
+                (["plot", "coloring"], _tiny_coloring_doc),
+                (["plot", "schedule"], _tiny_rsc_both)]
 
 
 FUZZ_VALUES = [None, True, False, "x", "1/2", "-3/1", 1.5, [], {}, [1],
@@ -720,8 +773,9 @@ FUZZ_VALUES = [None, True, False, "x", "1/2", "-3/1", 1.5, [], {}, [1],
 
 @st.composite
 def mutated_documents(draw):
-    """A valid input of one of `plan solve|verify` and `decomp
-    points|verify|translates`, with one to three mutations at random
+    """A valid input of one of `plan solve|verify`, `decomp
+    points|verify|translates`, `rsc solve|verify|oracle` and `plot
+    curve|coloring|schedule`, with one to three mutations at random
     paths: a value of another type, a negated or zeroed number, a huge
     integer, or a removed key or list element."""
     argv, make = draw(st.sampled_from(FUZZ_TARGETS))
@@ -747,7 +801,7 @@ def mutated_documents(draw):
     return argv, doc
 
 
-@settings(max_examples=400, deadline=None, derandomize=True,
+@settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=mutated_documents())
 def test_mutated_documents_exit_cleanly(tmp_path, capsys, case):
@@ -761,6 +815,8 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, case):
     if code == 2:
         assert out == "" and err.startswith("error: ")
         assert err.count("\n") == 1, err
+    elif argv[0] == "plot":
+        assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
     else:
         json.loads(out)
 

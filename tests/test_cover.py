@@ -37,14 +37,15 @@ def curve_and_queries(points, queries, ids):
 def test_compute_cover_zero_rounds():
     curve, items = curve_and_queries([(1, 3), (3, 1)], [(5, 5)] * 4,
                                      [0, 1, 2, 3])
-    assert compute_cover(position_index_ranges(curve, items), items, 0) == {}
+    index = position_index_ranges(curve, items)[0]
+    assert compute_cover(index, items, 0) == {}
 
 
 def test_compute_cover_full_intervals():
     # 2t points whose intervals are the whole curve: one survivor per round
     curve, q = curve_and_queries([(1, 3), (3, 1)], [(5, 5)] * 4,
                                  [7, 8, 9, 10])
-    colors = compute_cover(position_index_ranges(curve, q), q, 2)
+    colors = compute_cover(position_index_ranges(curve, q)[0], q, 2)
     assert len(colors) == 2
     assert sorted(colors.values()) == [1, 2]
 
@@ -52,11 +53,11 @@ def test_compute_cover_full_intervals():
 def test_compute_cover_precondition_error():
     curve, q = curve_and_queries([(1, 3), (3, 1)], [(5, 5)] * 2, [0, 1])
     with pytest.raises(CoverPreconditionError):
-        compute_cover(position_index_ranges(curve, q), q, 2)
+        compute_cover(position_index_ranges(curve, q)[0], q, 2)
 
 
 def _cover_postconditions(frame, curve, items, t, colors):
-    positions, ranges = position_index_ranges(curve, items)
+    positions, ranges = position_index_ranges(curve, items)[0]
     by_pid = {pid: rng for pid, rng in ranges.items()}
     for idx in range(len(positions)):
         present = set()
@@ -83,7 +84,8 @@ def test_compute_cover_random_postconditions():
         t = r // 2
         if t == 0:
             continue
-        colors = compute_cover(position_index_ranges(curve, items), items, t)
+        index = position_index_ranges(curve, items)[0]
+        colors = compute_cover(index, items, t)
         _cover_postconditions(frame, curve, items, t, colors)
 
 
@@ -117,7 +119,7 @@ def test_compute_cover_rounds_are_chains():
         Y = [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(30)]
         frame, curve = make_curve(Y, rng.randint(4, 12))
         items = frame.items(Y)
-        index = position_index_ranges(curve, items)
+        index = position_index_ranges(curve, items)[0]
         t = rng.randint(1, 3)
         try:
             colors = compute_cover(index, items, t)
@@ -147,8 +149,9 @@ def test_compute_cover_respects_containment_order():
         Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(24)]
         frame, curve = make_curve(Y, 8)
         items = frame.items(Y)
-        colors = compute_cover(position_index_ranges(curve, items), items, 4)
-        _, ranges = position_index_ranges(curve, items)
+        index = position_index_ranges(curve, items)[0]
+        colors = compute_cover(index, items, 4)
+        _, ranges = index
         for (U, V, pid, _w) in items:
             for (U2, V2, pid2, _w2) in items:
                 if pid == pid2 or ranges[pid] is None or \

@@ -151,7 +151,7 @@ def test_position_index_ranges_match_membership():
     frame = WedgeFrame(SQUARE, 0)
     items = frame.items(Y)
     curve = LevelCurve(frame, 3, items)
-    positions, ranges = position_index_ranges(curve, items)
+    positions, ranges = position_index_ranges(curve, items)[0]
     for (U, V, pid, _w) in items:
         member = [idx for idx, (u, v) in enumerate(positions)
                   if u <= U and v <= V]
@@ -289,7 +289,7 @@ def test_huge_translation_keeps_every_index_and_the_coloring(
             frame = WedgeFrame(poly, i, delta)
             items = frame.items(where)
             indexes.append(position_index_ranges(LevelCurve(frame, k, items),
-                                                 items))
+                                                 items)[0])
         (positions, ranges), (moved_positions, moved_ranges) = indexes
         assert len(moved_positions) == len(positions)
         assert moved_ranges == ranges

@@ -57,7 +57,7 @@ def test_curve_rsc_instance_membership():
     frame = WedgeFrame(refl, 0, delta)
     items = frame.items(centers, weights=durs)
     curve = LevelCurve(frame, 10, items)
-    rinst = curve_rsc_instance(position_index_ranges(curve, items), items)
+    rinst = curve_rsc_instance(position_index_ranges(curve, items)[0], items)
     positions = canonical_positions(curve, items)
     assert rinst.m == len(positions)
     ranged = {s.id: (s.l, s.r, s.d) for s in rinst.sensors}

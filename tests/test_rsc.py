@@ -4,10 +4,11 @@ import time
 import pytest
 
 from coverplex.generate import gen_rsc
-from coverplex.rsc import (RscInstance, Schedule, coverage_profile,
-                           duration, duration_at, greedy_schedule, load)
+from coverplex.rsc import (RscInstance, Schedule, duration, greedy_schedule,
+                           load)
 from coverplex.verify import verify_rsc
-from reference import dominant_left, dominant_right, load_profile
+from reference import (coverage_profile, dominant_left, dominant_right,
+                       load_profile)
 
 
 def test_instance_validation():
@@ -43,10 +44,7 @@ def test_duration_examples():
     assert duration(s, inst) == 3
     inst2 = RscInstance(4, [(0, 1, 4, 2), (1, 1, 4, 2)])
     s2 = Schedule(start={0: 1, 1: 2})
-    for x in range(1, 5):
-        assert duration_at(s2, inst2, x) == 3
-    assert duration_at(s2, inst2, 0) == float("inf")
-    assert duration_at(s2, inst2, 5) == float("inf")
+    assert duration(s2, inst2) == 3
 
 
 def test_dominant_tie_rules():
