@@ -3,16 +3,20 @@
 Rational numbers are serialized as "p/q" strings so round-trips stay exact;
 plain integers stay integers.  Readers accept nothing else: a float, a
 boolean or any other string is an InputError, so no inexact value reaches
-the exact predicates.  All dumps use sorted keys and a fixed separator
-style, so identical values serialize to identical bytes.
+the exact predicates.  All dumps use sorted keys and a fixed layout, so
+identical values serialize to identical bytes: those the stdlib's encoder
+writes at one space of indent per depth with ": " after each key.  That
+encoder runs in pure Python whenever it indents, so dumps lays out the text
+itself around the C encoder's scalars.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 
 from .geometry import ConvexPolygon
 from .planar import PlanarInstance, PlanarSchedule, PlanarSensor
@@ -65,11 +69,103 @@ def point_from_json(v):
     return (num_from_json(v[0]), num_from_json(v[1]))
 
 
-def dumps(obj):
+def _default(v):
     # a Fraction inside a result (a coloring witness's apex) is a "p/q";
     # any other value that JSON cannot hold stays a TypeError
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1,
-                      default=lambda v: num_to_json(Fraction(v))) + "\n"
+    return num_to_json(Fraction(v))
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+class _Writer:
+    """The text of one dumps call.  The items of a list that share one shape
+    (scalars; dicts with the same str keys or lists of one length, whose
+    columns share a shape in turn) are one %-template each, all filled in one
+    pass from columns: ints by %d, other scalars by the C encoder's text.
+    Everything else is written item by item."""
+
+    def __init__(self):
+        # the item separator is a newline, which no scalar's text holds
+        self._enc = c_make_encoder(None, _default, encode_basestring_ascii,
+                                   None, ": ", "\n", True, False, True)
+
+    def _text(self, value):
+        return "".join(self._enc(value, 0))
+
+    def _key(self, k):
+        if isinstance(k, str):
+            return encode_basestring_ascii(k)
+        if k is None or isinstance(k, (int, float)):
+            return '"%s"' % self._text(k)
+        raise TypeError("keys must be str, int, float, bool or None, not %s"
+                        % k.__class__.__name__)
+
+    def write(self, o, level):
+        """The text of o, whose closing bracket is ``level`` spaces in."""
+        if not isinstance(o, _CONTAINERS):
+            return self._text(o)
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        nl = "\n" + " " * (level + 1)
+        if isinstance(o, dict):
+            return "{" + nl + ("," + nl).join(
+                [self._key(k) + ": " + self.write(v, level + 1)
+                 for k, v in sorted(o.items())]) + nl[:-1] + "}"
+        shape = self._shape(o, level + 1)
+        if shape is None:
+            return "[" + nl + ("," + nl).join(
+                [self.write(v, level + 1) for v in o]) + nl[:-1] + "]"
+        template, columns = shape
+        if template == "%s":  # scalars' texts, joined with no template
+            return "[" + nl + ("," + nl).join(columns[0]) + nl[:-1] + "]"
+        return ("[" + nl + ("," + nl).join([template] * len(o)) + nl[:-1]
+                + "]") % tuple(chain.from_iterable(zip(*columns)))
+
+    def _shape(self, values, level):
+        """(template, columns) when the values share one shape: the template
+        of each, whose closing bracket is ``level`` spaces in, and the
+        columns that fill its slots.  None otherwise, and for lists with
+        more items than there are values: those are cheaper one by one."""
+        kinds = set(map(type, values))
+        if not any(issubclass(t, _CONTAINERS) for t in kinds):
+            if kinds == {int}:
+                return "%d", [values]
+            return "%s", [self._text(values)[1:-1].split("\n")]
+        if not (kinds == {dict} or kinds <= {list, tuple}) or len(
+                set(map(len, values))) != 1:
+            return None
+        if kinds == {dict}:
+            if set(map(type, values[0])) != {str}:
+                return None
+            keys = sorted(values[0])
+            heads = [encode_basestring_ascii(k).replace("%", "%%") + ": "
+                     for k in keys]
+            try:
+                shapes = [self._shape(list(map(itemgetter(k), values)),
+                                      level + 1) for k in keys]
+            except KeyError:  # values of one size with other keys
+                return None
+        elif (width := len(values[0])) > len(values):
+            return None
+        else:
+            flat = list(chain.from_iterable(values))
+            heads = [""] * width
+            shapes = [self._shape(flat[j::width], level + 1)
+                      for j in range(width)]
+        if None in shapes:
+            return None
+        brackets = "{}" if kinds == {dict} else "[]"
+        if not shapes:
+            return brackets, []
+        nl = "\n" + " " * (level + 1)
+        return (brackets[0] + nl + ("," + nl).join(
+            [head + t for head, (t, _) in zip(heads, shapes)]) + nl[:-1]
+            + brackets[1], [c for _, cols in shapes for c in cols])
+
+
+def dumps(obj):
+    return _Writer().write(obj, 0) + "\n"
 
 
 # -- polygons ---------------------------------------------------------------
@@ -113,9 +209,15 @@ def _assignments_to_json(start):
 
 
 def _assignments_from_json(doc):
-    """The {id: t} start times of a schedule document's assignments."""
-    return {int_from_json(a["id"], "id"): int_from_json(a["t"], "t")
-            for a in doc["assignments"]}
+    """The {id: t} start times of a schedule document's assignments, which
+    name each sensor at most once."""
+    start = {}
+    for a in doc["assignments"]:
+        sid = int_from_json(a["id"], "id")
+        if sid in start:
+            raise InputError("sensor %d assigned twice" % sid)
+        start[sid] = int_from_json(a["t"], "t")
+    return start
 
 
 def schedule_to_json(sched: Schedule, M=None, L=None):
@@ -218,8 +320,12 @@ def planar_schedule_from_json(doc):
         raise InputError("bad planar schedule: expected an object, got %s"
                          % type(doc).__name__)
     try:
+        trivial = doc.get("trivial", False)
+        if type(trivial) is not bool:
+            raise InputError("trivial must be true or false, got %r"
+                             % (trivial,))
         return PlanarSchedule(start=_assignments_from_json(doc),
-                              trivial=bool(doc.get("trivial", False)))
+                              trivial=trivial)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad planar schedule: %s" % exc) from exc
 

@@ -2,15 +2,28 @@
 fast paths are checked against."""
 
 import heapq
+import json
 from bisect import bisect_left
 from fractions import Fraction
 
 from coverplex.cover import CoverPreconditionError
 from coverplex.geometry import cross, dot, int_scaled, perturbation_direction
+from coverplex.jsonio import num_to_json
 from coverplex.levelcurve import (NEG_INF, LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions)
 from coverplex.rsc import INF, Assignment, Schedule
 from coverplex.verify import VerificationReport, check_assignments
+
+
+# ---------------------------------------------------------------------------
+# JSON text
+
+
+def dumps(obj):
+    """jsonio.dumps by the stdlib's indenting encoder: sorted keys, one space
+    per depth, a Fraction as num_to_json writes it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1,
+                      default=lambda v: num_to_json(Fraction(v))) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import reference
 from coverplex import cli, jsonio
 from coverplex.generate import (POLYGONS, gen_planar, gen_rsc, gen_points,
                                 polygon)
@@ -56,10 +57,93 @@ def test_planar_instance_round_trip():
     assert back.polygon.vertices == inst.polygon.vertices
 
 
-def test_dumps_byte_stable():
+# scalars that dumps writes, with the text that templates and separators
+# could confuse: brackets, %, ",\n", quotes, escapes and non-ASCII
+JSON_TEXT = st.text(st.sampled_from('[]{}%s,\n"\\ \x00a\xe9\u20ac\U0001f600'),
+                    max_size=6)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**40, 10**40), st.floats(),
+    st.fractions(max_denominator=40),
+    st.integers(-9, 9).map(lambda n: Fraction(n, 1)), JSON_TEXT)
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(-10**20, 10**20), st.floats(),
+                      st.booleans(), st.none())
+
+
+def _key_kind(k):
+    """Keys of one kind sort together: strs, None, or numbers and bools."""
+    return isinstance(k, str), k is None
+
+
+@st.composite
+def json_tables(draw):
+    """Rows of one shape, dicts with str keys or lists, each column scalars
+    (any mix, or only bools and None) or lists of one length; some have one
+    ragged row."""
+    columns = draw(st.lists(st.one_of(
+        st.sampled_from([JSON_SCALARS, st.booleans() | st.none()]),
+        st.integers(0, 2).map(lambda w: st.lists(JSON_SCALARS, min_size=w,
+                                                 max_size=w))), max_size=3))
+    rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        keys = draw(st.lists(JSON_TEXT, min_size=len(columns),
+                             max_size=len(columns), unique=True))
+        rows = [dict(zip(keys, row)) for row in rows]
+    else:
+        rows = [draw(st.sampled_from([list, tuple]))(row) for row in rows]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(rows) - 1))
+        if isinstance(rows[j], dict):
+            rows[j] = dict(rows[j])
+            if rows[j] and draw(st.booleans()):  # one size, another key
+                del rows[j][min(rows[j])]
+            rows[j]["%ragged"] = draw(JSON_SCALARS)
+        else:
+            rows[j] = list(rows[j])[:-1] or [[draw(JSON_SCALARS)]]
+    return rows
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | json_tables(),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        json_tables(),
+        JSON_KEYS.flatmap(lambda k: st.dictionaries(
+            st.just(k) | JSON_KEYS.filter(
+                lambda j: _key_kind(j) == _key_kind(k)),
+            inner, min_size=1, max_size=4))),
+    max_leaves=12)
+
+
+def _dumps_or_error(dumps, value):
+    try:
+        return dumps(value)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=json_tables() | JSON_VALUES)
+def test_dumps_byte_stable(value):
+    """dumps writes what the stdlib's indenting encoder writes, and reads
+    back to the same bytes."""
     doc = {"b": 2, "a": [1, "8/3"], "c": {"y": 0, "x": 1}}
     assert jsonio.dumps(doc) == jsonio.dumps(json.loads(jsonio.dumps(doc)))
     assert jsonio.dumps(doc).endswith("\n")
+    assert _dumps_or_error(jsonio.dumps, value) == _dumps_or_error(
+        reference.dumps, value)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": {1, 2}}, [[1, 2], [3, {4}]], [{"x": 1}, {"x": {1}}],
+    {1: 0, "a": 1}, {1: [0], "a": [1]}, {None: 0, 0: [[1]]},
+    {(1, 2): 0}, {Fraction(1, 3): [0]}])
+def test_dumps_raises_as_reference(value):
+    """A set value and keys of mixed or unsupported types raise the
+    exception type that the stdlib's encoder raises."""
+    with pytest.raises(TypeError):
+        reference.dumps(value)
+    with pytest.raises(TypeError):
+        jsonio.dumps(value)
 
 
 def test_rsc_verify_lists_closing_semantics_not_run(tmp_path, capsys):
@@ -547,6 +631,44 @@ NOT_OBJECTS = [
 def test_schedule_not_an_object_exit_2(tmp_path, capsys, argv, make, path,
                                        value):
     _check_exit_2(tmp_path, capsys, argv, make, path, value)
+
+
+# sensor 0 named twice; were the last start kept, every check would pass
+TWICE = [{"id": 0, "t": 4}, {"id": 0, "t": 1}, {"id": 1, "t": 4}]
+RSC_TWICE = {"instance": {"m": 2, "sensors": [
+    {"id": 0, "l": 1, "r": 2, "d": 3}, {"id": 1, "l": 1, "r": 2, "d": 3}]},
+    "schedule": {"assignments": TWICE}}
+
+
+@pytest.mark.parametrize("argv, doc, prefix", [
+    (["rsc", "verify"], RSC_TWICE, "bad schedule"),
+    (["plot", "schedule"], RSC_TWICE, "bad schedule"),
+    (["plan", "verify"], _with(_plan_both(), ("schedule", "assignments"),
+                               TWICE), "bad planar schedule")],
+    ids=["rsc-verify", "plot-schedule", "plan-verify"])
+def test_sensor_assigned_twice_exit_2(tmp_path, capsys, argv, doc, prefix):
+    p = tmp_path / "twice.json"
+    p.write_text(jsonio.dumps(doc))
+    code, out, err = run(argv + ["--in", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: %s: sensor 0 assigned twice\n" % prefix
+
+
+@pytest.mark.parametrize("value", ["false", "true", [1], {"x": 1}, 0, 1,
+                                   None])
+def test_planar_trivial_must_be_a_boolean(tmp_path, capsys, value):
+    """trivial is a JSON boolean or absent (false); nothing else is read as
+    one."""
+    _check_exit_2(tmp_path, capsys, ["plan", "verify"], _plan_both,
+                  ("schedule", "trivial"), value)
+    for trivial in (True, False, "absent"):
+        doc = _plan_both()
+        doc["schedule"]["trivial"] = trivial
+        if trivial == "absent":
+            del doc["schedule"]["trivial"]
+        p = tmp_path / "ok.json"
+        p.write_text(jsonio.dumps(doc))
+        assert run(["plan", "verify", "--in", str(p)], capsys)[0] in (0, 1)
 
 
 def test_rsc_oracle_huge_load_exit_2(tmp_path, capsys):

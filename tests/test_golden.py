@@ -180,6 +180,23 @@ CASES = {
         ["gen", "planar", "--seed", "4", "--n", "50", "--d-max", "6",
          "--spread", "3", "--universe", "7", "--poly", "hexagon"], None,
         "495bd9a43879315a96d709d5d48cb425a4731a6b4b1188fc2ab93dee315a22e6"),
+    # a few hundred records each: the tables that jsonio.dumps writes
+    "gen-rsc-11-300": (
+        ["gen", "rsc", "--seed", "11", "--n", "300", "--m", "60",
+         "--d-max", "9"], None,
+        "2ed53df8f2c7c2446bef2b5eabe32e0fe151237271afa5879cfa45c82b4a5518"),
+    "gen-rsc-nested-12-300": (
+        ["gen", "rsc", "--seed", "12", "--n", "300", "--m", "400",
+         "--d-max", "20", "--family", "nested"], None,
+        "f927a484ad4539c83da891f9f419dc7ce2a2c72c0cb7520024569b61f9ac45a8"),
+    "gen-points-13-300-hexagon": (
+        ["gen", "points", "--seed", "13", "--size", "300", "--span", "50",
+         "--k", "120", "--poly", "hexagon"], None,
+        "9c24d4dc7d9cc17a849418bec5491f2cb6c006c4438935100249f1feb795c015"),
+    "gen-planar-14-300-square": (
+        ["gen", "planar", "--seed", "14", "--n", "300", "--d-max", "8",
+         "--spread", "4", "--universe", "40", "--poly", "square"], None,
+        "0826776cbf1320f318c44db04cb5e4246d467cbd2dc2d04244bf743345a59fcb"),
     "plot-curve-svg": (
         ["plot", "curve"], lambda: _curve("triangle", 4, 10),
         "cc87fe1608c991aed32c88a1f28bb53f446ca91ca13e6ea31078014a3b290f91"),
