@@ -195,7 +195,7 @@ def _at_least(args, **least):
 
 
 def cmd_gen_rsc(args):
-    _at_least(args, m=1, d_max=1)
+    _at_least(args, n=0, m=1, d_max=1)
     inst = generate.gen_rsc(args.seed, n=args.n, m=args.m,
                             d_max=args.d_max, family=args.family)
     _emit_json(args, jsonio.rsc_instance_to_json(inst))
@@ -203,7 +203,7 @@ def cmd_gen_rsc(args):
 
 
 def cmd_gen_points(args):
-    _at_least(args, span=0)
+    _at_least(args, size=0, span=0, k=1)
     points = generate.gen_points(args.seed, size=args.size, span=args.span)
     poly = generate.polygon(args.poly)
     _emit_json(args, jsonio.decomp_instance_to_json(poly, points, args.k))
@@ -211,7 +211,7 @@ def cmd_gen_points(args):
 
 
 def cmd_gen_planar(args):
-    _at_least(args, d_max=1, spread=0)
+    _at_least(args, n=0, d_max=1, spread=0, universe=0)
     inst = generate.gen_planar(args.seed, poly_name=args.poly,
                                n_sensors=args.n, d_max=args.d_max,
                                spread=args.spread,
@@ -227,6 +227,9 @@ def cmd_plot_curve(args):
     poly, points, k = jsonio.decomp_instance_from_json(doc)
     r = jsonio.int_from_json(doc.get("r", k), "r")
     i = jsonio.int_from_json(doc.get("i", 0), "i")
+    if not 0 <= i < poly.n:
+        raise InputError("i must be a vertex index 0..%d, got %d"
+                         % (poly.n - 1, i))
     try:
         curve = build_level_curve(poly, i, points, r)
     except ValueError as exc:  # level not positive or above the total load

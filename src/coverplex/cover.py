@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import accumulate
 from operator import itemgetter
 
@@ -164,103 +165,104 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
     members (weights >= 1) only push a member further below the top prefix,
     so a member that survives anywhere in its range survives at a clique
     inside it.
+
+    One sweep over the cliques keeps a Fenwick tree of member weights by
+    rank per reserved direction; one descent per clique and direction finds
+    the rank from which members are reserved.  A min-heap holds the first
+    direction's ranks of the members not yet kept; a clique pops those
+    below its threshold and keeps a popped member unless another direction
+    reserves it (then it goes back).  Each item joins, leaves and is kept
+    once: O((items + cliques) log items) with one direction, any weights.
     """
     support = sorted(strict_support_edges(poly, i))
     positions, ranges = index
     K = len(positions)
-    spans = [(rng[0], rng[1], pid, w) for (_, _, pid, w) in items
-             if (rng := ranges[pid]) is not None]
-    if not support or target <= 0 or not spans:
-        return {pid for (_, _, pid, _w) in spans}
-    rankmaps = [dict(zip(map(itemgetter(2), u_sorted[j]),
-                         range(1, len(u_sorted[j]) + 1))) for j in support]
+    weight = {pid: w for (_, _, pid, w) in items if ranges[pid] is not None}
+    if not support or target <= 0 or not weight:
+        return set(weight)
+    # each direction ranks the items with a range 1..n in its U order;
+    # ranks[d][r] is the rank along direction d + 1 of the first's rank r
+    orders = [[pid for (_, _, pid, _w) in u_sorted[j] if pid in weight]
+              for j in support]
+    n = len(orders[0])
+    ranks = [[0, *map(dict(zip(order, range(1, n + 1))).__getitem__,
+                      orders[0])] for order in orders[1:]]
+    spans = [(lo, hi, r, weight[pid]) for r, pid in enumerate(orders[0], 1)
+             for lo, hi in (ranges[pid],)]
     # members join at the first position of their range and leave after the
-    # last; the events are sorted by position and end in a sentinel K, and
-    # the order within one position changes no sum and no member set
+    # last; the order within one position changes no sum and no member set
     adds = sorted(spans, key=itemgetter(0))
     leaves = sorted(spans, key=itemgetter(1))
     add_at = [*map(itemgetter(0), adds), K]
-    leave_at = [*map(itemgetter(1), leaves), K]
-    cliques = []
-    a = 0
-    for c in leave_at[:-1]:
-        if add_at[a] <= c:
-            cliques.append(c)
-            a = bisect_right(add_at, c, a)
-
-    def thresholds(rank):
-        """Per clique: smallest rank of the reserved top group, or 0 when
-        the whole membership is reserved.  A member is reserved at a clique
-        iff its rank >= the clique's threshold, so nothing survives a 0."""
-        # slot r - 1 holds the member of rank r; the members of the first
-        # clique enter the tree in one build, later ones one by one
-        a = bisect_right(add_at, cliques[0])
-        slots = [0] * len(rank)
-        for (_, _, pid, w) in adds[:a]:
-            slots[rank[pid] - 1] = w
-        tree = _Fenwick(len(rank), slots)
-        total = sum(slots)
-        thr = []
-        e = 0
-        for c in cliques:
-            while add_at[a] <= c:
-                _, _, pid, w = adds[a]
-                tree.add(rank[pid] - 1, w)
-                total += w
-                a += 1
-            while leave_at[e] < c:
-                _, _, pid, w = leaves[e]
-                tree.add(rank[pid] - 1, -w)
-                total -= w
-                e += 1
-            # largest rank x with prefix(x) <= total - target; the threshold
-            # member is rank x + 1
-            thr.append(tree.longest_prefix_within(total - target) + 1
-                       if total >= target else 0)
-        return thr
-
-    all_thr = [thresholds(rank) for rank in rankmaps]
-    if len(support) == 1:
-        rank = rankmaps[0]
-        # sparse table for range maxima over the cliques' thresholds
-        table = [all_thr[0]]
-        span = 1
-        while span * 2 <= len(cliques):
-            prev = table[-1]
-            table.append(list(map(max, prev, prev[span:])))
-            span *= 2
-
-        def range_max(lo, hi):
-            lev = (hi - lo + 1).bit_length() - 1
-            row = table[lev]
-            return max(row[lo], row[hi - (1 << lev) + 1])
-
-        # a range that holds every clique meets the largest threshold
-        top, first, last = max(all_thr[0]), cliques[0], cliques[-1]
-        out = set()
-        for lo, hi, pid, _w in spans:  # each range holds a clique
-            if rank[pid] < (top if lo <= first and last <= hi else range_max(
-                    bisect_left(cliques, lo), bisect_right(cliques, hi) - 1)):
-                out.add(pid)
-        return out
-
-    # several reserved directions: check the cliques one by one
-    members = set()
-    out = set()
-    a = e = 0
-    for c, *thrs in zip(cliques, *all_thr):
-        while add_at[a] <= c:
-            members.add(adds[a][2])
-            a += 1
-        while leave_at[e] < c:
-            members.discard(leaves[e][2])
+    leave_at = [*map(itemgetter(1), leaves)]
+    # the first clique ends at the first leave; its members enter each tree
+    # in one build and are the sorted candidates
+    c = leave_at[0]
+    a = bisect_right(add_at, c)
+    heap = sorted(map(itemgetter(2), adds[:a]))
+    total = sum(map(itemgetter(3), adds[:a]))
+    trees = []
+    for rank in (range(n + 1), *ranks):
+        slots = [0] * n
+        for (_, _, r, w) in adds[:a]:
+            slots[rank[r] - 1] = w
+        trees.append(_Fenwick(n, slots))
+    tree, t = trees[0], trees[0].t
+    others = [(tr.t, rank) for tr, rank in zip(trees[1:], ranks)]
+    kept = []  # ranks, along the first direction, of the survivors
+    a2, e, e2 = a, 0, 0
+    while True:
+        if total >= target:
+            # largest rank x with prefix(x) <= total - target; members from
+            # rank x + 1 up are reserved
+            thr = tree.longest_prefix_within(total - target) + 1
+            k = len(kept)
+            if e:
+                while heap and heap[0] < thr:
+                    r = heappop(heap)
+                    if spans[r - 1][1] >= c:  # still a member
+                        kept.append(r)
+            else:  # e is 0 only at the first clique: all are members
+                j = bisect_left(heap, thr)
+                kept, heap[:j] = heap[:j], []
+            if others:
+                # the other trees catch up on the events since their last
+                # descent; a member they reserve stays a candidate
+                for t2, rank in others:
+                    for events, sign in ((leaves[e2:e], -1), (adds[a2:a], 1)):
+                        for (_, _, r, w) in events:
+                            r = rank[r]
+                            while r <= n:
+                                t2[r] += sign * w
+                                r += r & -r
+                a2, e2 = a, e
+                thrs = [tr.longest_prefix_within(total - target) + 1
+                        for tr in trees[1:]]
+                popped, kept[k:] = kept[k:], []
+                for r in popped:
+                    if all(rank[r] < th for rank, th in zip(ranks, thrs)):
+                        kept.append(r)
+                    else:
+                        heappush(heap, r)
+        if (x := add_at[a]) == K:
+            return {orders[0][r - 1] for r in kept}
+        # the next clique is the first end at or after the next start
+        while leave_at[e] < x:
+            _, _, r, w = leaves[e]
+            while r <= n:
+                t[r] -= w
+                r += r & -r
+            total -= w
             e += 1
-        if all(thrs):
-            for pid in members:
-                if pid not in out and all(
-                        rank[pid] < th for rank, th in zip(rankmaps, thrs)):
-                    out.add(pid)
-    return out
+        c = leave_at[e]
+        while add_at[a] <= c:
+            _, _, r, w = adds[a]
+            heappush(heap, r)
+            while r <= n:
+                t[r] += w
+                r += r & -r
+            total += w
+            a += 1
 
 
 def _iterate_vertices(poly, points, level, solve_block, weights=None,

@@ -320,12 +320,6 @@ class _Fenwick:
                 if (j := i + (i & -i)) <= n:
                     t[j] += t[i]
 
-    def add(self, i, w):
-        i += 1
-        while i <= self.n:
-            self.t[i] += w
-            i += i & -i
-
     def longest_prefix_within(self, rem):
         """Largest x with prefix(x) <= rem, for non-negative weights."""
         t = self.t

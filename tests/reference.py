@@ -3,11 +3,13 @@ fast paths are checked against."""
 
 import heapq
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
 
 from coverplex.cover import CoverPreconditionError
-from coverplex.geometry import cross, dot, int_scaled, perturbation_direction
+from coverplex.geometry import (cross, dot, int_scaled, perturbation_direction,
+                                strict_support_edges)
 from coverplex.jsonio import num_to_json
 from coverplex.levelcurve import (NEG_INF, LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions)
@@ -243,6 +245,12 @@ def index_min_load(index, items):
 
 
 class _PrefixFenwick(_Fenwick):
+    def add(self, i, w):
+        i += 1
+        while i <= self.n:
+            self.t[i] += w
+            i += i & -i
+
     def prefix(self, i):
         """Sum of slots 0..i-1."""
         s = 0
@@ -276,6 +284,131 @@ def dominance_loads(positions, items):
         lo_rank = bisect_left(vs, v)
         loads[k] = total - fw.prefix(lo_rank)
     return loads
+
+
+# ---------------------------------------------------------------------------
+# extreme-prefix reservation
+
+
+def reserved_ref(poly, i, delta, curve, items, points, target):
+    """Survivors by a direct pass over every canonical position: members
+    are the items whose sheared coordinates dominate the position; along
+    each reserved direction they are sorted by decreasing Fraction key and
+    the minimal prefix whose weight reaches the target is reserved (all of
+    them when the total falls short)."""
+    support = sorted(strict_support_edges(poly, i))
+    key_of = {}
+    for j in support:
+        nj = tuple(Fraction(c) for c in poly.inward_normal(j))
+        for (_, _, pid, _w), p in zip(items, points):
+            key_of[j, pid] = (dot(p, nj), (pid + 1) * dot(delta, nj))
+    out = set()
+    for (u, v) in canonical_positions(curve, items):
+        members = [(pid, w) for (U, V, pid, w) in items if u <= U and v <= V]
+        reserved = set()
+        for j in support:
+            acc = 0
+            for pid, w in sorted(members, key=lambda m: key_of[j, m[0]],
+                                 reverse=True):
+                if acc >= target:
+                    break
+                reserved.add(pid)
+                acc += w
+        out.update(pid for pid, _ in members if pid not in reserved)
+    return out
+
+
+def reserved_filter(poly, i, u_sorted, index, items, target):
+    """cover._reserved_filter by per-direction threshold passes: a Fenwick
+    descent per maximal clique and direction, then, with one direction, a
+    member survives iff its rank is below the largest threshold of the
+    cliques in its range (a sparse table of range maxima), and with several
+    a per-clique check of every member."""
+    support = sorted(strict_support_edges(poly, i))
+    positions, ranges = index
+    K = len(positions)
+    spans = [(rng[0], rng[1], pid, w) for (_, _, pid, w) in items
+             if (rng := ranges[pid]) is not None]
+    if not support or target <= 0 or not spans:
+        return {pid for (_, _, pid, _w) in spans}
+    rankmaps = [dict(zip(map(itemgetter(2), u_sorted[j]),
+                         range(1, len(u_sorted[j]) + 1))) for j in support]
+    adds = sorted(spans, key=itemgetter(0))
+    leaves = sorted(spans, key=itemgetter(1))
+    add_at = [*map(itemgetter(0), adds), K]
+    leave_at = [*map(itemgetter(1), leaves), K]
+    cliques = []
+    a = 0
+    for c in leave_at[:-1]:
+        if add_at[a] <= c:
+            cliques.append(c)
+            a = bisect_right(add_at, c, a)
+
+    def thresholds(rank):
+        """Per clique: smallest rank of the reserved top group, or 0 when
+        the whole membership is reserved."""
+        a = bisect_right(add_at, cliques[0])
+        slots = [0] * len(rank)
+        for (_, _, pid, w) in adds[:a]:
+            slots[rank[pid] - 1] = w
+        tree = _PrefixFenwick(len(rank), slots)
+        total = sum(slots)
+        thr = []
+        e = 0
+        for c in cliques:
+            while add_at[a] <= c:
+                _, _, pid, w = adds[a]
+                tree.add(rank[pid] - 1, w)
+                total += w
+                a += 1
+            while leave_at[e] < c:
+                _, _, pid, w = leaves[e]
+                tree.add(rank[pid] - 1, -w)
+                total -= w
+                e += 1
+            thr.append(tree.longest_prefix_within(total - target) + 1
+                       if total >= target else 0)
+        return thr
+
+    all_thr = [thresholds(rank) for rank in rankmaps]
+    if len(support) == 1:
+        rank = rankmaps[0]
+        table = [all_thr[0]]
+        span = 1
+        while span * 2 <= len(cliques):
+            prev = table[-1]
+            table.append(list(map(max, prev, prev[span:])))
+            span *= 2
+
+        def range_max(lo, hi):
+            lev = (hi - lo + 1).bit_length() - 1
+            row = table[lev]
+            return max(row[lo], row[hi - (1 << lev) + 1])
+
+        top, first, last = max(all_thr[0]), cliques[0], cliques[-1]
+        out = set()
+        for lo, hi, pid, _w in spans:
+            if rank[pid] < (top if lo <= first and last <= hi else range_max(
+                    bisect_left(cliques, lo), bisect_right(cliques, hi) - 1)):
+                out.add(pid)
+        return out
+
+    members = set()
+    out = set()
+    a = e = 0
+    for c, *thrs in zip(cliques, *all_thr):
+        while add_at[a] <= c:
+            members.add(adds[a][2])
+            a += 1
+        while leave_at[e] < c:
+            members.discard(leaves[e][2])
+            e += 1
+        if all(thrs):
+            for pid in members:
+                if pid not in out and all(
+                        rank[pid] < th for rank, th in zip(rankmaps, thrs)):
+                    out.add(pid)
+    return out
 
 
 # ---------------------------------------------------------------------------

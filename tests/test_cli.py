@@ -700,6 +700,11 @@ def test_rsc_oracle_huge_duration_beside_small_load(tmp_path, capsys):
     ["gen", "points", "--span", "-1"],
     ["gen", "planar", "--d-max", "0"],
     ["gen", "planar", "--spread", "-1"],
+    ["gen", "rsc", "--n", "-1"],
+    ["gen", "planar", "--n", "-2"],
+    ["gen", "planar", "--universe", "-1"],
+    ["gen", "points", "--size", "-3"],
+    ["gen", "points", "--k", "0"],
 ], ids=" ".join)
 def test_generator_flag_out_of_range_exit_2(capsys, argv):
     # the one-line error names the flag
@@ -707,6 +712,18 @@ def test_generator_flag_out_of_range_exit_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: %s " % argv[2]), err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("fmt", ["svg", "json"])
+@pytest.mark.parametrize("i", [3, -1], ids=["n", "-1"])
+def test_plot_curve_vertex_out_of_range_exit_2(tmp_path, capsys, fmt, i):
+    # the triangle's vertices are 0..2; no index wraps to another vertex
+    bad = tmp_path / "bad.json"
+    bad.write_text(jsonio.dumps(dict(_points_doc(), i=i)))
+    code, out, err = run(["plot", "curve", "--in", str(bad), "--format",
+                          fmt], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: i must be a vertex index 0..2, got %d\n" % i, err
 
 
 def test_decomp_verify_cost_ignores_value_of_T(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from coverplex import cover, levelcurve
 from coverplex.cover import (CoverPreconditionError, compute_cover,
                              decompose_points, decompose_translates)
@@ -388,3 +389,41 @@ def test_reserved_filter_descends_once_per_clique_and_direction(
     # far fewer cliques than canonical positions
     assert 3 * sum(want for _, want, _ in calls) < sum(k for _, _, k in calls)
 
+
+
+def heavy_light_family(n, target):
+    """Filter input on which the reserved group swings at every clique: n
+    unit light items over the whole curve, n heavy items of weight
+    ``target`` at the top ranks, heavy item k alone beside the lights at
+    position 2k, and between two heavy items a unit filler item of the
+    lowest ranks at position 2k + 1.  A heavy item alone is its clique's
+    reserved prefix; at a filler's clique the top ``target`` lights are.
+    Returns the filter's (u_sorted, index, items) for any vertex of the
+    triangle and the survivors: the lights and the fillers."""
+    K = 2 * n - 1
+    light = [(pid, 1, (0, K - 1)) for pid in range(n)]
+    heavy = [(n + k, target, (2 * k, 2 * k)) for k in range(n)]
+    filler = [(2 * n + k, 1, (2 * k + 1, 2 * k + 1)) for k in range(n - 1)]
+    order = filler + light + heavy  # increasing U along every direction
+    items = [(u, 0, pid, w) for u, (pid, w, _) in enumerate(order)]
+    ranges = {pid: rng for pid, _, rng in order}
+    return ([items] * 3, (range(K), ranges), items,
+            {pid for pid, _, _ in light + filler})
+
+
+def test_reserved_filter_cost_does_not_grow_with_the_weights():
+    # items join, leave and are kept once each, whatever the weight ratio;
+    # moving items one by one across the threshold would take minutes here
+    n = 4000
+    u_sorted, index, items, want = heavy_light_family(n, n // 2)
+    assert strict_support_edges(TRIANGLE, 0)
+    best = {}
+    for _ in range(3):
+        for name, fn in (("sweep", cover._reserved_filter),
+                         ("oracle", reference.reserved_filter)):
+            start = time.perf_counter()
+            got = fn(TRIANGLE, 0, u_sorted, index, items, n // 2)
+            spent = time.perf_counter() - start
+            best[name] = min(best.get(name, spent), spent)
+            assert got == want
+    assert best["sweep"] <= 3 * best["oracle"], best

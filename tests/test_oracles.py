@@ -3,36 +3,40 @@
 Each oracle is the plain formula the fast path replaced, kept here as the
 reference: translate membership by Fraction arithmetic on every edge, the
 extreme-prefix reservation by sorting the members of every canonical curve
-position, the level curve by a scan of every U-sorted suffix, position
-index ranges and curve loads by testing every canonical position against
-every item, the block solvers on an index built from the queried items
-themselves, the curve cover by a union-find greedy that counts every
-position's coverage, the position index by one built from (u, v) pairs
-with explicit gap midpoints, the coloring check over the positions of all
-points and over the level curve's positions of the colored points, planar
-loads and simulation with one membership test per sensor, grid cells by
-Fraction division, and the RSC greedy, durations and schedule checks by
-time-step simulation (`reference.py`).
+position and by per-direction threshold passes with range maxima, the
+level curve by a scan of every U-sorted suffix, position index ranges and
+curve loads by testing every canonical position against every item, the
+block solvers on an index built from the queried items themselves, the
+curve cover by a union-find greedy that counts every position's coverage,
+the position index by one built from (u, v) pairs with explicit gap
+midpoints, the coloring check over the positions of all points and over
+the level curve's positions of the colored points, planar loads and
+simulation with one membership test per sensor, grid cells by Fraction
+division, and the RSC greedy, durations and schedule checks by time-step
+simulation (`reference.py`).
 """
 
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference
-from coverplex import rsc
+from coverplex import cover, rsc
 from coverplex.cover import (ColorAssignment, CoverPreconditionError,
                              _iterate_vertices, _reserved_filter,
-                             compute_cover)
-from coverplex.generate import POLYGONS, gen_rsc
-from coverplex.geometry import (ConvexPolygon, GridSpec, cross, dot,
-                                grid_spec, perturbation_direction, reflect,
+                             compute_cover, decompose_points)
+from coverplex.generate import (POLYGONS, gen_planar, gen_points, gen_rsc,
+                                polygon)
+from coverplex.geometry import (ConvexPolygon, GridSpec, cross, grid_spec,
+                                perturbation_direction, reflect,
                                 strict_support_edges, sub)
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
                                   min_load_on_curve, position_index_ranges)
 from coverplex.planar import (PlanarInstance, PlanarSchedule,
-                              curve_rsc_instance, planar_load, verify_planar)
+                              curve_rsc_instance, plan_schedule, planar_load,
+                              verify_planar)
 from coverplex.verify import verify_coloring, verify_rsc
 
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
@@ -131,34 +135,6 @@ def test_contains_integer_kernel_on_integer_polygons(points, center, p):
     assert poly.contains(p, center=center) == contains_ref(poly, p, center)
 
 
-def reserved_ref(poly, i, delta, curve, items, points, target):
-    """Survivors by a direct pass over every canonical position: members
-    are the items whose sheared coordinates dominate the position; along
-    each reserved direction they are sorted by decreasing Fraction key and
-    the minimal prefix whose weight reaches the target is reserved (all of
-    them when the total falls short)."""
-    support = sorted(strict_support_edges(poly, i))
-    key_of = {}
-    for j in support:
-        nj = tuple(Fraction(c) for c in poly.inward_normal(j))
-        for (_, _, pid, _w), p in zip(items, points):
-            key_of[j, pid] = (dot(p, nj), (pid + 1) * dot(delta, nj))
-    out = set()
-    for (u, v) in canonical_positions(curve, items):
-        members = [(pid, w) for (U, V, pid, w) in items if u <= U and v <= V]
-        reserved = set()
-        for j in support:
-            acc = 0
-            for pid, w in sorted(members, key=lambda m: key_of[j, m[0]],
-                                 reverse=True):
-                if acc >= target:
-                    break
-                reserved.add(pid)
-                acc += w
-        out.update(pid for pid, _ in members if pid not in reserved)
-    return out
-
-
 @st.composite
 def weighted_cases(draw, kite_apex=False):
     """Named, kite or random polygon (maybe reflected), a vertex, weighted
@@ -229,7 +205,100 @@ def check_reserved_filter(case):
     got = _reserved_filter(poly, i, u_orders(poly, delta, pts, weights, ids),
                            position_index_ranges(curve, items)[0], items,
                            target)
-    assert got == reserved_ref(poly, i, delta, curve, items, pts, target)
+    assert got == reference.reserved_ref(poly, i, delta, curve, items, pts,
+                                         target)
+
+
+@st.composite
+def sweep_cases(draw, kite_apex=False):
+    """filter_cases for the filter's clique sweep: points on a few spots,
+    and maybe only the items whose range ends at the most common end or
+    later queried, so that many ranges end where the first clique does;
+    all unit weights or weights mixing 1 with 10**30; distinct ids in -40..40; extra points from
+    a wider box that the curve's level does not count, some of them in no
+    wedge; a level anywhere or near the counted total, where most ranges
+    end at the last position; and a target of a few units or anywhere up
+    to the total, so that the members fall short of it at some cliques and
+    not at others."""
+    poly, i, *_ = draw(weighted_cases(kite_apex))
+    spots = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                          min_size=1, max_size=4))
+    pts = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=24))
+    extra = draw(st.lists(st.tuples(st.integers(-8, 16), st.integers(-8, 16)),
+                          max_size=4))
+    size = len(pts) + len(extra)
+    weight = st.sampled_from([1, 10 ** 30]) if draw(st.booleans()) else \
+        st.just(1)
+    weights = draw(st.lists(weight, min_size=size, max_size=size))
+    ids = draw(st.lists(st.integers(-40, 40), min_size=size, max_size=size,
+                        unique=True))
+    counted = weights[:len(pts)]
+    level = near_total(draw, counted) if draw(st.booleans()) else \
+        draw(st.integers(1, sum(counted)))
+    target = draw(st.integers(0, 2 * size) | st.integers(0, sum(weights) + 1))
+    return (poly, i, pts + extra, weights, ids, len(pts), level, target,
+            draw(st.booleans()))
+
+
+@ORACLE
+@given(sweep_cases())
+def test_reserved_filter_sweep_matches_both_oracles(case):
+    check_sweep(case)
+
+
+@ORACLE
+@given(sweep_cases(kite_apex=True))
+def test_reserved_filter_sweep_several_directions_matches_both_oracles(case):
+    check_sweep(case)
+
+
+def check_sweep(case):
+    poly, i, pts, weights, ids, m, level, target, late = case
+    delta = perturbation_direction(poly)
+    frame = WedgeFrame(poly, i, delta)
+    items = frame.items(pts, weights=weights, ids=ids)
+    curve = LevelCurve(frame, level, items[:m])
+    index = position_index_ranges(curve, items)[0]
+    orders = u_orders(poly, delta, pts, weights, ids)
+    ends = [rng[1] for rng in map(index[1].get, ids) if rng is not None]
+    if late and ends:
+        # the index of all items answers for any subset of them
+        common = max(ends, key=ends.count)
+        keep = [rng is None or rng[1] >= common
+                for rng in map(index[1].get, ids)]
+        items = list(compress(items, keep))
+        pts = list(compress(pts, keep))
+    got = _reserved_filter(poly, i, orders, index, items, target)
+    assert got == reference.reserved_filter(poly, i, orders, index, items,
+                                            target)
+    assert got == reference.reserved_ref(poly, i, delta, curve, items, pts,
+                                         target)
+
+
+def test_reserved_filter_matches_threshold_passes_on_criterion_runs(
+        monkeypatch):
+    # every filter call of plan_schedule on criterion-10 instances and of
+    # decompose_points on criterion-8 instances
+    calls = []
+    real = cover._reserved_filter
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(cover, "_reserved_filter", recorded)
+    for seed in (0, 1):
+        plan_schedule(gen_planar(seed, n_sensors=2600, d_max=7, spread=2,
+                                 universe_size=5))
+    planar_calls = len(calls)
+    for seed in range(4):
+        poly = polygon(("triangle", "square", "hexagon")[seed % 3])
+        k = 256 * poly.n
+        decompose_points(poly, gen_points(seed, size=k + k // 8, span=60), k)
+    assert planar_calls >= 8 and len(calls) >= planar_calls + 8
+    for args, out in calls:
+        assert out == reference.reserved_filter(*args)
 
 
 FAMILIES = ("colocated", "disjoint", "above", "whole")
@@ -299,7 +368,8 @@ def test_reserved_filter_clique_families_match_direct_oracle(family,
         spans.sort()
         assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
     got = _reserved_filter(poly, i, orders, index, sub, target)
-    assert got == reserved_ref(poly, i, delta, curve, sub, sub_pts, target)
+    assert got == reference.reserved_ref(poly, i, delta, curve, sub, sub_pts,
+                                         target)
     if family == "above" and strict_support_edges(poly, i):
         assert got == set()
 
