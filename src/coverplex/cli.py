@@ -123,16 +123,8 @@ def cmd_decomp_translates(args):
         classes, info = cover.decompose_translates(poly, centers, k)
     except ValueError as exc:
         raise InputError(str(exc))
-
-    def clean(v):
-        if isinstance(v, dict):
-            return {str(key): clean(val) for key, val in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        return v
-
     _emit_json(args, {"classes": classes, "T": info.get("T", 0),
-                      "trivial": info["trivial"], "info": clean(info)})
+                      "trivial": info["trivial"], "info": info})
     return 0
 
 

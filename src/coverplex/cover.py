@@ -8,8 +8,9 @@ iterates it over all polygon vertices, reserving extreme points so that later
 iterations keep enough load.  The vertex loop builds each level curve's
 position index once, over all points, and the loads, the reservation and
 the block solver read it for the points still uncolored.
-``decompose_translates`` lifts the point decomposition to translate
-collections through the reflection duality and the grid reduction.
+``_grid_cells`` runs the same vertex loop per grid cell of the reflected
+polygon, the reduction that ``decompose_translates`` and the planar
+scheduler share.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple
 
 from .geometry import (ConvexPolygon, cell_partition, grid_spec,
                        perturbation_direction, reflect, strict_support_edges)
@@ -51,8 +53,7 @@ class ColorAssignment:
     T: int = 0
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
     i: int
     L: int
     t: int
@@ -282,8 +283,8 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     from the subset.  Each curve's load is one difference array over its
     index, built in the walk that builds the index; a block's chosen items
     are subtracted from the curves still to come.  Curve i's index and
-    load are dropped at vertex i.  Returns the chosen map and one (i, L,
-    t, x_size, chosen) record per vertex.
+    load are dropped at vertex i.  Returns the chosen map and one
+    IterationRecord per vertex, whose last field counts the chosen items.
     """
     n = poly.n
     delta = perturbation_direction(poly)
@@ -305,7 +306,7 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
         index, indexes[i], loads[i] = indexes[i], None, None
         t_i = L // (64 * n)
         if t_i == 0:
-            records.append((i, L, 0, 0, 0))
+            records.append(IterationRecord(i, L, 0, 0, 0))
             continue
         live = [it for it in all_items[i] if it[2] not in chosen]
         keep = _reserved_filter(poly, i, u_sorted, index, live, L // (2 * n))
@@ -323,7 +324,7 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
                 if rng is not None:
                     diff[rng[0]] -= weight_of[pid]
                     diff[rng[1] + 1] += weight_of[pid]
-        records.append((i, L, t_i, len(x_items), len(block)))
+        records.append(IterationRecord(i, L, t_i, len(x_items), len(block)))
     return chosen, records
 
 
@@ -337,10 +338,38 @@ def decompose_points(poly: ConvexPolygon, points, k: int):
     if k < 1:
         raise ValueError("level must be at least 1")
     colors, records = _iterate_vertices(poly, points, k, compute_cover)
-    trace = DecompositionTrace(records=[IterationRecord(*r) for r in records])
-    T = min(r.t for r in trace.records)
-    trace.below_threshold = T == 0
-    return ColorAssignment(colors=colors, T=T), trace
+    T = min(r.t for r in records)
+    return (ColorAssignment(colors=colors, T=T),
+            DecompositionTrace(records=records, below_threshold=T == 0))
+
+
+def _grid_cells(poly: ConvexPolygon, centers, level: int, solve_block,
+                weights=None, ids=None):
+    """The cell loop of the translate decomposition and the planar scheduler:
+    centers become points against the reflected polygon, and each grid cell
+    whose weight (unit weights without ``weights``) reaches k_cell = level //
+    beta runs the vertex loop at k_cell.  Returns ({beta, k_cell, cells},
+    ran): ``cells`` maps each str(cell), in cell order, to its {size,
+    skipped}; ``ran`` holds (name, center indexes, chosen map, records) per
+    cell that ran; no cell is formed when k_cell < 1.  Without ``ids`` a
+    cell's items get ids 0..size-1, by which the symbolic shift breaks ties.
+    """
+    refl = reflect(poly)
+    grid = grid_spec(refl)
+    k_cell = level // grid.beta
+    cells, ran = {}, []
+    if k_cell >= 1:
+        for cell, idxs in sorted(cell_partition(centers, grid).items()):
+            name = str(cell)
+            w = None if weights is None else [weights[j] for j in idxs]
+            skipped = (len(idxs) if w is None else sum(w)) < k_cell
+            cells[name] = {"size": len(idxs), "skipped": skipped}
+            if not skipped:
+                ran.append((name, idxs, *_iterate_vertices(
+                    refl, [centers[j] for j in idxs], k_cell, solve_block,
+                    weights=w,
+                    ids=None if ids is None else [ids[j] for j in idxs])))
+    return {"beta": grid.beta, "k_cell": k_cell, "cells": cells}, ran
 
 
 def decompose_translates(poly: ConvexPolygon, centers, k: int):
@@ -348,36 +377,24 @@ def decompose_translates(poly: ConvexPolygon, centers, k: int):
     that every point of the plane covered at least k times is covered by each
     class.  Returns (classes, info dict).
 
-    Works in the dual: translate centers become points against the reflected
-    polygon; each grid cell is decomposed independently at level k // beta.
-    Uncolored centers and colors above the common count fall into class 1.
+    Works in the dual: each grid cell of ``_grid_cells`` is decomposed as
+    points at level k // beta.  Uncolored centers and colors above the
+    least common count T of a cell fall into class 1.
     """
     if k < 1:
         raise ValueError("coverage level must be at least 1")
-    refl = reflect(poly)
-    grid = grid_spec(refl)
-    k_cell = k // grid.beta
-    info = {"beta": grid.beta, "k_cell": k_cell, "cells": {}}
-    if k_cell < 1:
-        info["trivial"] = True
+    info, ran = _grid_cells(poly, centers, k, compute_cover)
+    info["trivial"] = info["k_cell"] < 1
+    if info["trivial"]:
         return [list(range(len(centers)))], info
-    info["trivial"] = False
-    cells = cell_partition(centers, grid)
-    color_of = {}
-    t_cells = []
-    for cell, idxs in sorted(cells.items()):
-        pts = [centers[idx] for idx in idxs]
-        if len(pts) < k_cell:
-            info["cells"][cell] = {"skipped": True, "size": len(pts)}
-            continue
-        asg, trace = decompose_points(refl, pts, k_cell)
-        info["cells"][cell] = {"skipped": False, "size": len(pts), "T": asg.T,
-                               "trace": [vars(r) for r in trace.records]}
-        t_cells.append(asg.T)
-        for local, c in asg.colors.items():
+    color_of, t_cells = {}, []
+    for name, idxs, colors, records in ran:
+        t_cells.append(min(r.t for r in records))
+        info["cells"][name] |= {"T": t_cells[-1],
+                                "trace": [r._asdict() for r in records]}
+        for local, c in colors.items():
             color_of[idxs[local]] = c
-    T = min(t_cells) if t_cells else 0
-    info["T"] = T
+    info["T"] = T = min(t_cells, default=0)
     if T < 2:
         return [list(range(len(centers)))], info
     classes = [[] for _ in range(T)]

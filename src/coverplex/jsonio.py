@@ -18,6 +18,7 @@ from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
+from .cover import ColorAssignment
 from .geometry import ConvexPolygon
 from .planar import PlanarInstance, PlanarSchedule, PlanarSensor
 from .rsc import RscInstance, Schedule, Sensor
@@ -258,13 +259,11 @@ def coloring_to_json(assignment, n_points, trace=None):
     colors = [assignment.colors.get(pid) for pid in range(n_points)]
     doc = {"colors": colors, "T": assignment.T}
     if trace is not None:
-        doc["trace"] = [{"i": r.i, "L": r.L, "t": r.t, "x_size": r.x_size,
-                         "colored": r.colored} for r in trace.records]
+        doc["trace"] = [r._asdict() for r in trace.records]
     return doc
 
 
 def coloring_from_json(doc):
-    from .cover import ColorAssignment
     try:
         asg = ColorAssignment(T=int_from_json(doc["T"], "T"))
         if asg.T < 0:

@@ -14,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cover import _iterate_vertices
-from .geometry import ConvexPolygon, cell_partition, grid_spec, reflect
+from .cover import _grid_cells
+from .geometry import ConvexPolygon
 from .rsc import RscInstance, Sensor, greedy_schedule
 from .verify import VerificationReport, check_assignments
 
 # unused here; perfbench/tracer.py patches these names in this module
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from .cover import _reserved_filter  # noqa: F401
+from .geometry import cell_partition  # noqa: F401
 from .levelcurve import LevelCurve, min_load_on_curve  # noqa: F401
 from .levelcurve import position_index_ranges  # noqa: F401
 
@@ -99,41 +100,28 @@ def _schedule_block(index, items, t: int):
 def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:
     """Assign start times to (a subset of) the sensors.
 
-    Per grid cell, per polygon vertex: compute the weighted load floor over
-    the remaining curves, reserve the extreme-duration prefixes, and run the
+    Per grid cell of ``cover``'s cell loop at level L, with durations as
+    weights, per polygon vertex: compute the weighted load floor over the
+    remaining curves, reserve the extreme-duration prefixes, and run the
     greedy 1-D scheduler on the curve instance, stopped at the per-iteration
     target.  Every block schedules into the shared global timeline, so a
     universe point is protected during times 1..t_i by whichever block is
     responsible for it.
     """
-    poly = instance.polygon
-    refl = reflect(poly)
-    grid = grid_spec(refl)
+    sensors = instance.sensors
     _, L = planar_load(instance)
-    k_cell = L // grid.beta
-    sched = PlanarSchedule()
-    sched.info = {"L": L, "beta": grid.beta, "k_cell": k_cell, "cells": {}}
-    if k_cell < 1:
+    grid, ran = _grid_cells(instance.polygon, [s.center for s in sensors], L,
+                            _schedule_block, weights=[s.d for s in sensors],
+                            ids=[s.id for s in sensors])
+    sched = PlanarSchedule(info={"L": L, **grid})
+    if grid["k_cell"] < 1:
         sched.trivial = True
-        sched.start = {s.id: 1 for s in instance.sensors}
+        sched.start = {s.id: 1 for s in sensors}
         return sched
-
-    centers = [s.center for s in instance.sensors]
-    cells = cell_partition(centers, grid)
-    for cell, idxs in sorted(cells.items()):
-        cell_sensors = [instance.sensors[idx] for idx in idxs]
-        cell_info = {"size": len(cell_sensors), "iterations": [],
-                     "skipped": sum(s.d for s in cell_sensors) < k_cell}
-        sched.info["cells"][cell] = cell_info
-        if cell_info["skipped"]:
-            continue
-        starts, records = _iterate_vertices(
-            refl, [s.center for s in cell_sensors], k_cell, _schedule_block,
-            weights=[s.d for s in cell_sensors],
-            ids=[s.id for s in cell_sensors])
-        cell_info["iterations"] = [
-            {"i": i, "L": lw, "t": t, "x_size": x_size, "assigned": assigned}
-            for (i, lw, t, x_size, assigned) in records]
+    for name, _, starts, records in ran:
+        sched.info["cells"][name]["iterations"] = [
+            dict(zip(("i", "L", "t", "x_size", "assigned"), r))
+            for r in records]
         sched.start.update(starts)
     return sched
 

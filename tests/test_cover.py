@@ -9,7 +9,8 @@ from coverplex import cover, levelcurve
 from coverplex.cover import (CoverPreconditionError, compute_cover,
                              decompose_points, decompose_translates)
 from coverplex.generate import gen_planar, gen_points, polygon
-from coverplex.geometry import (ConvexPolygon, perturbation_direction, reflect,
+from coverplex.geometry import (ConvexPolygon, cell_partition, grid_spec,
+                                perturbation_direction, reflect,
                                 strict_support_edges)
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions,
@@ -278,6 +279,79 @@ def test_decompose_translates_classes_cover_heavy_points():
         for cls in classes:
             assert any(TRIANGLE.contains(probe, center=centers[idx])
                        for idx in cls), probe
+
+
+def heavy_cluster():
+    """8,000 triangle centers on a 2 x 2 cluster: at k = 7,200 one cell
+    runs and gives T = 2."""
+    rng = random.Random(5)
+    return [(10 + rng.randint(0, 1), 10 + rng.randint(0, 1))
+            for _ in range(8000)]
+
+
+def unit_centers_spread_8():
+    """Unit-duration planar instance over 36 cells; at its load L = 338,
+    one cell is lighter than k_cell = 21 and is skipped."""
+    return gen_planar(3, n_sensors=3000, d_max=1, spread=8, universe_size=4)
+
+
+def test_decompose_translates_classes_cover_heavy_points_at_t2():
+    centers, k = heavy_cluster(), 7200
+    classes, info = decompose_translates(TRIANGLE, centers, k)
+    assert info["T"] == 2 and [len(c) for c in classes] == [7981, 19]
+    heavy = 0
+    for probe in [(10, 10), (11, 11), (10, 11), (11, 10)]:
+        if sum(TRIANGLE.contains(probe, center=c) for c in centers) < k:
+            continue
+        heavy += 1
+        for cls in classes:
+            assert any(TRIANGLE.contains(probe, center=centers[idx])
+                       for idx in cls), probe
+    assert heavy >= 3  # (10, 10), (10, 11) and (11, 10) lie in every one
+
+
+def test_translate_cells_match_point_decomposition_and_planar_cells():
+    inst = unit_centers_spread_8()
+    spread = [s.center for s in inst.sensors]
+    # the cluster and a copy that falls into 4 more cells: 5 cells at T = 2;
+    # 36 cells of which 3 are skipped; one cell of exactly k_cell centers
+    cluster = heavy_cluster()
+    two = cluster + [(x + 40, y + 40) for x, y in cluster]
+    for poly, centers, k in [(TRIANGLE, two, 7200),
+                             (inst.polygon, spread, 600),
+                             (TRIANGLE, [(0, 0)] * 16, 16 * 16)]:
+        classes, info = decompose_translates(poly, centers, k)
+        class_of = {idx: c for c, cls in enumerate(classes, 1) for idx in cls}
+        refl = reflect(poly)
+        cells = cell_partition(centers, grid_spec(refl))
+        assert list(info["cells"]) == [str(c) for c in sorted(cells)]
+        ran = 0
+        for cell, idxs in cells.items():
+            got = info["cells"][str(cell)]
+            assert got["size"] == len(idxs)
+            assert got["skipped"] == (len(idxs) < info["k_cell"])
+            if got["skipped"]:
+                continue
+            ran += 1
+            asg, trace = decompose_points(refl, [centers[j] for j in idxs],
+                                          info["k_cell"])
+            assert got["T"] == asg.T
+            assert got["trace"] == [r._asdict() for r in trace.records]
+            if info["T"] >= 2:  # a cell's color c <= T is class c
+                for local, j in enumerate(idxs):
+                    c = asg.colors.get(local)
+                    assert class_of[j] == (c if c and c <= info["T"] else 1)
+        assert ran >= 1
+    # unit durations: the planar cells are the translate cells at k = L
+    sched = plan_schedule(inst)
+    L = sched.info["L"]
+    _, info = decompose_translates(inst.polygon, spread, L)
+    assert sched.info["k_cell"] == info["k_cell"] >= 1
+    shape = {name: (c["size"], c["skipped"])
+             for name, c in sched.info["cells"].items()}
+    assert shape == {name: (c["size"], c["skipped"])
+                     for name, c in info["cells"].items()}
+    assert any(skipped for _, skipped in shape.values())
 
 
 def count_position_builds(monkeypatch):

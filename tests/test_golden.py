@@ -5,6 +5,7 @@ name the output change in CHANGES.md.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -40,6 +41,27 @@ def _unit_centers(seed, k):
             "centers": [jsonio.point_to_json(s.center)
                         for s in inst.sensors],
             "k": k}
+
+
+def _heavy_centers():
+    """8,000 triangle translates on a 2 x 2 cluster at k = 7,200: one cell
+    with T = 2, so the classes path runs (classes of 7,981 and 19)."""
+    rng = random.Random(5)
+    centers = [(10 + rng.randint(0, 1), 10 + rng.randint(0, 1))
+               for _ in range(8000)]
+    return {"polygon": jsonio.polygon_to_json(polygon("triangle")),
+            "centers": [jsonio.point_to_json(c) for c in centers],
+            "k": 7200}
+
+
+def _spread_centers():
+    """Unit-duration centers over spread 8 at k = 600: 36 cells, 3 of them
+    skipped as lighter than k_cell."""
+    inst = gen_planar(3, n_sensors=3000, d_max=1, spread=8, universe_size=4)
+    return {"polygon": jsonio.polygon_to_json(inst.polygon),
+            "centers": [jsonio.point_to_json(s.center)
+                        for s in inst.sensors],
+            "k": 600}
 
 
 def _rsc(seed, n, m, d_max):
@@ -130,6 +152,12 @@ CASES = {
     "decomp-translates-21-1200": (
         ["decomp", "translates"], lambda: _unit_centers(21, 1200),
         "086d1a3d620289b0fa3c24dbdbcf20ae6086bbafb270f3a3da3e026f3703edd5"),
+    "decomp-translates-heavy-7200": (
+        ["decomp", "translates"], _heavy_centers,
+        "a66c58b314f1abc4cbd19e7ecbca0031c3dac9199f8ee870c92b2f2b62602d5f"),
+    "decomp-translates-spread-600": (
+        ["decomp", "translates"], _spread_centers,
+        "fd20af9c92fe090b082afc4f09db5c113bd3846badea0ededfdaed26cbbb9053"),
     "rsc-solve-dense-0": (
         ["rsc", "solve"], lambda: _rsc(0, *DENSE),
         "31962ac028b50a49c400af6ef1be2fbc2785c95b05a95bc7e5c9693d0a27df3e"),
