@@ -10,11 +10,10 @@ from .levelcurve import (EmptyLevelCurveError, LevelCurve, WedgeFrame,
                          build_level_curve, canonical_positions,
                          min_load_on_curve)
 from .planar import (PlanarInstance, PlanarSchedule, PlanarSensor,
-                     curve_rsc_instance, plan_schedule, planar_load,
-                     verify_planar)
+                     curve_rsc_instance, plan_schedule, planar_load)
 from .rsc import (RscInstance, Schedule, Sensor, duration, greedy_schedule,
                   load)
 from .verify import (VerificationReport, rsc_opt_bruteforce, verify_coloring,
-                     verify_rsc)
+                     verify_planar, verify_rsc)
 
 __version__ = "0.1.0"

@@ -41,6 +41,24 @@ def _read_doc(args):
         raise InputError("unreadable JSON: %s" % exc)
 
 
+def _read_pair(args, read_instance, read_schedule, **kwargs):
+    """An {instance, schedule} document's two parts, by the two readers."""
+    doc = _read_doc(args)
+    try:
+        return (read_instance(doc["instance"]),
+                read_schedule(doc["schedule"], **kwargs))
+    except (KeyError, TypeError) as exc:
+        raise InputError("expected {instance, schedule}: %s" % exc)
+
+
+def _at_least(args, **least):
+    """Reject the first set flag whose value is below its least value."""
+    for dest, low in least.items():
+        if (value := getattr(args, dest)) is not None and value < low:
+            raise InputError("--%s must be at least %d, got %d"
+                             % (dest.replace("_", "-"), low, value))
+
+
 def _write(args, text):
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
@@ -64,6 +82,7 @@ def _plot(args, draw, *data):
 # -- rsc --------------------------------------------------------------------
 
 def cmd_rsc_solve(args):
+    _at_least(args, stop_at=1)
     inst = jsonio.rsc_instance_from_json(_read_doc(args))
     sched = rsc.greedy_schedule(inst, stop_at=args.stop_at)
     _, L = rsc.load(inst)
@@ -73,13 +92,9 @@ def cmd_rsc_solve(args):
 
 
 def cmd_rsc_verify(args):
-    doc = _read_doc(args)
-    try:
-        inst = jsonio.rsc_instance_from_json(doc["instance"])
-        sched = jsonio.schedule_from_json(doc["schedule"],
-                                          stop_at=args.stop_at)
-    except (KeyError, TypeError) as exc:
-        raise InputError("expected {instance, schedule}: %s" % exc)
+    _at_least(args, stop_at=1)
+    inst, sched = _read_pair(args, jsonio.rsc_instance_from_json,
+                             jsonio.schedule_from_json, stop_at=args.stop_at)
     report = verify.verify_rsc(inst, sched)
     _emit_json(args, report.to_json())
     return 0 if report.ok() else 1
@@ -163,13 +178,9 @@ def cmd_plan_solve(args):
 
 
 def cmd_plan_verify(args):
-    doc = _read_doc(args)
-    try:
-        inst = jsonio.planar_instance_from_json(doc["instance"])
-        sched = jsonio.planar_schedule_from_json(doc["schedule"])
-    except (KeyError, TypeError) as exc:
-        raise InputError("expected {instance, schedule}: %s" % exc)
-    report = planar.verify_planar(inst, sched)
+    inst, sched = _read_pair(args, jsonio.planar_instance_from_json,
+                             jsonio.planar_schedule_from_json)
+    report = verify.verify_planar(inst, sched)
     _emit_json(args, report.to_json() | {"M_achieved":
                                          report.stats["M_achieved"],
                                          "L": report.stats["L"]})
@@ -177,14 +188,6 @@ def cmd_plan_verify(args):
 
 
 # -- gen --------------------------------------------------------------------
-
-def _at_least(args, **least):
-    """Reject the first flag whose value is below its least value."""
-    for dest, low in least.items():
-        if (value := getattr(args, dest)) < low:
-            raise InputError("--%s must be at least %d, got %d"
-                             % (dest.replace("_", "-"), low, value))
-
 
 def cmd_gen_rsc(args):
     _at_least(args, n=0, m=1, d_max=1)
@@ -245,12 +248,8 @@ def cmd_plot_coloring(args):
 
 
 def cmd_plot_schedule(args):
-    doc = _read_doc(args)
-    try:
-        inst = jsonio.rsc_instance_from_json(doc["instance"])
-        sched = jsonio.schedule_from_json(doc["schedule"])
-    except (KeyError, TypeError) as exc:
-        raise InputError("expected {instance, schedule}: %s" % exc)
+    inst, sched = _read_pair(args, jsonio.rsc_instance_from_json,
+                             jsonio.schedule_from_json)
     _plot(args, svgplot.svg_schedule, inst, sched)
     return 0
 

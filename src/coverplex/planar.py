@@ -6,7 +6,8 @@ become points against the reflected polygon, each grid cell is handled
 independently, and for each polygon vertex a duration-weighted level curve
 turns the cell's sensors into 1-D sensors over the curve's canonical
 positions.  All blocks share one global timeline; the achieved duration is
-certified only by full simulation (verify_planar), never assumed.
+certified only by full simulation (verify.verify_planar, which has its own
+membership test and is also importable from here), never assumed.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from typing import NamedTuple
 from .cover import _grid_cells
 from .geometry import ConvexPolygon
 from .rsc import RscInstance, Sensor, greedy_schedule
-from .verify import VerificationReport, check_assignments
 
-# unused here; perfbench/tracer.py patches these names in this module
+# unused here; perfbench patches (or calls) these names in this module
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from .cover import _reserved_filter  # noqa: F401
 from .geometry import cell_partition  # noqa: F401
 from .levelcurve import LevelCurve, min_load_on_curve  # noqa: F401
 from .levelcurve import position_index_ranges  # noqa: F401
+from .verify import verify_planar  # noqa: F401
 
 
 class PlanarSensor(NamedTuple):
@@ -124,51 +125,3 @@ def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:
             for r in records]
         sched.start.update(starts)
     return sched
-
-
-def verify_planar(instance: PlanarInstance,
-                  schedule: PlanarSchedule) -> VerificationReport:
-    """Ground-truth check by full simulation: for every universe point, its
-    load and the longest prefix of time steps during which some assigned
-    sensor's translate contains it, from one membership test per distinct
-    sensor center.  Reports M_achieved and the ratio to the minimum L."""
-    report = VerificationReport()
-    poly = instance.polygon
-    check_assignments(report, instance.sensors, schedule.start)
-    at_center = {}
-    for s in instance.sensors:
-        at_center.setdefault(s.center, []).append(s)
-
-    L = None
-    m_achieved = None
-    witness = None
-    for u in instance.universe:
-        load = 0
-        spans = []
-        for center, group in at_center.items():
-            if not poly.contains(u, center=center):
-                continue
-            for sid, _, d in group:
-                load += d
-                t0 = schedule.start.get(sid)
-                if t0 is not None:
-                    spans.append((t0, t0 + d - 1))
-        if L is None or load < L:
-            L = load
-        spans.sort()
-        reach = 0
-        for (a, b) in spans:
-            if a > reach + 1:
-                break
-            reach = max(reach, b)
-        if m_achieved is None or reach < m_achieved:
-            m_achieved = reach
-            witness = {"point": list(u), "covered_until": reach}
-    L = L or 0
-    m_achieved = m_achieved or 0
-    report.stats["M_achieved"] = m_achieved
-    report.stats["L"] = L
-    report.stats["floor_point"] = witness
-    report.ratio = (m_achieved / L) if L else None
-    report.add("simulated", True, None)
-    return report

@@ -459,3 +459,51 @@ def verify_rsc(instance, schedule):
                    None if blocked else {"M": m_s})
     report.ratio = (m_s / L) if L else None
     return report
+
+
+def verify_planar(instance, schedule):
+    """Full simulation: per universe point, its load and the longest prefix of
+    times in which an assigned sensor holds it; M_achieved is the least
+    prefix, L the least load.  With the vertices, centroid O, centers and
+    universe scaled by one lcm, u is in the translate at c iff u - c + O is
+    on or left of every CCW edge, tested once per (u, distinct center)."""
+    report = VerificationReport()
+    check_assignments(report, instance.sensors, schedule.start)
+    poly, universe = instance.polygon, instance.universe
+    at_center = {}  # center -> [load, spans of its assigned sensors]
+    for sid, center, d in instance.sensors:
+        group = at_center.setdefault(center, [0, []])
+        group[0] += d
+        if (t0 := schedule.start.get(sid)) is not None:
+            group[1].append((t0, t0 + d - 1))
+    scale = lcm(*{c.denominator for p in (*poly.vertices, poly.centroid,
+                                          *at_center, *universe) for c in p})
+
+    def scaled(p):
+        return int(p[0] * scale), int(p[1] * scale)
+    vs = list(map(scaled, poly.vertices))
+    ox, oy = scaled(poly.centroid)
+    # left of edge a -> b iff cross(b - a, u - c) >= cross(b - a, a - O)
+    edges = [(bx - ax, by - ay, cross((bx - ax, by - ay), (ax - ox, ay - oy)))
+             for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1])]
+    groups = [(*scaled(c), w, sp) for c, (w, sp) in at_center.items()]
+    loads, reaches = [], []
+    for ux, uy in map(scaled, universe):
+        load, spans = 0, []
+        for cx, cy, w, sp in groups:
+            dx, dy = ux - cx, uy - cy
+            for ex, ey, k in edges:
+                if ex * dy - ey * dx < k:
+                    break
+            else:
+                load += w
+                spans += sp
+        loads.append(load)
+        reaches.append(_prefix_end(spans))
+    L, M = min(loads, default=0), min(reaches, default=0)
+    report.stats = {"M_achieved": M, "L": L, "floor_point": {
+        "point": list(universe[reaches.index(M)]), "covered_until": M}
+        if reaches else None}
+    report.ratio = M / L if L else None
+    report.add("simulated", True)
+    return report

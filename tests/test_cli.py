@@ -714,6 +714,25 @@ def test_generator_flag_out_of_range_exit_2(capsys, argv):
     assert err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("stop_at", [0, -2])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_rsc_stop_at_below_one_exit_2(tmp_path, capsys, command, stop_at):
+    """The greedy tests its stop only after a pick, so a stop below 1 would
+    still assign one sensor, and the verifier would pass that schedule."""
+    inst = gen_rsc(0, n=30, m=6)
+    one = greedy_schedule(inst, stop_at=0)
+    assert len(one.start) == 1
+    doc = jsonio.rsc_instance_to_json(inst)
+    if command == "verify":
+        doc = {"instance": doc, "schedule": jsonio.schedule_to_json(one)}
+    p = tmp_path / "doc.json"
+    p.write_text(jsonio.dumps(doc))
+    code, out, err = run(["rsc", command, "--in", str(p), "--stop-at",
+                          str(stop_at)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --stop-at must be at least 1, got %d\n" % stop_at
+
+
 @pytest.mark.parametrize("fmt", ["svg", "json"])
 @pytest.mark.parametrize("i", [3, -1], ids=["n", "-1"])
 def test_plot_curve_vertex_out_of_range_exit_2(tmp_path, capsys, fmt, i):

@@ -1041,15 +1041,28 @@ def test_verify_coloring_matches_all_points_oracle(case):
 @st.composite
 def planar_cases(draw):
     """Sensors on a few shared centers, integer or rational, a universe
-    around them, and a schedule starting a random subset."""
-    shape = draw(st.sampled_from(sorted(POLYGONS)))
-    poly = ConvexPolygon(POLYGONS[shape])
+    around them, and a schedule starting a random subset; the polygon is a
+    named one or the kite, and may be reflected (rational vertices and
+    centroid).  Each universe point is a center plus a corner, an edge
+    midpoint or a diagonal midpoint of the polygon about its centroid, so
+    that it lies on the rim of, or inside, that center's translate; in
+    some universes random points mix with these."""
+    shape = draw(st.sampled_from(sorted(POLYGONS) + ["kite"]))
+    poly = ConvexPolygon(KITE if shape == "kite" else POLYGONS[shape])
+    if draw(st.booleans()):
+        poly = reflect(poly)
     spot = st.tuples(rationals, rationals) | st.tuples(coords, coords)
     centers = draw(st.lists(spot, min_size=1, max_size=5))
     sensors = [(3 * sid + 1, draw(st.sampled_from(centers)),
                 draw(st.integers(1, 5)))
                for sid in range(draw(st.integers(1, 25)))]
-    universe = draw(st.lists(spot, min_size=1, max_size=6))
+    ox, oy = poly.centroid
+    rim = [(Fraction(x0 + x1, 2) - ox, Fraction(y0 + y1, 2) - oy)
+           for x0, y0 in poly.vertices for x1, y1 in poly.vertices]
+    near = st.tuples(st.sampled_from(centers), st.sampled_from(rim)).map(
+        lambda cr: (cr[0][0] + cr[1][0], cr[0][1] + cr[1][1]))
+    universe = draw(st.lists(near, min_size=1, max_size=6)
+                    | st.lists(spot | near, min_size=1, max_size=6))
     inst = PlanarInstance(poly, sensors, universe)
     start = {s.id: draw(st.integers(1, 8)) for s in inst.sensors
              if draw(st.booleans())}

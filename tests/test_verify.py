@@ -1,14 +1,19 @@
 import ast
 import random
 import time
+from fractions import Fraction
 from importlib.util import resolve_name
 from pathlib import Path
 
 import pytest
 
-from coverplex import EmptyLevelCurveError, verify
+import reference
+from coverplex import (EmptyLevelCurveError, cover, levelcurve, planar, rsc,
+                       verify)
 from coverplex.cover import ColorAssignment, decompose_points
-from coverplex.generate import gen_points, gen_rsc, polygon
+from coverplex.generate import gen_planar, gen_points, gen_rsc, polygon
+from coverplex.geometry import ConvexPolygon, reflect
+from coverplex.planar import PlanarInstance, PlanarSchedule, plan_schedule
 from coverplex.rsc import (RscInstance, Schedule, duration, greedy_schedule,
                            load)
 from coverplex.verify import (rsc_opt_bruteforce, verify_coloring, verify_rsc)
@@ -193,6 +198,80 @@ def test_verify_module_imports_only_geometry_from_the_package():
                          if module == "coverplex" else {module})
     assert {name for name in imported if name.split(".")[0] == "coverplex"} \
         == {"coverplex.geometry"}
+
+
+def _taken_from(module, source):
+    """The names that ``module``'s imports take from the coverplex module
+    ``source``; the module itself counts as the name "*"."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names |= {"*" for a in node.names if a.name == source}
+        elif isinstance(node, ast.ImportFrom):
+            frm = resolve_name("." * node.level + (node.module or ""),
+                               "coverplex") if node.level else node.module
+            names |= {a.name for a in node.names if frm == source}
+            names |= {"*" for a in node.names
+                      if frm + "." + a.name == source}
+    return names
+
+
+def test_algorithm_modules_take_only_verify_planar_from_verify():
+    """The solvers share no code with their verifiers; planar only keeps
+    the planar verifier importable under its old name."""
+    for module in (cover, levelcurve, rsc):
+        assert _taken_from(module, "coverplex.verify") == set(), module
+    assert _taken_from(planar, "coverplex.verify") == {"verify_planar"}
+    assert planar.verify_planar is verify.verify_planar
+
+
+def _rational_planar_instance():
+    """A reflected hexagon (rational vertices and centroid) with centers
+    off the integer grid; the universe is the corners and edge midpoints
+    of three of the translates, where membership is decided by equality,
+    and shifted random points."""
+    base = gen_planar(4, poly_name="hexagon", n_sensors=150, d_max=5,
+                      spread=3, universe_size=12)
+    poly = reflect(base.polygon)
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    centers = [(x + third, y - half) for x, y in
+               (s.center for s in base.sensors)]
+    ox, oy = poly.centroid
+    vs = poly.vertices
+    ends = list(zip(vs, vs)) + list(zip(vs, vs[1:] + vs[:1]))
+    rim = [(cx + Fraction(x0 + x1, 2) - ox, cy + Fraction(y0 + y1, 2) - oy)
+           for cx, cy in list(dict.fromkeys(centers))[:3]
+           for (x0, y0), (x1, y1) in ends]
+    return PlanarInstance(
+        poly, [(s.id, c, s.d) for s, c in zip(base.sensors, centers)],
+        rim + [(x + half, y - third) for x, y in base.universe])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_planar(0, n_sensors=2600, d_max=7, spread=2,
+                       universe_size=5),
+    _rational_planar_instance], ids=["criterion-10", "rational-centers"])
+def test_verify_planar_has_its_own_membership_test(monkeypatch, make):
+    """verify.verify_planar never calls the solver's ConvexPolygon.contains
+    (which also gives the L that plan_schedule solves against), and it
+    agrees with the per-sensor oracle computed with that test, on the
+    whole universe and on each of its points alone."""
+    inst = make()
+    scheds = [plan_schedule(inst), PlanarSchedule(
+        start={s.id: 1 + s.id % 3 for s in inst.sensors if s.id % 5})]
+    cases = [(inst, sched) for sched in scheds] + [
+        (PlanarInstance(inst.polygon, inst.sensors, [u]), scheds[1])
+        for u in inst.universe]
+    refs = [reference.verify_planar(*case) for case in cases]
+    assert refs[1].stats["M_achieved"] >= 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ConvexPolygon.contains called")
+    monkeypatch.setattr(ConvexPolygon, "contains", refuse)
+    for case, ref in zip(cases, refs):
+        got = verify.verify_planar(*case)
+        assert got.to_json() == ref.to_json()
+        assert got.stats == ref.stats
 
 
 def test_report_json_shape():
