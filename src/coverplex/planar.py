@@ -5,9 +5,11 @@ The planar problem reduces to the 1-D interval scheduler: translate centers
 become points against the reflected polygon, each grid cell is handled
 independently, and for each polygon vertex a duration-weighted level curve
 turns the cell's sensors into 1-D sensors over the curve's canonical
-positions.  All blocks share one global timeline; the achieved duration is
-certified only by full simulation (verify.verify_planar, which has its own
-membership test and is also importable from here), never assumed.
+positions, handed to the 1-D greedy's pick loop as rows read off the
+curve's position index.  All blocks share one global timeline; the
+achieved duration is certified only by full simulation
+(verify.verify_planar, which has its own membership test and is also
+importable from here), never assumed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 from .cover import _grid_cells
 from .geometry import ConvexPolygon
-from .rsc import RscInstance, Sensor, greedy_schedule
+from .rsc import RscInstance, Sensor, _greedy, segment_cuts
 
 # unused here; perfbench patches (or calls) these names in this module
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -25,6 +27,7 @@ from .cover import _reserved_filter  # noqa: F401
 from .geometry import cell_partition  # noqa: F401
 from .levelcurve import LevelCurve, min_load_on_curve  # noqa: F401
 from .levelcurve import position_index_ranges  # noqa: F401
+from .rsc import greedy_schedule  # noqa: F401
 from .verify import verify_planar  # noqa: F401
 
 
@@ -80,7 +83,8 @@ def curve_rsc_instance(index, items):
     of positions whose wedge contains it.  Items outside every curve wedge
     are dropped.  A's positions only split the stretches between those of
     ``items``, on which the live sensors are constant, so the greedy
-    chooses the same starts.
+    chooses the same starts.  ``_schedule_block`` schedules this instance
+    without building it; the tests use this one as its oracle.
     """
     positions, ranges = index
     sensors = []
@@ -94,8 +98,15 @@ def curve_rsc_instance(index, items):
 
 def _schedule_block(index, items, t: int):
     """Block solver of the planar vertex loop: the greedy 1-D schedule of
-    the curve instance, stopped once it covers t; {sensor id: start}."""
-    return greedy_schedule(curve_rsc_instance(index, items), stop_at=t).start
+    curve_rsc_instance(index, items), stopped once it covers t; {sensor id:
+    start}.  The rows go to the greedy's pick loop straight from the index
+    ranges, at 0-based positions (a shift moves no start), so no 1-D
+    instance is built: the ranges lie within 0..K-1 and a cell's ids are
+    unique by construction."""
+    positions, ranges = index
+    rows = [(pid, rng[0], rng[1], w) for (_, _, pid, w) in items
+            if (rng := ranges[pid]) is not None]
+    return _greedy(rows, segment_cuts(rows, 0, len(positions)), t)[0]
 
 
 def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:
@@ -104,10 +115,10 @@ def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:
     Per grid cell of ``cover``'s cell loop at level L, with durations as
     weights, per polygon vertex: compute the weighted load floor over the
     remaining curves, reserve the extreme-duration prefixes, and run the
-    greedy 1-D scheduler on the curve instance, stopped at the per-iteration
-    target.  Every block schedules into the shared global timeline, so a
-    universe point is protected during times 1..t_i by whichever block is
-    responsible for it.
+    greedy 1-D scheduler on the surviving items' index ranges
+    (``_schedule_block``), stopped at the per-iteration target.  Every
+    block schedules into the shared global timeline, so a universe point is
+    protected during times 1..t_i by whichever block is responsible for it.
     """
     sensors = instance.sensors
     _, L = planar_load(instance)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -29,6 +29,13 @@ class Sensor(NamedTuple):
     l: int
     r: int
     d: int
+
+
+def segment_cuts(rows, first, end):
+    """Sorted segment starts of (id, l, r, d) rows over coordinates
+    first .. end - 1, then ``end``: each l and each r + 1."""
+    return sorted({first, end}.union(map(_L, rows),
+                                     map((1).__add__, set(map(_R, rows)))))
 
 
 class RscInstance:
@@ -51,9 +58,7 @@ class RscInstance:
         """First coordinates of the segments in order, then m + 1; and the
         index of each of those coordinates, so a sensor holds segments
         seg[l] .. seg[r + 1] - 1.  Built once per instance."""
-        ends = set(map(_R, self.sensors))
-        cuts = sorted({1, self.m + 1}.union(map(_L, self.sensors),
-                                            map((1).__add__, ends)))
+        cuts = segment_cuts(self.sensors, 1, self.m + 1)
         return cuts, dict(zip(cuts, range(len(cuts))))
 
 
@@ -97,7 +102,7 @@ def _max_tree(values):
     row = values + [-INF] * (size - len(values))
     levels = [row]
     while len(row) > 1:
-        row = list(map(max, row[0::2], row[1::2]))
+        row = [x if x >= y else y for x, y in zip(row[0::2], row[1::2])]
         levels.append(row)
     return [-INF, *chain.from_iterable(reversed(levels))]
 
@@ -110,7 +115,9 @@ def _prefix_max(tree, p):
     h = size
     while h:
         if p & h:
-            best = max(best, tree[(size + k) // h])
+            value = tree[(size + k) // h]
+            if value > best:
+                best = value
             k += h
         h >>= 1
     return best
@@ -138,48 +145,73 @@ def _leftmost_at_least(tree, p, x):
 
 
 def _set_leaf(tree, k, value):
-    """Set value k of a max-tree and the maxima above it."""
+    """Set value k of a max-tree and the maxima above it, up to the first
+    that stays."""
     node = (len(tree) >> 1) + k
     tree[node] = value
     while node > 1:
         node >>= 1
-        tree[node] = max(tree[2 * node], tree[2 * node + 1])
+        a, b = tree[2 * node], tree[2 * node + 1]
+        if a < b:
+            a = b
+        if tree[node] == a:
+            break
+        tree[node] = a
 
 
 def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
     """The greedy schedule, stopped once every coordinate is covered up to
-    ``stop_at`` (if given).  Set-up sorts the sensors once; each pick is
-    O(log n) tree descents plus one pass over the S <= 2n + 1 segments at
-    C speed (their minimum, its run and the covered-until update)."""
-    sched = Schedule(stop_at=stop_at)
-    cuts, seg = instance._segments
+    ``stop_at`` (if given): ``_greedy`` over the instance's sensors and
+    segments."""
+    start, events = _greedy(instance.sensors, instance._segments[0], stop_at)
+    return Schedule(start=start, events=events, stop_at=stop_at)
+
+
+def _greedy(rows, cuts, stop_at):
+    """The greedy's pick loop over (id, l, r, d) rows with unique ids and
+    the segment starts ``cuts``, then one past the last coordinate, where
+    every l and every r + 1 is a cut (``segment_cuts``); returns ({id:
+    start}, events).  Starts do not change when every coordinate shifts.
+
+    Set-up sorts the rows once.  Each pick is O(log n) tree descents, two
+    byte searches for the minimum's first run, and a covered-until update
+    over the chosen range at C speed; only a rise of the minimum takes
+    passes over all S <= 2n + 1 segments."""
+    start, events = {}, []
     # Every start is t = min covered_until + 1 <= covered_until[x] + 1 at each
     # coordinate x of the chosen range, so the times covered at x are always
     # the prefix 1..covered_until[x]: one number per segment, no timeline.
-    covered_until = [0] * (len(cuts) - 1)
+    # One INF past the last segment is the neighbour of both ends.
+    S = len(cuts) - 1
+    covered_until = [0] * S + [INF]
+    # at_low[k] is 1 iff segment k is at the minimum low, and a 0 ends the
+    # last run.  A pick starts at low + 1 and holds segment a, so it lifts
+    # every segment it holds above low; the minimum rises only once no flag
+    # is left.
+    low = 0
+    at_low = bytearray(b"\x01") * S + b"\x00"
+    a = 0
+    stop = INF if stop_at is None else stop_at
     # The sensors in the tie rule for extending left: smallest l, then
     # largest r, then id.  The sensors of one l form a bucket, and a
     # bucket's first unassigned sensor, its head, has the bucket's largest
     # r.  Both picks take a head, so the unassigned sensors of a bucket
     # stay a suffix of it, and a max-tree over the heads' r finds a pick.
-    order = sorted(instance.sensors, key=_ID)
+    order = sorted(rows, key=_ID)
     order.sort(key=_R, reverse=True)
     order.sort(key=_L)
     ls = list(map(_L, order))
     bucket_l = sorted(set(ls))
     head = [bisect_left(ls, l) for l in bucket_l]
     bucket_end = head[1:] + [len(order)]
-    heads_r = _max_tree([order[k].r for k in head])
+    heads_r = _max_tree([order[k][2] for k in head])
 
     while True:
-        low = min(covered_until)
         t = low + 1
-        # segments achieving the minimum are exactly the ones uncovered at
-        # time t; a..b is the first run of them
-        a = covered_until.index(low)
-        b = a + len(list(takewhile(low.__eq__,
-                                   islice(covered_until, a + 1, None))))
-        i, j = cuts[a], cuts[b + 1] - 1
+        # segments at the minimum are exactly the ones uncovered at time t;
+        # a..b - 1 is the first run of them
+        b = at_low.find(0, a)
+        i, j = cuts[a], cuts[b] - 1
 
         # Tie rule for extending right: largest r, then smallest l, then id.
         # The sensors live at i are in the buckets with l <= i whose head
@@ -190,29 +222,36 @@ def greedy_schedule(instance: RscInstance, stop_at=None) -> Schedule:
             break
         k = _leftmost_at_least(heads_r, p, r_max)
         direction, closes = "right", i
-        if r_max >= j:
-            m_left = covered_until[a - 1] if a else INF
-            m_right = (covered_until[b + 1] if b + 1 < len(covered_until)
-                       else INF)
-            if m_left < m_right:
-                # the leftmost bucket whose head reaches j; the right pick
-                # is live at j, so there is one
-                k = _leftmost_at_least(heads_r, bisect_right(bucket_l, j), j)
-                direction, closes = "left", j
+        if r_max >= j and covered_until[a - 1] < covered_until[b]:
+            # the leftmost bucket whose head reaches j; the right pick is
+            # live at j, so there is one
+            k = _leftmost_at_least(heads_r, bisect_right(bucket_l, j), j)
+            direction, closes = "left", j
 
-        chosen = order[head[k]]
+        sid, l, r, d = order[head[k]]
         head[k] += 1
-        _set_leaf(heads_r, k, order[head[k]].r if head[k] < bucket_end[k]
+        _set_leaf(heads_r, k, order[head[k]][2] if head[k] < bucket_end[k]
                   else -INF)
-        sched.start[chosen.id] = t
-        sched.events.append(Assignment(id=chosen.id, t=t, closes=closes,
-                                       direction=direction, interval=(i, j)))
-        end = t + chosen.d - 1
-        lo, hi = seg[chosen.l], seg[chosen.r + 1]
-        covered_until[lo:hi] = map(max, covered_until[lo:hi], repeat(end))
-        if stop_at is not None and min(covered_until) >= stop_at:
+        start[sid] = t
+        events.append(Assignment(sid, t, closes, direction, (i, j)))
+        end = t + d - 1
+        lo, hi = bisect_left(cuts, l), bisect_left(cuts, r + 1)
+        covered_until[lo:hi] = [x if x > end else end
+                                for x in covered_until[lo:hi]]
+        at_low[lo:hi] = bytes(hi - lo)
+        a = at_low.find(1)
+        if a < 0:
+            low = min(covered_until)
+            if low < stop:
+                # flag the new minimum's segments, from the first one on
+                a = x = covered_until.index(low)
+                at_low[a] = 1
+                for _ in range(covered_until.count(low) - 1):
+                    x = covered_until.index(low, x + 1)
+                    at_low[x] = 1
+        if low >= stop:
             break
-    return sched
+    return start, events
 
 
 def duration(schedule: Schedule, instance: RscInstance):

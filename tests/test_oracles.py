@@ -12,10 +12,12 @@ the position index by one built from (u, v) pairs with explicit gap
 midpoints, the coloring check over the positions of all points and over
 the level curve's positions of the colored points, planar loads and
 simulation with one membership test per sensor, grid cells by Fraction
-division, and the RSC greedy, durations and schedule checks by time-step
-simulation (`reference.py`).
+division, the RSC greedy, durations and schedule checks by time-step
+simulation (`reference.py`), and the planar block solver by the greedy on
+its curve's 1-D instance.
 """
 
+import random
 from fractions import Fraction
 from itertools import compress
 
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference
-from coverplex import cover, rsc
+from coverplex import cover, planar, rsc
 from coverplex.cover import (ColorAssignment, CoverPreconditionError,
                              _iterate_vertices, _reserved_filter,
                              compute_cover, decompose_points)
@@ -587,6 +589,57 @@ def test_greedy_duration_and_load_match_timeline_reference(data):
 
 
 @st.composite
+def pick_loop_cases(draw):
+    """Instances for the regimes of the greedy's run search: many segments
+    and few picks (unit sensors on distinct coordinates under a few long
+    sensors, stopped at 1..3), a minimum that rises after almost every pick
+    (durations 1..2, no stop), and a stop at 0, which makes one pick."""
+    regime = draw(st.sampled_from(["segments", "rises", "stop-0"]))
+    if regime == "segments":
+        m = draw(st.integers(4, 60))
+        xs = draw(st.lists(st.integers(1, m), min_size=1, max_size=m,
+                           unique=True))
+        ranges = [(x, x) for x in xs]
+        for _ in range(draw(st.integers(1, 4))):
+            l = draw(st.integers(1, m))
+            ranges.append((l, draw(st.integers(max(l, m // 2), m))))
+        d_max, stop_at = 6, draw(st.integers(1, 3))
+    else:
+        m = draw(st.integers(1, 12))
+        ranges = []
+        for _ in range(draw(st.integers(1, 40))):
+            l = draw(st.integers(1, m))
+            ranges.append((l, draw(st.integers(l, m))))
+        d_max, stop_at = (2, None) if regime == "rises" else (6, 0)
+    ids = draw(st.permutations(range(len(ranges))))
+    inst = rsc.RscInstance(m, [(3 * sid + 2, l, r,
+                                draw(st.integers(1, d_max)))
+                               for sid, (l, r) in zip(ids, ranges)])
+    return inst, stop_at
+
+
+@ORACLE
+@given(pick_loop_cases())
+def test_pick_loop_matches_timeline_reference_across_regimes(case):
+    inst, stop_at = case
+    got = rsc.greedy_schedule(inst, stop_at=stop_at)
+    ref = reference.greedy_schedule(inst, stop_at=stop_at)
+    assert got.start == ref.start
+    assert event_tuples(got) == event_tuples(ref)
+    if stop_at == 0:
+        assert len(got.events) == 1
+    # the loop on the rows and cuts shifted to start at 0 (as the planar
+    # block solver calls it) moves every coordinate, and no start
+    rows = [(sid, l - 1, r - 1, d) for sid, l, r, d in inst.sensors]
+    start, events = rsc._greedy(rows, [c - 1 for c in inst._segments[0]],
+                                 stop_at)
+    assert start == got.start
+    assert [(e.id, e.t, e.closes + 1, e.direction,
+             (e.interval[0] + 1, e.interval[1] + 1)) for e in events] == \
+        event_tuples(got)
+
+
+@st.composite
 def perturbed_schedules(draw, inst):
     """The greedy's schedule with starts shifted (below 1 included),
     assignments dropped and unassigned sensors started, or every sensor of
@@ -1078,6 +1131,65 @@ def test_planar_load_and_verify_match_per_sensor_oracle(case):
     ref = reference.verify_planar(inst, sched)
     assert got.to_json() == ref.to_json()
     assert got.stats == ref.stats
+
+
+def check_blocks(inst):
+    """Every block plan_schedule solves, captured by wrapping the block
+    solver it hands to the cell loop, matches the greedy on the curve's 1-D
+    instance; returns the blocks' stop times."""
+    blocks = []
+    real = planar._grid_cells
+
+    def grid_cells(poly, centers, level, solve_block, **kw):
+        def recorded(index, items, t):
+            blocks.append((index, items, t))
+            return solve_block(index, items, t)
+        return real(poly, centers, level, recorded, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planar, "_grid_cells", grid_cells)
+        plan_schedule(inst)
+    for index, items, t in blocks:
+        assert planar._schedule_block(index, items, t) == rsc.greedy_schedule(
+            curve_rsc_instance(index, items), stop_at=t).start
+    return [t for _, _, t in blocks]
+
+
+def test_block_solver_matches_curve_instance_greedy_on_criterion_runs():
+    for seed in range(4):
+        ts = check_blocks(gen_planar(seed, n_sensors=2600, d_max=7, spread=2,
+                                     universe_size=5))
+        assert len(ts) >= 8 and min(ts) >= 1
+
+
+@st.composite
+def block_cases(draw):
+    """A triangle, hexagon or kite, reflected or not, scaled by the spread
+    s in 2..20 of the centers over [0, s]^2, so its translates cover most
+    of that box and the universe in it; and f * 6/25 times 64 n beta
+    sensors of durations 1..9, so each block runs at about t = f."""
+    shape = draw(st.sampled_from(["triangle", "hexagon", "kite"]))
+    s = draw(st.integers(2, 20))
+    poly = ConvexPolygon([(x * s, y * s) for x, y in
+                          (KITE if shape == "kite" else POLYGONS[shape])])
+    if draw(st.booleans()):
+        poly = reflect(poly)
+    f = draw(st.integers(1, 2 if shape == "hexagon" else 3))
+    n = 64 * poly.n * grid_spec(reflect(poly)).beta * f * 6 // 25
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def spot():
+        return rng.randint(0, s), rng.randint(0, s)
+
+    return PlanarInstance(poly, [(sid, spot(), rng.randint(1, 9))
+                                 for sid in range(n)],
+                          [spot() for _ in range(rng.randint(1, 3))])
+
+
+@settings(ORACLE, max_examples=12)
+@given(block_cases())
+def test_block_solver_matches_curve_instance_greedy_on_scaled_polygons(inst):
+    assert check_blocks(inst)
 
 
 @ORACLE
