@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
@@ -190,10 +190,14 @@ def rsc_instance_to_json(inst: RscInstance):
                         for sid, l, r, d in inst.sensors]}
 
 
+_SENSOR_FIELDS = itemgetter("id", "l", "r", "d")
+
+
 def rsc_instance_from_json(doc):
     try:
-        sensors = [Sensor(s["id"], s["l"], s["r"], s["d"])
-                   for s in doc["sensors"]]
+        # each row's four fields in order, as a Sensor, at C speed
+        sensors = list(map(tuple.__new__, repeat(Sensor),
+                           map(_SENSOR_FIELDS, doc["sensors"])))
         # one test of every value's type at C speed; walk the sensors again
         # only to name the first bad field
         if not set(map(type, chain.from_iterable(sensors))) <= {int}:

@@ -254,25 +254,83 @@ def _greedy(rows, cuts, stop_at):
     return start, events
 
 
+def _tree_add(low, add, lo, hi, v):
+    """Add v to the counts of leaves lo .. hi - 1 at the O(log) nodes that
+    tile them, then refresh the minima on the paths above leaves lo and
+    hi - 1.  Above the tiles' parents, a node whose minimum stays ends its
+    path's walk, since nothing else below its ancestors changed."""
+    size = len(add) >> 1
+    l, r = lo + size, hi + size
+    tiled = size  # at the end, no node below this index has a tile child
+    while l < r:
+        if l & 1:
+            low[l] += v
+            add[l] += v
+            l += 1
+        if r & 1:
+            r -= 1
+            low[r] += v
+            add[r] += v
+        l >>= 1
+        r >>= 1
+        tiled >>= 1
+    l, r = (lo + size) >> 1, (hi - 1 + size) >> 1
+    for p in (l, r) if l != r else (l,):
+        while p:
+            a, b = low[2 * p], low[2 * p + 1]
+            a = (a if a < b else b) + add[p]
+            if a == low[p] and p < tiled:
+                break
+            low[p] = a
+            p >>= 1
+
+
+def _first_zero(low, add):
+    """The leftmost leaf whose count is 0, by one descent from the root;
+    counts are never negative and some count is 0."""
+    size = len(add) >> 1
+    p = 1
+    above = 0  # the adds of p's ancestors and p
+    while p < size:
+        above += add[p]
+        p *= 2
+        if low[p] + above > 0:
+            p += 1
+    return p - size
+
+
 def duration(schedule: Schedule, instance: RscInstance):
     """M(S) = min over coordinates x of M(S, x), the run of times 1, 2, ...
-    at which x is covered: per segment, the (start, end) spans of the
-    assigned sensors that hold it, merged in start order."""
+    at which x is covered.  One sweep over the segments, left to right: an
+    assigned sensor's span [t, t + d) adds 1 to the count of its times, in
+    a tree over the compressed starts and ends, from its first segment
+    through its last, and a segment's run ends just before the leftmost
+    time >= 1 whose count is 0.  O((n + a) log a) time and O(n + a) memory
+    for a assigned sensors, whatever m and the durations."""
     cuts, seg = instance._segments
-    spans = [[] for _ in range(len(cuts) - 1)]
-    for sid, l, r, d in instance.sensors:
-        t0 = schedule.start.get(sid)
-        if t0 is not None:
-            span = (t0, t0 + d - 1)
-            for k in range(seg[l], seg[r + 1]):
-                spans[k].append(span)
-    best = INF
-    for held in spans:
-        t = 0
-        for a, b in sorted(held):
-            if a > t + 1:
-                break
-            if b > t:
-                t = b
-        best = min(best, t)
+    start = schedule.start
+    # no time below 1 is in a run, so a span is cut to start at 1 at the
+    # earliest, and one that ends before 1 is left out
+    spans = [(seg[l], seg[r + 1], t if t > 1 else 1, t + d)
+             for sid, l, r, d in instance.sensors
+             if (t := start.get(sid)) is not None and t + d > 1]
+    times = sorted({1}.union(*(span[2:] for span in spans)))
+    at = dict(zip(times, range(len(times))))
+    # the count tree over the times: node 1 is the root, node p has children
+    # 2p and 2p + 1, and leaf k is node size + k; add[p] is the count added
+    # to all of p's leaves, low[p] the least count under p with its own add
+    size = 1 << (len(times) - 1).bit_length()
+    low, add = [0] * (2 * size), [0] * (2 * size)
+    moves = [[] for _ in cuts]  # per segment, the spans entering or leaving
+    for lo, hi, t, e in spans:
+        moves[lo].append((at[t], at[e], 1))
+        moves[hi].append((at[t], at[e], -1))
+    best, run = INF, 0  # an empty tree's run
+    for k in range(len(cuts) - 1):
+        if moves[k]:
+            for a, b, v in moves[k]:
+                _tree_add(low, add, a, b, v)
+            run = times[_first_zero(low, add)] - 1
+        if run < best:
+            best = run
     return best

@@ -274,22 +274,87 @@ def _prefix_end(spans):
     return t
 
 
-def _first_overload(spans, cap):
-    """(time, count) at the earliest time more than `cap` spans hold, by a
-    sweep over the sorted starts and ends; None when there is none."""
-    starts = sorted(a for a, _ in spans)
-    ends = sorted(b for _, b in spans)
-    gone = 0
-    # the count rises only at a start, so the earliest overload is at one:
-    # after the last start at t, with the spans ending before t gone
-    for k, t in enumerate(starts):
-        if k + 1 < len(starts) and starts[k + 1] == t:
-            continue
-        while ends[gone] < t:
-            gone += 1
-        if k + 1 - gone > cap:
-            return t, k + 1 - gone
-    return None
+def _count_tree(leaves, first):
+    """A count tree over ``leaves`` times, as (low, high, add) lists: node
+    1 is the root, node p has children 2p and 2p + 1, and leaf k is node
+    size + k.  add[p] is the count added to all of p's leaves; low[p] and
+    high[p] are the least and the largest count under p, its own add
+    included.  Every count starts at 0; the low of the first ``first``
+    starts at INF, so no search for a 0 stops there."""
+    size = 1 << (leaves - 1).bit_length()
+    low = [0] * (2 * size)
+    low[size:size + first] = [INF] * first
+    for p in range(size - 1, 0, -1):
+        low[p] = min(low[2 * p], low[2 * p + 1])
+    return low, [0] * (2 * size), [0] * (2 * size)
+
+
+def _tree_add(tree, lo, hi, v):
+    """Add v to the counts of leaves lo .. hi - 1 at the nodes that tile
+    them, then refresh the extremes on the paths above leaves lo and
+    hi - 1; above the tiles' parents, a node whose extremes both stay ends
+    its path's walk."""
+    low, high, add = tree
+    size = len(add) >> 1
+    l, r = lo + size, hi + size
+    tiled = size  # at the end, no node below this index has a tile child
+    while l < r:
+        if l & 1:
+            low[l] += v
+            high[l] += v
+            add[l] += v
+            l += 1
+        if r & 1:
+            r -= 1
+            low[r] += v
+            high[r] += v
+            add[r] += v
+        l >>= 1
+        r >>= 1
+        tiled >>= 1
+    for p in ((lo + size) >> 1, (hi - 1 + size) >> 1):
+        while p:
+            a, b = low[2 * p], low[2 * p + 1]
+            a = (a if a < b else b) + add[p]
+            c, d = high[2 * p], high[2 * p + 1]
+            c = (c if c > d else d) + add[p]
+            if a == low[p] and c == high[p] and p < tiled:
+                break
+            low[p] = a
+            high[p] = c
+            p >>= 1
+
+
+def _first_zero(tree):
+    """The leftmost leaf whose low count is 0, by one descent; counts are
+    never negative and some count is 0."""
+    low, _, add = tree
+    size = len(add) >> 1
+    p = 1
+    above = 0  # the adds of p's ancestors and p
+    while p < size:
+        above += add[p]
+        p *= 2
+        if low[p] + above > 0:
+            p += 1
+    return p - size
+
+
+def _first_above(tree, cap):
+    """(leaf, count) at the leftmost leaf whose count is above ``cap``, by
+    one descent; None when there is none."""
+    _, high, add = tree
+    size = len(add) >> 1
+    if high[1] <= cap:
+        return None
+    p = 1
+    above = 0
+    while p < size:
+        above += add[p]
+        p *= 2
+        if high[p] + above <= cap:
+            p += 1
+    return p - size, high[p] + above
 
 
 def _holds(merged, t):
@@ -361,9 +426,11 @@ def _nested_violation(active):
 
 
 def verify_rsc(instance, schedule):
-    """Check the scheduler's four guarantees from each stretch's list of
-    (start, end) spans, on the stretches between sensor endpoints; cost
-    follows sensors and ranges, not durations or the value of m."""
+    """Check the scheduler's four guarantees on the stretches between
+    sensor endpoints, by one sweep over them with a count tree over the
+    assigned sensors' compressed start and end times.  O((n + a) log a)
+    time and O(n + a) memory for a assigned sensors, whatever m and the
+    durations; the closing-semantics replay is apart from that bound."""
     report = VerificationReport()
     check_assignments(report, instance.sensors, schedule.start)
     m = instance.m
@@ -390,20 +457,33 @@ def verify_rsc(instance, schedule):
     total, live, free = (list(accumulate(diff[:-1]))
                          for diff in (total, live, free))
 
-    spans = [[] for _ in cuts[1:]]
-    for (s, t0, t1) in active.values():
-        for k in range(seg[s.l], seg[s.r + 1]):
-            spans[k].append((t0, t1))
-    m_at = [_prefix_end(sp) for sp in spans]
+    # one sweep over the stretches: an assigned sensor's span adds 1 to
+    # the count of its times, in a tree over the compressed starts and
+    # ends, from its first stretch through its last.  A stretch's run of
+    # covered times ends before the leftmost time >= 1 at count 0, and its
+    # first overload is the leftmost time above 5.
+    times = sorted({1}.union(*((t0, t1 + 1)
+                               for _, t0, t1 in active.values())))
+    at = dict(zip(times, range(len(times))))
+    tree = _count_tree(len(times), at[1])
+    moves = [[] for _ in cuts]
+    for s, t0, t1 in active.values():
+        a, b = at[t0], at[t1 + 1]
+        moves[seg[s.l]].append((a, b, 1))
+        moves[seg[s.r + 1]].append((a, b, -1))
+    m_at = []
+    witness, run = None, 0  # an empty tree's run
+    for k in range(len(cuts) - 1):
+        if moves[k]:
+            for a, b, v in moves[k]:
+                _tree_add(tree, a, b, v)
+            run = times[_first_zero(tree)] - 1
+            if witness is None and (hit := _first_above(tree, 5)):
+                witness = {"x": cuts[k], "t": times[hit[0]],
+                           "coverage": hit[1]}
+        m_at.append(run)
     m_s = min(m_at)
     report.stats["M"] = m_s
-
-    witness = None
-    for k, sp in enumerate(spans):
-        hit = _first_overload(sp, 5)
-        if hit:
-            witness = {"x": cuts[k], "t": hit[0], "coverage": hit[1]}
-            break
     report.add("coverage-at-most-5", witness is None, witness)
 
     witness = _nested_violation(active)

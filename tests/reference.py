@@ -5,16 +5,19 @@ import heapq
 import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 
 from coverplex.cover import CoverPreconditionError
 from coverplex.geometry import (cross, dot, int_scaled, perturbation_direction,
                                 strict_support_edges)
-from coverplex.jsonio import num_to_json
+from coverplex.jsonio import InputError, int_from_json, num_to_json
 from coverplex.levelcurve import (NEG_INF, LevelCurve, WedgeFrame, _Fenwick,
                                   canonical_positions)
-from coverplex.rsc import INF, Assignment, Schedule
-from coverplex.verify import VerificationReport, check_assignments
+from coverplex.rsc import INF, Assignment, RscInstance, Schedule, Sensor
+from coverplex.verify import (VerificationReport, _add_span, _holds,
+                              _nested_violation, _prefix_end,
+                              _segment_starts, check_assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +29,21 @@ def dumps(obj):
     per depth, a Fraction as num_to_json writes it."""
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1,
                       default=lambda v: num_to_json(Fraction(v))) + "\n"
+
+
+def rsc_instance_from_json(doc):
+    """jsonio.rsc_instance_from_json one sensor at a time: each row's
+    fields read by key in the order id, l, r, d, and each value's type
+    tested in that order."""
+    try:
+        sensors = [Sensor(s["id"], s["l"], s["r"], s["d"])
+                   for s in doc["sensors"]]
+        for s in sensors:
+            for key in ("id", "l", "r", "d"):
+                int_from_json(getattr(s, key), key)
+        return RscInstance(int_from_json(doc["m"], "m"), sensors)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError("bad scheduling instance: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -911,5 +929,135 @@ def verify_rsc(instance, schedule):
             for s in instance.sensors)]
         report.add("termination-blocked-coordinate", bool(blocked) or m == 0,
                    None if blocked or m == 0 else {"M": m_s})
+    report.ratio = (m_s / L) if L else None
+    return report
+
+
+# ---------------------------------------------------------------------------
+# restricted strip cover by per-segment span lists
+
+
+def duration_by_spans(schedule, instance):
+    """M(S) from one list of the (start, end) spans of the assigned sensors
+    per segment, merged in start order: O(sum of segments held)."""
+    cuts, seg = instance._segments
+    spans = [[] for _ in range(len(cuts) - 1)]
+    for sid, l, r, d in instance.sensors:
+        t0 = schedule.start.get(sid)
+        if t0 is not None:
+            for k in range(seg[l], seg[r + 1]):
+                spans[k].append((t0, t0 + d - 1))
+    return min(map(_prefix_end, spans))
+
+
+def first_overload(spans, cap):
+    """(time, count) at the earliest time more than `cap` spans hold, by a
+    sweep over the sorted starts and ends; None when there is none."""
+    starts = sorted(a for a, _ in spans)
+    ends = sorted(b for _, b in spans)
+    gone = 0
+    # the count rises only at a start, so the earliest overload is at one:
+    # after the last start at t, with the spans ending before t gone
+    for k, t in enumerate(starts):
+        if k + 1 < len(starts) and starts[k + 1] == t:
+            continue
+        while ends[gone] < t:
+            gone += 1
+        if k + 1 - gone > cap:
+            return t, k + 1 - gone
+    return None
+
+
+def verify_rsc_by_spans(instance, schedule):
+    """``verify.verify_rsc`` with each stretch's (start, end) spans in a
+    list of their own: the run of covered times and the first overload per
+    stretch from its sorted list."""
+    report = VerificationReport()
+    check_assignments(report, instance.sensors, schedule.start)
+    m = instance.m
+    cuts = _segment_starts(m, instance.sensors)
+    seg = {c: k for k, c in enumerate(cuts)}
+    active = {}
+    total, live, free = ([0] * len(cuts) for _ in range(3))
+    for s in instance.sensors:
+        sid, l, r, d = s
+        lo, hi = seg[l], seg[r + 1]
+        total[lo] += d
+        total[hi] -= d
+        t0 = schedule.start.get(sid)
+        if t0 is None:
+            free[lo] += 1
+            free[hi] -= 1
+        else:
+            active[sid] = (s, t0, t0 + d - 1)
+            live[lo] += d
+            live[hi] -= d
+    total, live, free = (list(accumulate(diff[:-1]))
+                         for diff in (total, live, free))
+
+    spans = [[] for _ in cuts[1:]]
+    for (s, t0, t1) in active.values():
+        for k in range(seg[s.l], seg[s.r + 1]):
+            spans[k].append((t0, t1))
+    m_at = [_prefix_end(sp) for sp in spans]
+    m_s = min(m_at)
+    report.stats["M"] = m_s
+
+    witness = None
+    for k, sp in enumerate(spans):
+        hit = first_overload(sp, 5)
+        if hit:
+            witness = {"x": cuts[k], "t": hit[0], "coverage": hit[1]}
+            break
+    report.add("coverage-at-most-5", witness is None, witness)
+
+    witness = _nested_violation(active)
+    report.add("nested-ranges-sequential", witness is None, witness)
+
+    L = min(total)
+    report.stats["L"] = L
+    need = L // 5 if schedule.stop_at is None else min(schedule.stop_at,
+                                                       L // 5)
+    report.add("duration-at-least-load-over-5", m_s >= need,
+               None if m_s >= need else {"M": m_s, "needed": need})
+
+    d_max = max((s.d for s in instance.sensors), default=0)
+    t_eff = schedule.stop_at if schedule.stop_at is not None else m_s
+    bound = 5 * (t_eff + d_max)
+    witness = None
+    for k, assigned in enumerate(live):
+        if assigned > bound:
+            witness = {"x": cuts[k], "assigned_live_duration": assigned,
+                       "bound": bound}
+            break
+    report.add("stopped-load-bound", witness is None, witness)
+
+    if schedule.start and not schedule.events:
+        report.not_run.append("closing-semantics")
+    else:
+        witness = None
+        replay = [[] for _ in cuts]  # the last list stays empty
+        sensor_of = {s.id: s for s in instance.sensors}
+        for ev in schedule.events:
+            s = sensor_of[ev.id]
+            closes = replay[bisect_right(cuts, ev.closes) - 1
+                            if 1 <= ev.closes <= m else -1]
+            if _holds(closes, ev.t):
+                witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
+                           "reason": "already covered"}
+                break
+            for k in range(seg[s.l], seg[s.r + 1]):
+                _add_span(replay[k], ev.t, ev.t + s.d - 1)
+            if not _holds(closes, ev.t):
+                witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
+                           "reason": "still uncovered"}
+                break
+        report.add("closing-semantics", witness is None, witness)
+
+    stopped = schedule.stop_at is not None and m_s >= schedule.stop_at
+    if not stopped:
+        blocked = any(at == m_s and not n for at, n in zip(m_at, free))
+        report.add("termination-blocked-coordinate", blocked,
+                   None if blocked else {"M": m_s})
     report.ratio = (m_s / L) if L else None
     return report

@@ -13,7 +13,7 @@ import reference
 from coverplex import cli, jsonio
 from coverplex.generate import (POLYGONS, gen_planar, gen_rsc, gen_points,
                                 polygon)
-from coverplex.rsc import Schedule, greedy_schedule
+from coverplex.rsc import Schedule, Sensor, greedy_schedule
 
 
 def run(argv, capsys):
@@ -40,6 +40,41 @@ def test_rsc_instance_round_trip():
     inst = gen_rsc(4, n=12, m=9, d_max=5)
     back = jsonio.rsc_instance_from_json(jsonio.rsc_instance_to_json(inst))
     assert back.m == inst.m and back.sensors == inst.sensors
+
+
+GOOD_ROW = {"id": 0, "l": 1, "r": 2, "d": 3}
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": 3, "sensors": [GOOD_ROW, {"id": 1, "l": 1, "r": 3, "d": 1}]},
+    {"m": 3, "sensors": []},
+    *({"m": 3, "sensors": [GOOD_ROW, row]}
+      for row in (5, None, "row", [0, 1, 2, 3], 2.5, True,
+                  {"l": 1, "r": 2, "d": 3}, {"id": 1, "l": 1, "r": 2},
+                  {"id": 1, "l": True, "r": 2, "d": 3},
+                  {"id": 1, "l": 1, "r": 2.0, "d": 3},
+                  {"id": 1, "l": 1, "r": "2", "d": 3},
+                  {"id": "1", "l": 1, "r": 2, "d": False},
+                  {"id": 1, "l": 1, "r": 2, "d": 0},
+                  {"id": 0, "l": 1, "r": 2, "d": 3},
+                  {"id": 1, "l": 2, "r": 4, "d": 3})),
+    {"m": 3, "sensors": "ab"}, {"m": 3, "sensors": 7}, {"m": 3},
+    {"sensors": [GOOD_ROW]}, {"m": 2.0, "sensors": [GOOD_ROW]},
+    {"m": True, "sensors": []}, {"m": 0, "sensors": []}, [GOOD_ROW]])
+def test_rsc_instance_reader_matches_field_by_field_reader(doc):
+    """The reader builds its rows at C speed, and every document gives the
+    instance or the error message of a reader that takes one field at a
+    time."""
+    try:
+        want = reference.rsc_instance_from_json(doc)
+    except jsonio.InputError as exc:
+        with pytest.raises(jsonio.InputError) as got:
+            jsonio.rsc_instance_from_json(doc)
+        assert str(got.value) == str(exc)
+    else:
+        got = jsonio.rsc_instance_from_json(doc)
+        assert (got.m, got.sensors) == (want.m, want.sensors)
+        assert all(type(s) is Sensor for s in got.sensors)
 
 
 def test_schedule_round_trip():

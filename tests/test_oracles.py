@@ -714,6 +714,95 @@ def test_verify_rsc_matches_simulation_reference(data):
 
 
 @st.composite
+def span_sweep_cases(draw):
+    """An instance and a schedule for the per-segment sweep, from one of
+    these families: starts at or below 0; chains of spans that touch, each
+    starting at the t + d of the one before; more than 5 spans at once at
+    the first segment, the last one or several; many copies of one range;
+    no sensor assigned; or coordinates that no sensor covers, over m up
+    to 10**9.  Some sensors stay unassigned, and stop_at is None or small;
+    there is no event log."""
+    family = draw(st.sampled_from(["low-starts", "touching", "overloads",
+                                   "copies", "empty", "gaps"]))
+    m = draw(st.integers(1, 12))
+
+    def some_range(lo=1, hi=None):
+        hi = m if hi is None else hi
+        l = draw(st.integers(lo, hi))
+        return l, draw(st.integers(l, hi))
+    rows = []  # (l, r, d, start or None)
+    for _ in range(draw(st.integers(0, 6))):
+        d = draw(st.integers(1, 4))
+        rows.append((*some_range(), d,
+                     draw(st.none() | st.integers(1, 8))))
+    if family == "low-starts":
+        for _ in range(draw(st.integers(1, 8))):
+            rows.append((*some_range(), draw(st.integers(1, 4)),
+                         draw(st.integers(-5, 1))))
+    elif family == "touching":
+        for _ in range(draw(st.integers(1, 4))):
+            l, r = some_range()
+            t = draw(st.integers(-1, 3))
+            for d in draw(st.lists(st.integers(1, 3), min_size=1,
+                                   max_size=6)):
+                rows.append((l, r, d, t))
+                t += d
+    elif family == "overloads":
+        # 6 to 8 spans that all hold time u, on ranges that hold x
+        for where in draw(st.sampled_from([["first"], ["last"],
+                                           ["first", "last"], ["several"]])):
+            xs = {"first": [1], "last": [m]}.get(where) or draw(
+                st.lists(st.integers(1, m), min_size=2, max_size=4))
+            for x in xs:
+                u = draw(st.integers(-2, 6))
+                for _ in range(draw(st.integers(6, 8))):
+                    l, r = draw(st.integers(1, x)), draw(st.integers(x, m))
+                    d = draw(st.integers(1, 4))
+                    rows.append((l, r, d, u - draw(st.integers(0, d - 1))))
+    elif family == "copies":
+        l, r = some_range()
+        for _ in range(draw(st.integers(6, 40))):
+            d = draw(st.integers(1, 4))
+            rows.append((l, r, d, draw(st.none() | st.integers(1, 9))))
+    elif family == "empty":
+        rows = [(l, r, d, None) for l, r, d, _ in rows]
+    else:
+        m = draw(st.sampled_from([m + 2, 10 ** 4, 10 ** 9]))
+        ends = sorted(draw(st.lists(st.integers(1, m), min_size=2,
+                                    max_size=6, unique=True)))
+        hole = draw(st.integers(0, len(ends) - 2))
+        rows = []
+        for _ in range(draw(st.integers(1, 10))):
+            # both ends on one side of the coordinate after ends[hole]
+            side = draw(st.booleans())
+            l, r = sorted(draw(st.sampled_from(
+                ends[:hole + 1] if side else ends[hole + 1:])) for _ in "lr")
+            if side or l > ends[hole] + 1:
+                rows.append((l, r, draw(st.integers(1, 4)),
+                             draw(st.none() | st.integers(-1, 6))))
+    inst = rsc.RscInstance(m, [(3 * sid + 2, l, r, d)
+                               for sid, (l, r, d, _) in enumerate(rows)])
+    start = {3 * sid + 2: t for sid, (*_, t) in enumerate(rows)
+             if t is not None}
+    return inst, rsc.Schedule(start=start, stop_at=draw(
+        st.none() | st.integers(0, 8)))
+
+
+@ORACLE
+@given(span_sweep_cases())
+def test_segment_sweep_matches_span_lists(case):
+    """verify_rsc and rsc.duration, one sweep with a count tree over
+    compressed times, against one sorted span list per segment."""
+    inst, sched = case
+    got = verify_rsc(inst, sched)
+    ref = reference.verify_rsc_by_spans(inst, sched)
+    assert got.to_json() == ref.to_json()
+    assert (got.stats, got.not_run) == (ref.stats, ref.not_run)
+    assert rsc.duration(sched, inst) == got.stats["M"] == \
+        reference.duration_by_spans(sched, inst)
+
+
+@st.composite
 def level_curve_cases(draw):
     """A random convex polygon (maybe rational, maybe reflected), a vertex,
     integer or rational points, some shifted along the cone ray e2 so that
