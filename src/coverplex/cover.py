@@ -22,10 +22,10 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
-from .geometry import (ConvexPolygon, cell_partition, grid_spec,
-                       perturbation_direction, reflect, strict_support_edges)
-from .levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
-                         position_index_ranges)
+from .geometry import (ConvexPolygon, cell_partition, grid_spec, reflect,
+                       strict_support_edges)
+from .levelcurve import (LevelCurve, _Fenwick, position_index_ranges,
+                         vertex_items)
 
 # unused here; perfbench/tracer.py patches this name in this module
 from .levelcurve import min_load_on_curve  # noqa: F401
@@ -275,21 +275,24 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     reservation at L // (2n), then ``solve_block(index, x_items, t)``, which
     chooses surviving items as {id: value}; skipped when t is 0.
 
-    Each curve's position index is built once, over all of the items, and
-    every later query on that curve reads it: the loads of the items still
-    live, the reservation and the block solver.  The positions of all items
-    refine those of any subset, and a subset's wedge content is constant
-    between its own positions, so the answers are those of an index built
-    from the subset.  Each curve's load is one difference array over its
-    index, built in the walk that builds the index; a block's chosen items
-    are subtracted from the curves still to come.  Curve i's index and
-    load are dropped at vertex i.  Returns the chosen map and one
-    IterationRecord per vertex, whose last field counts the chosen items.
+    The frames share one D and B, and each edge's key column serves the
+    two frames beside it (vertex_items).  Each curve's position index is
+    built once, over all of the items, and every later query on that curve
+    reads it: the loads of the items still live, the reservation and the
+    block solver.  The positions of all items refine those of any subset,
+    and a subset's wedge content is constant between its own positions,
+    so the answers are those of an index built from the subset.  A vertex
+    with no reserved direction (no strict support edge) skips the
+    reservation, which would keep every live item with a range; while
+    nothing is chosen, every item is live.  Each curve's load is one
+    difference array over its index, built in the walk that builds the
+    index; a block's chosen items are subtracted from the curves still to
+    come.  Curve i's index and load are dropped at vertex i.  Returns the
+    chosen map and one IterationRecord per vertex, whose last field counts
+    the chosen items.
     """
     n = poly.n
-    delta = perturbation_direction(poly)
-    frames = [WedgeFrame(poly, i, delta) for i in range(n)]
-    all_items = [f.items(points, weights=weights, ids=ids) for f in frames]
+    frames, all_items = vertex_items(poly, points, weights=weights, ids=ids)
     u_sorted, indexes, loads = [], [], []  # U order ranks reservations
     for frame, items in zip(frames, all_items):
         curve = LevelCurve(frame, level, items)
@@ -308,9 +311,16 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
         if t_i == 0:
             records.append(IterationRecord(i, L, 0, 0, 0))
             continue
-        live = [it for it in all_items[i] if it[2] not in chosen]
-        keep = _reserved_filter(poly, i, u_sorted, index, live, L // (2 * n))
-        x_items = [it for it in live if it[2] in keep]
+        live = all_items[i]
+        if chosen:
+            live = [it for it in live if it[2] not in chosen]
+        if strict_support_edges(poly, i):
+            keep = _reserved_filter(poly, i, u_sorted, index, live,
+                                    L // (2 * n))
+            x_items = [it for it in live if it[2] in keep]
+        else:  # no reserved direction: the filter keeps every ranged item
+            ranges = index[1]
+            x_items = [it for it in live if ranges[it[2]] is not None]
         try:
             block = solve_block(index, x_items, t_i)
         except CoverPreconditionError as exc:  # name the position by pairs

@@ -12,7 +12,10 @@ eps > 0 and a fixed generic integer direction delta.
 
 A coordinate (main, eps) is one int, the flat key (D*main)*B + eps: D
 clears the point set's denominators and B is a power of two above twice
-its largest |eps|, so keys order as the pairs do, lexicographically.  The
+its largest |eps|, so keys order as the pairs do, lexicographically.  A
+frame's U is the key along the edge leaving its vertex and its V the key
+along the edge entering it, so the vertex loop (vertex_items) keys each
+edge once, for two frames, at one D and B for all of its frames.  The
 rays' infinite ends are float infinities, which compare right with ints;
 they never meet an int in arithmetic, which would round it to a float.
 
@@ -71,28 +74,69 @@ class WedgeFrame:
 
     def items(self, points, weights=None, ids=None):
         """Sheared (U, V, pid, w) records for a point collection: flat keys
-        with epsilon index pid + 1.  The first call fixes the frame's D
+        with epsilon index pid + 1, U the key column of edge i and V that
+        of edge i - 1 (_sheared_keys).  The first call fixes the frame's D
         (scale) and B (base) for its points; later points must fit them."""
         ids = range(len(points)) if ids is None else ids
-        scale = lcm(*set(map(attrgetter("denominator"),
-                             chain.from_iterable(points))))
-        reach = 2 * max(abs(self._u_eps), abs(self._v_eps)) * (  # 2 max|eps|
-            max(max(ids) + 1, -1 - min(ids)) if len(ids) else 0)
+        scale, base = _key_range(points, ids,
+                                 max(abs(self._u_eps), abs(self._v_eps)))
         if self.base is None:
-            self.scale, self.base = scale, 1 << reach.bit_length()
-        elif self.scale % scale or reach >= self.base:
+            self.scale, self.base = scale, base
+        elif self.scale % scale or base > self.base:
             raise ValueError("points or ids outside the frame's key range")
-        if scale != 1:
-            points = [(int(x * self.scale), int(y * self.scale))
-                      for x, y in points]
-        s2b = 2 * self.sigma * self.base * (self.scale if scale == 1 else 1)
-        (e1x, e1y), (e2x, e2y) = self.e1, self.e2
-        ux, uy, vx, vy = s2b * e2y, -s2b * e2x, -s2b * e1y, s2b * e1x
-        u_eps, v_eps = self._u_eps, self._v_eps
-        return [(x * ux + y * uy + u_eps * (pid + 1),
-                 x * vx + y * vy + v_eps * (pid + 1), pid, w)
-                for (x, y), pid, w in zip(
-                    points, ids, repeat(1) if weights is None else weights)]
+        (e1x, e1y), e2 = self.e1, self.e2
+        us, vs = _sheared_keys(points, ids, (e2, (-e1x, -e1y)), self.delta,
+                               self.sigma, self.scale, self.base)
+        return list(zip(us, vs, ids,
+                        repeat(1) if weights is None else weights))
+
+
+def _key_range(points, ids, eps):
+    """The D and B of flat keys for the points and ids: D clears the
+    points' denominators and B is a power of two above twice the largest
+    |eps|, ``eps`` the largest |epsilon coefficient| per unit of pid + 1."""
+    scale = lcm(*set(map(attrgetter("denominator"),
+                         chain.from_iterable(points))))
+    reach = 2 * eps * (max(max(ids) + 1, -1 - min(ids)) if len(ids) else 0)
+    return scale, 1 << reach.bit_length()
+
+
+def _sheared_keys(points, ids, edges, delta, sigma, scale, base):
+    """One key column per edge vector e of ``edges``: the flat key of the
+    point p with id pid is 2*sigma*cross(B*D*p + (pid + 1)*delta, e), D =
+    ``scale`` and B = ``base``.  A frame's U is the column of its e2 and
+    its V that of -e1.  The shifted points B*D*p + (pid + 1)*delta are
+    formed once for all the columns."""
+    if scale != 1:
+        points = [(int(x * scale), int(y * scale)) for x, y in points]
+    dx, dy = delta
+    shifted = [(base * x + dx * s, base * y + dy * s)
+               for (x, y), s in zip(points, map((1).__add__, ids))]
+    return [[x * a + y * b for x, y in shifted]
+            for a, b in ((2 * sigma * ey, -2 * sigma * ex)
+                         for ex, ey in edges)]
+
+
+def vertex_items(poly, points, weights=None, ids=None):
+    """Every vertex's WedgeFrame, all at one D and B, and each frame's
+    items, as WedgeFrame.items gives them at that D and B.
+
+    B is the largest any frame needs.  Frame i's U is keyed along e2 =
+    edge i and frame i + 1's V along -e1, the same edge vector, with the
+    same sigma at every vertex of a strictly convex CCW polygon: one key
+    column per edge serves both.  Frame i's items zip the columns of
+    edges i and i - 1 with the ids and the weights."""
+    delta = perturbation_direction(poly)
+    frames = [WedgeFrame(poly, i, delta) for i in range(poly.n)]
+    ids = range(len(points)) if ids is None else ids
+    scale, base = _key_range(points, ids, max(abs(f._u_eps) for f in frames))
+    for f in frames:
+        f.scale, f.base = scale, base
+    keys = _sheared_keys(points, ids, [f.e2 for f in frames], delta,
+                         frames[0].sigma, scale, base)
+    ws = repeat(1) if weights is None else weights
+    return frames, [list(zip(keys[i], keys[i - 1], ids, ws))
+                    for i in range(poly.n)]
 
 
 class LevelCurve:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from math import isqrt, lcm
-from operator import eq
+from operator import attrgetter, eq
 
 from .geometry import (ConvexPolygon, EmptyLevelCurveError, _norm,
                        cross, int_scaled, perturbation_direction)
@@ -195,8 +195,13 @@ def verify_coloring(poly: ConvexPolygon, points, assignment, k):
     for pid, color in assignment.colors.items():
         if color is not None and 1 <= color <= T and pid in range(N):
             members.setdefault(color, []).append(pid)
-    scale = lcm(*{c.denominator for p in points for c in p})  # int keys only
-    points = [(int(x * scale), int(y * scale)) for x, y in points]
+    # keys are ints: unless every coordinate is an int, the points are
+    # rescaled by the lcm of their denominators (Fraction(n, 1) by 1)
+    scale = 1
+    if not all(map(int.__instancecheck__, chain.from_iterable(points))):
+        scale = lcm(*set(map(attrgetter("denominator"),
+                             chain.from_iterable(points))))
+        points = [(int(x * scale), int(y * scale)) for x, y in points]
     delta = perturbation_direction(poly)
     edges = [int_scaled(*poly.edge_vec(j)) for j in range(poly.n)]
     # M is a power of two above twice every |eps|: ints order as pairs do

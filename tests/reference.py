@@ -336,6 +336,16 @@ def reserved_ref(poly, i, delta, curve, items, points, target):
     return out
 
 
+class EmptyYetTruthy(frozenset):
+    """A support set with no reserved direction that is still true.  As
+    cover.strict_support_edges it sends every vertex of the vertex loop
+    through cover._reserved_filter, which then keeps every item with a
+    range: the reference for the loop's direct path at such a vertex."""
+
+    def __bool__(self):
+        return True
+
+
 def reserved_filter(poly, i, u_sorted, index, items, target):
     """cover._reserved_filter by per-direction threshold passes: a Fenwick
     descent per maximal clique and direction, then, with one direction, a

@@ -189,6 +189,30 @@ def test_vertex_loop_names_a_precondition_position_by_pairs():
         % (err.value.position, err.value.have, 2 * 10 ** 6)
 
 
+def test_decompose_points_on_the_square_needs_no_filter(monkeypatch):
+    # no square vertex strictly supports an edge normal; sending every
+    # vertex through the filter changes neither colors nor records
+    poly = polygon("square")
+    k = 256 * poly.n
+    pts = gen_points(1, size=k + k // 8, span=60)
+    assert not any(strict_support_edges(poly, i) for i in range(poly.n))
+    calls = []
+    real_filter = cover._reserved_filter
+
+    def counted(*args):
+        calls.append(args[1])
+        return real_filter(*args)
+
+    monkeypatch.setattr(cover, "_reserved_filter", counted)
+    want = decompose_points(poly, pts, k)
+    assert calls == []
+    monkeypatch.setattr(cover, "strict_support_edges",
+                        lambda poly, i: reference.EmptyYetTruthy())
+    got = decompose_points(poly, pts, k)
+    assert calls == [0, 1, 2, 3]
+    assert got == want and want[0].T >= 1
+
+
 def test_decompose_points_coincident_cluster():
     k = 400
     pts = [(1, 1)] * k

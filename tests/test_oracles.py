@@ -35,7 +35,8 @@ from coverplex.geometry import (ConvexPolygon, GridSpec, cross, grid_spec,
                                 perturbation_direction, reflect,
                                 strict_support_edges, sub)
 from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
-                                  min_load_on_curve, position_index_ranges)
+                                  min_load_on_curve, position_index_ranges,
+                                  vertex_items)
 from coverplex.planar import (PlanarInstance, PlanarSchedule,
                               curve_rsc_instance, plan_schedule, planar_load,
                               verify_planar)
@@ -941,6 +942,99 @@ def test_superset_index_gives_the_subset_answers(data):
                                stop_at=stop_at).start == \
         rsc.greedy_schedule(curve_rsc_instance(own, sub),
                             stop_at=stop_at).start
+
+
+@st.composite
+def keyed_points(draw, min_size=0):
+    """Int or rational points, weights up to 10**30 and scattered distinct
+    ids, negative ones among them."""
+    size = draw(st.integers(min_size, 14))
+    point = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+    if draw(st.booleans()):
+        point = st.tuples(rationals, rationals)
+    pts = draw(st.lists(point, min_size=size, max_size=size))
+    weights = draw(st.lists(st.integers(1, 4) | st.just(10 ** 30),
+                            min_size=size, max_size=size))
+    ids = draw(st.lists(st.integers(-300, 300), min_size=size,
+                        max_size=size, unique=True))
+    return pts, weights, ids
+
+
+@st.composite
+def key_cases(draw):
+    """weighted_cases' polygon with keyed_points."""
+    return draw(weighted_cases())[0], *draw(keyed_points())
+
+
+@ORACLE
+@given(key_cases())
+def test_vertex_loop_items_match_single_frames_at_the_common_base(case):
+    # the loop keys each edge once: frame i's U column is frame i + 1's V
+    poly, pts, weights, ids = case
+    frames, items = vertex_items(poly, pts, weights=weights, ids=ids)
+    delta = perturbation_direction(poly)
+    bases = []
+    for i, (frame, its) in enumerate(zip(frames, items)):
+        own = WedgeFrame(poly, i, delta)
+        own.items(pts, weights=weights, ids=ids)
+        bases.append(own.base)
+        assert own.scale == frame.scale
+        single = WedgeFrame(poly, i, delta)
+        single.scale, single.base = frame.scale, frame.base
+        assert single.items(pts, weights=weights, ids=ids) == its
+    assert {f.base for f in frames} == {max(bases)}
+    for i in range(poly.n):
+        nxt = items[(i + 1) % poly.n]
+        assert [U for U, *_ in items[i]] == [V for _, V, *_ in nxt]
+
+
+def loop_through_filter(*args, **kwargs):
+    """_iterate_vertices with every vertex sent through _reserved_filter,
+    and the vertex of each filter call."""
+    calls = []
+
+    def counted(*filter_args):
+        calls.append(filter_args[1])
+        return _reserved_filter(*filter_args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "strict_support_edges",
+                   lambda poly, i: reference.EmptyYetTruthy())
+        mp.setattr(cover, "_reserved_filter", counted)
+        return _iterate_vertices(*args, **kwargs), calls
+
+
+@ORACLE
+@given(st.data())
+def test_vertex_loop_without_reserved_directions_skips_the_filter(data):
+    # on a parallelogram no vertex strictly supports an edge normal, so the
+    # loop hands the live ranged items straight to the block solver
+    a = data.draw(st.tuples(coords, coords))
+    b = data.draw(st.tuples(coords, coords))
+    assume(cross(a, b) != 0)
+    if cross(a, b) < 0:
+        a, b = b, a
+    q = data.draw(st.integers(1, 3))
+    poly = ConvexPolygon([(Fraction(x, q), Fraction(y, q)) for x, y in
+                          [(0, 0), a, (a[0] + b[0], a[1] + b[1]), b]])
+    assert not any(strict_support_edges(poly, i) for i in range(4))
+    pts, weights, ids = data.draw(keyed_points(min_size=1))
+    weights = [64 * poly.n * w for w in weights]
+    level = data.draw(st.integers(1, sum(weights)))
+    pick = set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+    blocks = []
+
+    def solve_block(index, items, t):
+        blocks.append(items)
+        return {pid: t for (_, _, pid, _w) in items if pid in pick}
+
+    want = _iterate_vertices(poly, pts, level, solve_block, weights=weights,
+                             ids=ids)
+    direct, blocks[:] = blocks[:], []
+    got, calls = loop_through_filter(poly, pts, level, solve_block,
+                                     weights=weights, ids=ids)
+    assert got == want and blocks == direct
+    assert calls == [r.i for r in want[1] if r.t]
 
 
 @ORACLE

@@ -136,6 +136,21 @@ def test_verify_coloring_catches_missing_class():
     assert bad and bad[0].witness["color"] == victim
 
 
+def test_verify_coloring_witness_is_the_same_for_whole_fraction_points():
+    # int points are keyed as they are; Fraction(n, 1) points are rescaled
+    # to int keys too, so their witness carries ints.  Checked at a level
+    # below the decomposition's, the coloring fails at a finite corner
+    pts = gen_points(12, size=500, span=40)
+    asg, _ = decompose_points(TRIANGLE, pts, 450)
+    want = verify_coloring(TRIANGLE, pts, asg, 100).to_json()
+    whole = [(Fraction(x), Fraction(y, 1)) for x, y in pts]
+    got = verify_coloring(TRIANGLE, whole, asg, 100).to_json()
+    assert got == want and not got["checks"][0]["pass"]
+    witness = got["checks"][0]["witness"]
+    assert witness["apex_u"][0] != -2
+    assert all(type(c) is int for c in witness["apex_u"] + witness["apex_v"])
+
+
 def test_verify_coloring_counts_only_colors_1_to_T():
     pts = gen_points(12, size=500, span=40)
     k = 450
