@@ -146,14 +146,17 @@ def compute_cover(index, items, t: int):
 
 
 def _reserved_filter(poly, i, u_sorted, index, items, target):
-    """Point ids that survive the extreme-prefix reservation.
+    """The items that survive the extreme-prefix reservation, in the order
+    of ``items``.
 
     ``index`` is position_index_ranges(curve, A)[0] for an item set A that
     holds ``items``, as for compute_cover.  At each curve position, the
     minimal prefix of current wedge members in decreasing order along every
     reserved direction whose total weight reaches ``target`` is reserved; a
     point survives if some position has it as a non-reserved member.  With
-    unit weights the prefix is simply the first ``target`` points.
+    unit weights the prefix is simply the first ``target`` points.  With no
+    reserved direction (no strict support edge at vertex i), no target or
+    no member, every item with a range survives.
 
     Frame j's U is the key along edge j's inward normal, ties broken by the
     general-position shift, times a positive constant, so the ranks come
@@ -177,10 +180,12 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
     """
     support = sorted(strict_support_edges(poly, i))
     positions, ranges = index
-    K = len(positions)
+    if not support or target <= 0:
+        return [it for it in items if ranges[it[2]] is not None]
     weight = {pid: w for (_, _, pid, w) in items if ranges[pid] is not None}
-    if not support or target <= 0 or not weight:
-        return set(weight)
+    if not weight:
+        return []
+    K = len(positions)
     # each direction ranks the items with a range 1..n in its U order;
     # ranks[d][r] is the rank along direction d + 1 of the first's rank r
     orders = [[pid for (_, _, pid, _w) in u_sorted[j] if pid in weight]
@@ -246,7 +251,8 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
                     else:
                         heappush(heap, r)
         if (x := add_at[a]) == K:
-            return {orders[0][r - 1] for r in kept}
+            keep = {orders[0][r - 1] for r in kept}
+            return [it for it in items if it[2] in keep]
         # the next clique is the first end at or after the next start
         while leave_at[e] < x:
             _, _, r, w = leaves[e]
@@ -281,9 +287,7 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     reads it: the loads of the items still live, the reservation and the
     block solver.  The positions of all items refine those of any subset,
     and a subset's wedge content is constant between its own positions,
-    so the answers are those of an index built from the subset.  A vertex
-    with no reserved direction (no strict support edge) skips the
-    reservation, which would keep every live item with a range; while
+    so the answers are those of an index built from the subset.  While
     nothing is chosen, every item is live.  Each curve's load is one
     difference array over its index, built in the walk that builds the
     index; a block's chosen items are subtracted from the curves still to
@@ -314,13 +318,8 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
         live = all_items[i]
         if chosen:
             live = [it for it in live if it[2] not in chosen]
-        if strict_support_edges(poly, i):
-            keep = _reserved_filter(poly, i, u_sorted, index, live,
-                                    L // (2 * n))
-            x_items = [it for it in live if it[2] in keep]
-        else:  # no reserved direction: the filter keeps every ranged item
-            ranges = index[1]
-            x_items = [it for it in live if ranges[it[2]] is not None]
+        x_items = _reserved_filter(poly, i, u_sorted, index, live,
+                                   L // (2 * n))
         try:
             block = solve_block(index, x_items, t_i)
         except CoverPreconditionError as exc:  # name the position by pairs

@@ -42,24 +42,20 @@ NEG_INF, INF = float("-inf"), float("inf")
 
 
 class WedgeFrame:
-    """Shear frame mapping the cone at vertex i onto the dominance quadrant."""
+    """Shear frame mapping the cone at vertex i onto the dominance quadrant,
+    with the D (``scale``) and B (``base``) of its flat keys; vertex_items
+    builds every frame of a polygon and keys the points in them."""
 
-    def __init__(self, poly: ConvexPolygon, i: int, delta=None):
+    def __init__(self, poly: ConvexPolygon, i: int, delta, scale, base):
         self.poly = poly
         self.i = i % poly.n
         d1, d2 = poly.cone_dirs(i)
         self.e1 = int_scaled(*d1)
         self.e2 = int_scaled(*d2)
-        c = cross(self.e1, self.e2)
-        if c == 0:
-            raise ValueError("degenerate cone at vertex %d" % i)
-        self.sigma = 1 if c > 0 else -1
-        self.absc = abs(c)
-        self.delta = delta if delta is not None else perturbation_direction(poly)
-        # doubled scale keeps midpoints of point coordinates exact
-        self._u_eps = 2 * self.sigma * cross(self.delta, self.e2)
-        self._v_eps = 2 * self.sigma * cross(self.e1, self.delta)
-        self.scale = self.base = None
+        # a strictly convex CCW polygon turns clockwise from e1 to e2
+        self.absc = -cross(self.e1, self.e2)
+        self.delta = delta
+        self.scale, self.base = scale, base
 
     def split(self, key):
         """The (main, eps) pair of a flat key, main an int or a Fraction."""
@@ -72,68 +68,39 @@ class WedgeFrame:
         return (u * self.e1[0] + v * self.e2[0],
                 u * self.e1[1] + v * self.e2[1])
 
-    def items(self, points, weights=None, ids=None):
-        """Sheared (U, V, pid, w) records for a point collection: flat keys
-        with epsilon index pid + 1, U the key column of edge i and V that
-        of edge i - 1 (_sheared_keys).  The first call fixes the frame's D
-        (scale) and B (base) for its points; later points must fit them."""
-        ids = range(len(points)) if ids is None else ids
-        scale, base = _key_range(points, ids,
-                                 max(abs(self._u_eps), abs(self._v_eps)))
-        if self.base is None:
-            self.scale, self.base = scale, base
-        elif self.scale % scale or base > self.base:
-            raise ValueError("points or ids outside the frame's key range")
-        (e1x, e1y), e2 = self.e1, self.e2
-        us, vs = _sheared_keys(points, ids, (e2, (-e1x, -e1y)), self.delta,
-                               self.sigma, self.scale, self.base)
-        return list(zip(us, vs, ids,
-                        repeat(1) if weights is None else weights))
-
-
-def _key_range(points, ids, eps):
-    """The D and B of flat keys for the points and ids: D clears the
-    points' denominators and B is a power of two above twice the largest
-    |eps|, ``eps`` the largest |epsilon coefficient| per unit of pid + 1."""
-    scale = lcm(*set(map(attrgetter("denominator"),
-                         chain.from_iterable(points))))
-    reach = 2 * eps * (max(max(ids) + 1, -1 - min(ids)) if len(ids) else 0)
-    return scale, 1 << reach.bit_length()
-
-
-def _sheared_keys(points, ids, edges, delta, sigma, scale, base):
-    """One key column per edge vector e of ``edges``: the flat key of the
-    point p with id pid is 2*sigma*cross(B*D*p + (pid + 1)*delta, e), D =
-    ``scale`` and B = ``base``.  A frame's U is the column of its e2 and
-    its V that of -e1.  The shifted points B*D*p + (pid + 1)*delta are
-    formed once for all the columns."""
-    if scale != 1:
-        points = [(int(x * scale), int(y * scale)) for x, y in points]
-    dx, dy = delta
-    shifted = [(base * x + dx * s, base * y + dy * s)
-               for (x, y), s in zip(points, map((1).__add__, ids))]
-    return [[x * a + y * b for x, y in shifted]
-            for a, b in ((2 * sigma * ey, -2 * sigma * ex)
-                         for ex, ey in edges)]
-
 
 def vertex_items(poly, points, weights=None, ids=None):
     """Every vertex's WedgeFrame, all at one D and B, and each frame's
-    items, as WedgeFrame.items gives them at that D and B.
+    sheared (U, V, pid, w) records: flat keys with epsilon index pid + 1,
+    U along the edge leaving the vertex (e2) and V along the edge entering
+    it (-e1).
 
-    B is the largest any frame needs.  Frame i's U is keyed along e2 =
-    edge i and frame i + 1's V along -e1, the same edge vector, with the
-    same sigma at every vertex of a strictly convex CCW polygon: one key
-    column per edge serves both.  Frame i's items zip the columns of
-    edges i and i - 1 with the ids and the weights."""
+    Edge j's key column holds -2*cross(B*D*p + (pid + 1)*delta, e) for
+    the edge vector e: frame j's U and frame j + 1's V, whose -e1 is the
+    same e.  Frame i's items zip the columns of edges i and i - 1 with the
+    ids and the weights.  D clears the points' denominators, 1 when every
+    coordinate is an int, and B is the least power of two above twice the
+    largest |epsilon term| of any frame."""
     delta = perturbation_direction(poly)
-    frames = [WedgeFrame(poly, i, delta) for i in range(poly.n)]
-    ids = range(len(points)) if ids is None else ids
-    scale, base = _key_range(points, ids, max(abs(f._u_eps) for f in frames))
-    for f in frames:
-        f.scale, f.base = scale, base
-    keys = _sheared_keys(points, ids, [f.e2 for f in frames], delta,
-                         frames[0].sigma, scale, base)
+    edges = [int_scaled(*poly.edge_vec(j)) for j in range(poly.n)]
+    if ids is None:
+        ids, far = range(len(points)), len(points)
+    else:  # the largest |pid + 1|
+        far = max(max(ids) + 1, -1 - min(ids)) if len(ids) else 0
+    base = 1 << (4 * far * max(abs(cross(delta, e)) for e in edges)
+                 ).bit_length()
+    scale = 1
+    if not all(map(int.__instancecheck__, chain.from_iterable(points))):
+        scale = lcm(*set(map(attrgetter("denominator"),
+                             chain.from_iterable(points))))
+        if scale != 1:
+            points = [(int(x * scale), int(y * scale)) for x, y in points]
+    frames = [WedgeFrame(poly, i, delta, scale, base) for i in range(poly.n)]
+    dx, dy = delta
+    shifted = [(base * x + dx * s, base * y + dy * s)
+               for (x, y), s in zip(points, map((1).__add__, ids))]
+    keys = [[x * a + y * b for x, y in shifted]
+            for a, b in ((-2 * ey, 2 * ex) for ex, ey in edges)]
     ws = repeat(1) if weights is None else weights
     return frames, [list(zip(keys[i], keys[i - 1], ids, ws))
                     for i in range(poly.n)]
@@ -232,8 +199,8 @@ class LevelCurve:
 
 
 def build_level_curve(poly, i, points, level, weights=None):
-    frame = WedgeFrame(poly, i)
-    return LevelCurve(frame, level, frame.items(points, weights))
+    frames, items = vertex_items(poly, points, weights)
+    return LevelCurve(frames[i], level, items[i])
 
 
 class WalkPositions(Sequence):
@@ -282,41 +249,6 @@ class WalkPositions(Sequence):
         return list(self) == list(other)
 
 
-def _positions_and_ends(curve: LevelCurve, items):
-    """Canonical positions, the weights of the whole-curve items by id, and
-    (ids, ranges, weights) of the other items as three parallel sequences,
-    each range the closed index range of positions whose wedge contains
-    the item (None when empty).
-
-    Each item's interval ends are walk coordinates from LevelCurve._ends.
-    They, the staircase corners, head, tail and the two ray representatives
-    are the positions at even indexes, so one sort of ints orders them and
-    an end's index is twice its rank; a ray end, -inf or +inf, indexes the
-    ray representative at that end.  Items with equal ends share one range
-    tuple.  An item with U >= tail u and V >= head level holds both rays,
-    so every position, and is settled without an interval query.
-    """
-    head_level, tail_u = curve.drops[0][1], curve.drops[-1][0]
-    part = [it for it in items if it[0] < tail_u or it[1] < head_level]
-    whole = {} if len(part) == len(items) else {
-        pid: w for (U, V, pid, w) in items if U >= tail_u and V >= head_level}
-    Us, Vs, pids, ws = [*zip(*part)] or [()] * 4
-    ends = list(map(curve._ends, Us, Vs))
-    hits = list(filter(None, ends))
-    los, his = [*zip(*hits)] or [(), ()]
-    walk = {*curve._base_walk(), *los, *his}
-    walk.discard(NEG_INF)
-    walk.discard(INF)
-    walk = sorted(walk)
-    index_of = dict(zip(walk, range(0, 2 * len(walk), 2)))
-    index_of[NEG_INF], index_of[INF] = 0, 2 * len(walk) - 2
-    # equal ends keep the first as key and the last range as value
-    span_of = dict(zip(hits, zip(map(index_of.__getitem__, los),
-                                 map(index_of.__getitem__, his))))
-    return WalkPositions(curve, walk), whole, (
-        pids, list(map(span_of.get, ends)), ws)
-
-
 def canonical_positions(curve: LevelCurve, q_items):
     """Finitely many curve positions such that the wedge content from the
     given points is constant strictly between consecutive ones.
@@ -326,7 +258,7 @@ def canonical_positions(curve: LevelCurve, q_items):
     strictly inside each remaining gap; a WalkPositions sequence of (u, v)
     pairs.
     """
-    return _positions_and_ends(curve, q_items)[0]
+    return position_index_ranges(curve, q_items)[0][0]
 
 
 def position_index_ranges(curve: LevelCurve, items):
@@ -335,13 +267,39 @@ def position_index_ranges(curve: LevelCurve, items):
     items' load difference array over those positions, one entry past the
     last, from the same walk: ((positions, ranges), diff).
 
-    Interval endpoints are themselves canonical, so the snapping is exact;
-    infinite ray endpoints snap to the ray representatives at the ends.
-    Items with the same interval share one range tuple, so an index held
-    through a whole vertex loop stays small.
+    An item with U >= tail u and V >= head level holds both rays, so every
+    position: one pass splits these whole-curve items off, settled without
+    an interval query.  Each other item's interval ends are walk
+    coordinates from LevelCurve._ends.  They, the staircase corners, head,
+    tail and the two ray representatives are the positions at even
+    indexes, so one sort of ints orders them and an end's index is twice
+    its rank; a ray end, -inf or +inf, indexes the ray representative at
+    that end.  Interval endpoints are themselves canonical, so the
+    snapping is exact.  Items with the same interval share one range
+    tuple, so an index held through a whole vertex loop stays small.
     """
-    positions, whole, (pids, spans, ws) = _positions_and_ends(curve, items)
-    K = len(positions)
+    head_level, tail_u = curve.drops[0][1], curve.drops[-1][0]
+    whole, part = {}, []
+    for it in items:
+        if it[0] < tail_u or it[1] < head_level:
+            part.append(it)
+        else:
+            whole[it[2]] = it[3]
+    Us, Vs, pids, ws = [*zip(*part)] or [()] * 4
+    ends = list(map(curve._ends, Us, Vs))
+    hits = list(filter(None, ends))
+    los, his = [*zip(*hits)] or [(), ()]
+    walk = {*curve._base_walk(), *los, *his}
+    walk.discard(NEG_INF)
+    walk.discard(INF)
+    walk = sorted(walk)
+    K = 2 * len(walk) - 1
+    index_of = dict(zip(walk, range(0, K + 1, 2)))
+    index_of[NEG_INF], index_of[INF] = 0, K - 1
+    # equal ends keep the first as key and the last range as value
+    span_of = dict(zip(hits, zip(map(index_of.__getitem__, los),
+                                 map(index_of.__getitem__, his))))
+    spans = list(map(span_of.get, ends))
     ranges = dict.fromkeys(whole, (0, K - 1))
     ranges.update(zip(pids, spans))
     whole_w = sum(whole.values())
@@ -349,7 +307,7 @@ def position_index_ranges(curve: LevelCurve, items):
     for (lo, hi), w in zip(filter(None, spans), compress(ws, spans)):
         diff[lo] += w
         diff[hi + 1] -= w
-    return (positions, ranges), diff
+    return (WalkPositions(curve, walk), ranges), diff
 
 
 class _Fenwick:

@@ -119,6 +119,8 @@ def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:
     (``_schedule_block``), stopped at the per-iteration target.  Every
     block schedules into the shared global timeline, so a universe point is
     protected during times 1..t_i by whichever block is responsible for it.
+    When no block assigns a sensor (k_cell < 1, or every t_i is 0) the
+    schedule is the trivial one, every sensor at t = 1.
     """
     sensors = instance.sensors
     _, L = planar_load(instance)
@@ -126,13 +128,12 @@ def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:
                             _schedule_block, weights=[s.d for s in sensors],
                             ids=[s.id for s in sensors])
     sched = PlanarSchedule(info={"L": L, **grid})
-    if grid["k_cell"] < 1:
-        sched.trivial = True
-        sched.start = {s.id: 1 for s in sensors}
-        return sched
     for name, _, starts, records in ran:
         sched.info["cells"][name]["iterations"] = [
             dict(zip(("i", "L", "t", "x_size", "assigned"), r))
             for r in records]
         sched.start.update(starts)
+    if not sched.start:  # k_cell < 1, or no block assigned a sensor
+        sched.trivial = True
+        sched.start = {s.id: 1 for s in sensors}
     return sched

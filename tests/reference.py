@@ -9,11 +9,10 @@ from itertools import accumulate
 from operator import itemgetter
 
 from coverplex.cover import CoverPreconditionError
-from coverplex.geometry import (cross, dot, int_scaled, perturbation_direction,
-                                strict_support_edges)
+from coverplex.geometry import cross, dot, int_scaled, strict_support_edges
 from coverplex.jsonio import InputError, int_from_json, num_to_json
-from coverplex.levelcurve import (NEG_INF, LevelCurve, WedgeFrame, _Fenwick,
-                                  canonical_positions)
+from coverplex.levelcurve import (NEG_INF, LevelCurve, _Fenwick,
+                                  canonical_positions, vertex_items)
 from coverplex.rsc import INF, Assignment, RscInstance, Schedule, Sensor
 from coverplex.verify import (VerificationReport, _add_span, _holds,
                               _nested_violation, _prefix_end,
@@ -75,13 +74,29 @@ def order_key(poly, i, p):
 
 def ucoord(frame, p, pid=0):
     """Sheared u of point p in ``frame`` as the pair (main, eps), with
-    epsilon index pid: the coordinate a flat key encodes."""
-    return (2 * frame.sigma * cross(p, frame.e2), frame._u_eps * pid)
+    epsilon index pid: the coordinate a flat key encodes, 2*sigma*cross(p
+    + pid*eps*delta, e2) with sigma = -1, the sign of cross(e1, e2) at
+    every vertex of a strictly convex CCW polygon."""
+    return (-2 * cross(p, frame.e2), -2 * cross(frame.delta, frame.e2) * pid)
 
 
 def vcoord(frame, p, pid=0):
-    """Sheared v of point p in ``frame`` as the pair (main, eps)."""
-    return (2 * frame.sigma * cross(frame.e1, p), frame._v_eps * pid)
+    """Sheared v of point p in ``frame`` as the pair (main, eps),
+    2*sigma*cross(e1, p + pid*eps*delta) with sigma = -1."""
+    return (-2 * cross(frame.e1, p), -2 * cross(frame.e1, frame.delta) * pid)
+
+
+def flat_key(frame, pair):
+    """The flat key (D*main)*B + eps of a (main, eps) pair in ``frame``."""
+    main, eps = pair
+    return main * frame.scale * frame.base + eps
+
+
+def frame_items(poly, i, points, weights=None, ids=None):
+    """Frame i of the vertex loop over ``points`` and its items, as
+    levelcurve.vertex_items keys them."""
+    frames, items = vertex_items(poly, points, weights=weights, ids=ids)
+    return frames[i], items[i]
 
 
 def order_ranks(poly, j, delta, points, ids):
@@ -99,7 +114,7 @@ def order_ranks(poly, j, delta, points, ids):
 def wedge_load(poly, i, apex, points, weights=None, symbolic=True):
     """Count (or weighted sum) of points inside the wedge at vertex i with
     the given apex; the apex itself carries no symbolic shift."""
-    frame = WedgeFrame(poly, i)
+    frame, _ = frame_items(poly, i, [])
     ua, va = ucoord(frame, apex), vcoord(frame, apex)
     total = 0
     for idx, p in enumerate(points):
@@ -309,11 +324,12 @@ def dominance_loads(positions, items):
 
 
 def reserved_ref(poly, i, delta, curve, items, points, target):
-    """Survivors by a direct pass over every canonical position: members
-    are the items whose sheared coordinates dominate the position; along
-    each reserved direction they are sorted by decreasing Fraction key and
-    the minimal prefix whose weight reaches the target is reserved (all of
-    them when the total falls short)."""
+    """The surviving items, in the order of ``items``, by a direct pass
+    over every canonical position: members are the items whose sheared
+    coordinates dominate the position; along each reserved direction they
+    are sorted by decreasing Fraction key and the minimal prefix whose
+    weight reaches the target is reserved (all of them when the total
+    falls short)."""
     support = sorted(strict_support_edges(poly, i))
     key_of = {}
     for j in support:
@@ -333,17 +349,7 @@ def reserved_ref(poly, i, delta, curve, items, points, target):
                 reserved.add(pid)
                 acc += w
         out.update(pid for pid, _ in members if pid not in reserved)
-    return out
-
-
-class EmptyYetTruthy(frozenset):
-    """A support set with no reserved direction that is still true.  As
-    cover.strict_support_edges it sends every vertex of the vertex loop
-    through cover._reserved_filter, which then keeps every item with a
-    range: the reference for the loop's direct path at such a vertex."""
-
-    def __bool__(self):
-        return True
+    return [it for it in items if it[2] in out]
 
 
 def reserved_filter(poly, i, u_sorted, index, items, target):
@@ -351,14 +357,15 @@ def reserved_filter(poly, i, u_sorted, index, items, target):
     descent per maximal clique and direction, then, with one direction, a
     member survives iff its rank is below the largest threshold of the
     cliques in its range (a sparse table of range maxima), and with several
-    a per-clique check of every member."""
+    a per-clique check of every member; the survivors in the order of
+    ``items``."""
     support = sorted(strict_support_edges(poly, i))
     positions, ranges = index
     K = len(positions)
     spans = [(rng[0], rng[1], pid, w) for (_, _, pid, w) in items
              if (rng := ranges[pid]) is not None]
     if not support or target <= 0 or not spans:
-        return {pid for (_, _, pid, _w) in spans}
+        return [it for it in items if ranges[it[2]] is not None]
     rankmaps = [dict(zip(map(itemgetter(2), u_sorted[j]),
                          range(1, len(u_sorted[j]) + 1))) for j in support]
     adds = sorted(spans, key=itemgetter(0))
@@ -419,7 +426,7 @@ def reserved_filter(poly, i, u_sorted, index, items, target):
             if rank[pid] < (top if lo <= first and last <= hi else range_max(
                     bisect_left(cliques, lo), bisect_right(cliques, hi) - 1)):
                 out.add(pid)
-        return out
+        return [it for it in items if it[2] in out]
 
     members = set()
     out = set()
@@ -436,7 +443,7 @@ def reserved_filter(poly, i, u_sorted, index, items, target):
                 if pid not in out and all(
                         rank[pid] < th for rank, th in zip(rankmaps, thrs)):
                     out.add(pid)
-    return out
+    return [it for it in items if it[2] in out]
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +536,14 @@ def verify_coloring(poly, points, assignment, k):
     T = assignment.T
     report.alpha = (k / T) if T > 0 else None
     report.stats["T"] = T
-    delta = perturbation_direction(poly)
+    frames, all_items = vertex_items(poly, points)
     if T <= 0:
-        frame = WedgeFrame(poly, 0, delta)
-        LevelCurve(frame, k, frame.items(points))
+        LevelCurve(frames[0], k, all_items[0])
         report.add("colors-present", T == 0,
                    "no common colors; vacuous" if T == 0 else {"T": T})
         return report
     failure = None
-    for i in range(poly.n):
-        frame = WedgeFrame(poly, i, delta)
-        items = frame.items(points)
+    for i, (frame, items) in enumerate(zip(frames, all_items)):
         positions = canonical_positions(LevelCurve(frame, k, items), items)
         for color in range(1, T + 1):
             for u, v in positions:
@@ -597,19 +601,16 @@ def verify_coloring_by_curve(poly, points, assignment, k):
     T = assignment.T
     report.alpha = (k / T) if T > 0 else None
     report.stats["T"] = T
-    delta = perturbation_direction(poly)
+    frames, all_items = vertex_items(poly, points)
     if T <= 0:
         # no class to search for, but the level must still be one that a
         # level curve accepts (ValueError otherwise)
-        frame = WedgeFrame(poly, 0, delta)
-        LevelCurve(frame, k, frame.items(points))
+        LevelCurve(frames[0], k, all_items[0])
         report.add("colors-present", T == 0,
                    "no common colors; vacuous" if T == 0 else {"T": T})
         return report
     failure = None
-    for i in range(poly.n):
-        frame = WedgeFrame(poly, i, delta)
-        items = frame.items(points)
+    for i, (frame, items) in enumerate(zip(frames, all_items)):
         curve = LevelCurve(frame, k, items)
         # only points of colors 1..T are counted, and their wedge content is
         # constant between their own canonical positions, so those positions

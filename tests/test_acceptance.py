@@ -17,12 +17,12 @@ from coverplex import cli, jsonio
 from coverplex.cover import (CoverPreconditionError, compute_cover,
                              decompose_points, decompose_translates)
 from coverplex.generate import gen_planar, gen_points, gen_rsc, polygon
-from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
+from coverplex.levelcurve import (LevelCurve, canonical_positions,
                                   position_index_ranges)
 from coverplex.planar import planar_load, plan_schedule, verify_planar
 from coverplex.rsc import duration, greedy_schedule, load
 from coverplex.verify import rsc_opt_bruteforce, verify_coloring
-from reference import coverage_profile, dominance_loads
+from reference import coverage_profile, dominance_loads, frame_items
 
 ALPHA_CEILING = 512.0   # max k/T over the criterion-8 seed set
 RATIO_FLOOR = 0.00099   # min M_achieved/L over the criterion-10 seed set
@@ -147,8 +147,7 @@ def test_criterion_6_level_curve_load_window():
         Y = [(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(size)]
         poly = polygon(POLY_NAMES[seed % 3])
         for i in range(poly.n):
-            frame = WedgeFrame(poly, i)
-            items = frame.items(Y)
+            frame, items = frame_items(poly, i, Y)
             for r in {1, size // 2, size}:
                 if r < 1:
                     continue
@@ -175,8 +174,7 @@ def test_criterion_7_curve_coloring_contract():
         poly = polygon(POLY_NAMES[seed % 3])
         r = 4 + seed % 9
         t = r // 2
-        frame = WedgeFrame(poly, seed % poly.n)
-        items = frame.items(Y)
+        frame, items = frame_items(poly, seed % poly.n, Y)
         curve = LevelCurve(frame, r, items)
         try:
             colors = compute_cover(position_index_ranges(curve, items)[0],

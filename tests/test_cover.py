@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 import reference
-from coverplex import cover, levelcurve
+from coverplex import cover
 from coverplex.cover import (CoverPreconditionError, compute_cover,
                              decompose_points, decompose_translates)
 from coverplex.generate import gen_planar, gen_points, polygon
 from coverplex.geometry import (ConvexPolygon, cell_partition, grid_spec,
-                                perturbation_direction, reflect,
-                                strict_support_edges)
-from coverplex.levelcurve import (LevelCurve, WedgeFrame, _Fenwick,
+                                reflect, strict_support_edges)
+from coverplex.levelcurve import (LevelCurve, _Fenwick,
                                   canonical_positions,
                                   position_index_ranges)
 from coverplex.planar import plan_schedule
@@ -22,16 +21,15 @@ TRIANGLE = polygon("triangle")
 
 
 def make_curve(points, level, poly=SQUARE, i=0):
-    frame = WedgeFrame(poly, i)
-    return frame, LevelCurve(frame, level, frame.items(points))
+    frame, items = reference.frame_items(poly, i, points)
+    return frame, items, LevelCurve(frame, level, items)
 
 
 def curve_and_queries(points, queries, ids):
     """A level-1 curve of ``points`` on SQUARE and the items of
-    ``queries`` with ``ids``, keyed in the same frame call."""
-    frame = WedgeFrame(SQUARE, 0)
-    items = frame.items(points + queries,
-                        ids=list(range(len(points))) + ids)
+    ``queries`` with ``ids``, keyed in the same vertex loop."""
+    frame, items = reference.frame_items(SQUARE, 0, points + queries,
+                               ids=list(range(len(points))) + ids)
     return (LevelCurve(frame, 1, items[:len(points)]),
             items[len(points):])
 
@@ -81,8 +79,7 @@ def test_compute_cover_random_postconditions():
     for trial in range(25):
         Y = [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(30)]
         r = rng.randint(4, 12)
-        frame, curve = make_curve(Y, r)
-        items = frame.items(Y)
+        frame, items, curve = make_curve(Y, r)
         t = r // 2
         if t == 0:
             continue
@@ -119,8 +116,7 @@ def test_compute_cover_rounds_are_chains():
     rng = random.Random(2)
     for trial in range(25):
         Y = [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(30)]
-        frame, curve = make_curve(Y, rng.randint(4, 12))
-        items = frame.items(Y)
+        frame, items, curve = make_curve(Y, rng.randint(4, 12))
         index = position_index_ranges(curve, items)[0]
         t = rng.randint(1, 3)
         try:
@@ -149,8 +145,7 @@ def test_compute_cover_respects_containment_order():
     rng = random.Random(1)
     for trial in range(10):
         Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(24)]
-        frame, curve = make_curve(Y, 8)
-        items = frame.items(Y)
+        frame, items, curve = make_curve(Y, 8)
         index = position_index_ranges(curve, items)[0]
         colors = compute_cover(index, items, 4)
         _, ranges = index
@@ -181,17 +176,18 @@ def test_vertex_loop_names_a_precondition_position_by_pairs():
     with pytest.raises(CoverPreconditionError) as err:
         cover._iterate_vertices(TRIANGLE, pts, 600, greedy_cover,
                                 weights=weights)
-    frame = WedgeFrame(TRIANGLE, 0)
-    items = frame.items(pts, weights=weights)
+    frame, items = reference.frame_items(TRIANGLE, 0, pts, weights=weights)
     head_ray = canonical_positions(LevelCurve(frame, 600, items), items)[0]
     assert err.value.position == tuple(map(frame.split, head_ray))
     assert str(err.value) == "curve position %r has %d candidates, need %d" \
         % (err.value.position, err.value.have, 2 * 10 ** 6)
 
 
-def test_decompose_points_on_the_square_needs_no_filter(monkeypatch):
-    # no square vertex strictly supports an edge normal; sending every
-    # vertex through the filter changes neither colors nor records
+def test_decompose_points_on_the_square_keeps_every_ranged_item(
+        monkeypatch):
+    # no square vertex strictly supports an edge normal: the filter, which
+    # the loop calls at every vertex, hands the block solver every live
+    # item with a range, in the live order
     poly = polygon("square")
     k = 256 * poly.n
     pts = gen_points(1, size=k + k // 8, span=60)
@@ -199,18 +195,18 @@ def test_decompose_points_on_the_square_needs_no_filter(monkeypatch):
     calls = []
     real_filter = cover._reserved_filter
 
-    def counted(*args):
-        calls.append(args[1])
-        return real_filter(*args)
+    def recorded(*args):
+        out = real_filter(*args)
+        calls.append((args, out))
+        return out
 
-    monkeypatch.setattr(cover, "_reserved_filter", counted)
-    want = decompose_points(poly, pts, k)
-    assert calls == []
-    monkeypatch.setattr(cover, "strict_support_edges",
-                        lambda poly, i: reference.EmptyYetTruthy())
-    got = decompose_points(poly, pts, k)
-    assert calls == [0, 1, 2, 3]
-    assert got == want and want[0].T >= 1
+    monkeypatch.setattr(cover, "_reserved_filter", recorded)
+    asg, _ = decompose_points(poly, pts, k)
+    assert [args[1] for args, _ in calls] == [0, 1, 2, 3] and asg.T >= 1
+    for args, out in calls:
+        (_, ranges), live = args[3], args[4]
+        assert out == [it for it in live if ranges[it[2]] is not None]
+        assert out == reference.reserved_filter(*args)
 
 
 def test_decompose_points_coincident_cluster():
@@ -242,8 +238,7 @@ def test_decompose_points_all_colors_on_all_curves():
     assert asg.T >= 1
     n = TRIANGLE.n
     for i in range(n):
-        frame = WedgeFrame(TRIANGLE, i)
-        items = frame.items(pts)
+        frame, items = reference.frame_items(TRIANGLE, i, pts)
         curve = LevelCurve(frame, k, items)
         positions = canonical_positions(curve, items)
         for (u, v) in positions:
@@ -379,16 +374,16 @@ def test_translate_cells_match_point_decomposition_and_planar_cells():
 
 
 def count_position_builds(monkeypatch):
-    """Patch the one function every canonical-position build runs through;
-    returns the list that collects one entry per build."""
+    """Patch the vertex loop's one builder of curve indexes; returns the
+    list that collects one entry per build."""
     builds = []
-    real = levelcurve._positions_and_ends
+    real = cover.position_index_ranges
 
     def counted(curve, items):
         builds.append(len(items))
         return real(curve, items)
 
-    monkeypatch.setattr(levelcurve, "_positions_and_ends", counted)
+    monkeypatch.setattr(cover, "position_index_ranges", counted)
     return builds
 
 
@@ -409,11 +404,9 @@ def test_decompose_points_queries_intervals_only_off_the_whole_curve(
     poly = polygon("hexagon")
     k = 256 * poly.n
     pts = gen_points(2, size=k + k // 8, span=60)
-    delta = perturbation_direction(poly)
     partial = 0
     for i in range(poly.n):
-        frame = WedgeFrame(poly, i, delta)
-        items = frame.items(pts)
+        frame, items = reference.frame_items(poly, i, pts)
         curve = LevelCurve(frame, k, items)
         (_, head_level), tail_u = curve.head, curve.tail[0]
         partial += sum(1 for (U, V, _pid, _w) in items
@@ -497,7 +490,7 @@ def heavy_light_family(n, target):
     lowest ranks at position 2k + 1.  A heavy item alone is its clique's
     reserved prefix; at a filler's clique the top ``target`` lights are.
     Returns the filter's (u_sorted, index, items) for any vertex of the
-    triangle and the survivors: the lights and the fillers."""
+    triangle and the survivors: the fillers and the lights."""
     K = 2 * n - 1
     light = [(pid, 1, (0, K - 1)) for pid in range(n)]
     heavy = [(n + k, target, (2 * k, 2 * k)) for k in range(n)]
@@ -505,8 +498,7 @@ def heavy_light_family(n, target):
     order = filler + light + heavy  # increasing U along every direction
     items = [(u, 0, pid, w) for u, (pid, w, _) in enumerate(order)]
     ranges = {pid: rng for pid, _, rng in order}
-    return ([items] * 3, (range(K), ranges), items,
-            {pid for pid, _, _ in light + filler})
+    return [items] * 3, (range(K), ranges), items, items[:2 * n - 1]
 
 
 def test_reserved_filter_cost_does_not_grow_with_the_weights():

@@ -139,7 +139,7 @@ CASES = {
         "5e9cfcad0c67803771e9a8e461e9e46a101c08bcabbcd35b0f93a2b851d6250c"),
     "plan-solve-1-small": (
         ["plan", "solve"], lambda: _planar(1, 400),
-        "240d1e985da2f8de595f1bdab58712600f313914a35ba6ab190ea242d3ae725a"),
+        "2dcc90f3462b4de5ff458017c721b1eb1034f4c769d0a53eddfb62029f33a80e"),
     "decomp-translates-20-300": (
         ["decomp", "translates"], lambda: _unit_centers(20, 300),
         "bebef89b66becf07405f82ee0ca7161a8f5263a70b1e07417c4f0d1565f36450"),
@@ -263,7 +263,7 @@ CASES = {
         "6cf1dcdeeb25d8e3c8ffcef5e39df6ebf5240d8f87f085d6908e1f33ca904dee"),
     "plan-verify-1-small": (
         ["plan", "verify"], lambda: _plan_both(1, 400),
-        "513fc8514de152a668c7cfef822ff4c3af4c56640a4c58c4ddeb57586c2fbf9f"),
+        "2b87df308a287761e0a53078c88b3f35507a0556aa109646786611b0a80b2aed"),
     "plan-verify-1-small-all-at-1": (
         ["plan", "verify"], lambda: _plan_both(1, 400, all_at_1=True),
         "2b87df308a287761e0a53078c88b3f35507a0556aa109646786611b0a80b2aed"),

@@ -6,13 +6,13 @@ import pytest
 
 from coverplex import cli, jsonio
 from coverplex.generate import POLYGONS, gen_points, polygon
-from coverplex.geometry import ConvexPolygon, perturbation_direction, reflect
+from coverplex.geometry import ConvexPolygon, reflect
 from coverplex.levelcurve import (NEG_INF, EmptyLevelCurveError, LevelCurve,
-                                  WedgeFrame, build_level_curve,
-                                  canonical_positions, min_load_on_curve,
-                                  position_index_ranges)
-from reference import (dominance_loads, tuple_ends, tuple_positions_and_ends,
-                       ucoord, vcoord, walk_key, wedge_contains, wedge_load)
+                                  build_level_curve, canonical_positions,
+                                  min_load_on_curve, position_index_ranges)
+from reference import (dominance_loads, flat_key, frame_items, tuple_ends,
+                       tuple_positions_and_ends, ucoord, vcoord, walk_key,
+                       wedge_contains, wedge_load)
 
 # vertex 0 of this CCW square has cone spanned by +y and +x, so its wedge
 # with apex a contains exactly the points >= a componentwise
@@ -89,8 +89,7 @@ def test_observation_load_window():
     for trial in range(25):
         Y = [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(20)]
         for i in range(TRIANGLE.n):
-            frame = WedgeFrame(TRIANGLE, i)
-            items = frame.items(Y)
+            frame, items = frame_items(TRIANGLE, i, Y)
             for r in (1, len(Y) // 2, len(Y)):
                 curve = LevelCurve(frame, r, items)
                 positions = canonical_positions(curve, items)
@@ -106,15 +105,15 @@ def test_observation_containment():
     Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(15)]
     r = 4
     for i in range(TRIANGLE.n):
-        frame = WedgeFrame(TRIANGLE, i)
-        items = frame.items(Y)
+        frame, items = frame_items(TRIANGLE, i, Y)
         curve = LevelCurve(frame, r, items)
         positions = canonical_positions(curve, items)
         tried = 0
         for _ in range(500):
             apex = (rng.randint(0, 30), rng.randint(0, 30))
-            # id -1 gives the apex no epsilon term
-            (au, av, _, _), = frame.items([apex], ids=[-1])
+            # the apex has no epsilon term
+            au = flat_key(frame, ucoord(frame, apex))
+            av = flat_key(frame, vcoord(frame, apex))
             load = sum(1 for (U, V, _, _) in items if U >= au and V >= av)
             if load < r:
                 continue
@@ -127,8 +126,7 @@ def test_interval_contiguity_and_membership():
     rng = random.Random(4)
     Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(20)]
     for i in range(TRIANGLE.n):
-        frame = WedgeFrame(TRIANGLE, i)
-        items = frame.items(Y)
+        frame, items = frame_items(TRIANGLE, i, Y)
         curve = LevelCurve(frame, 5, items)
         positions = canonical_positions(curve, items)
         for (U, V, pid, _w) in items:
@@ -148,8 +146,7 @@ def test_interval_contiguity_and_membership():
 def test_position_index_ranges_match_membership():
     rng = random.Random(5)
     Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(18)]
-    frame = WedgeFrame(SQUARE, 0)
-    items = frame.items(Y)
+    frame, items = frame_items(SQUARE, 0, Y)
     curve = LevelCurve(frame, 3, items)
     positions, ranges = position_index_ranges(curve, items)[0]
     for (U, V, pid, _w) in items:
@@ -167,8 +164,7 @@ def test_canonical_positions_content_constant():
     # canonical position
     rng = random.Random(6)
     Y = [(rng.randint(0, 25), rng.randint(0, 25)) for _ in range(12)]
-    frame = WedgeFrame(SQUARE, 0)
-    items = frame.items(Y)
+    frame, items = frame_items(SQUARE, 0, Y)
     curve = LevelCurve(frame, 2, items)
     positions = canonical_positions(curve, items)
 
@@ -208,8 +204,7 @@ def test_every_gap_gets_a_representative(rational_share):
 
         pts = [(coord(), coord()) for _ in range(rng.randint(1, 12))]
         weights = [rng.randint(1, 4) for _ in pts]
-        frame = WedgeFrame(poly, trial % poly.n)
-        items = frame.items(pts, weights=weights)
+        frame, items = frame_items(poly, trial % poly.n, pts, weights=weights)
         curve = LevelCurve(frame, rng.randint(1, sum(weights)), items)
         positions, index_of, _, _ = tuple_positions_and_ends(curve, items)
         assert [pos in index_of for pos in positions] == \
@@ -221,8 +216,7 @@ def test_every_gap_gets_a_representative(rational_share):
 def test_min_load_on_curve_examples():
     rng = random.Random(7)
     Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(15)]
-    frame = WedgeFrame(SQUARE, 0)
-    items = frame.items(Y)
+    frame, items = frame_items(SQUARE, 0, Y)
     curve = LevelCurve(frame, 4, items)
     assert min_load_on_curve(curve, []) == 0
     full = min_load_on_curve(curve, items)
@@ -249,27 +243,12 @@ def test_weighted_curve_load_window():
     Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(12)]
     ws = [rng.randint(1, 6) for _ in range(12)]
     level = sum(ws) // 2
-    frame = WedgeFrame(SQUARE, 0)
-    items = frame.items(Y, weights=ws)
+    frame, items = frame_items(SQUARE, 0, Y, weights=ws)
     curve = LevelCurve(frame, level, items)
     positions = canonical_positions(curve, items)
     loads = dominance_loads(positions, items)
     assert min(loads) >= level
     assert min(loads) <= level + max(ws)
-
-
-def test_first_items_call_fixes_the_frame_keys():
-    # D = 2 and B from |id + 1| <= 6; a later call must fit both
-    frame = WedgeFrame(SQUARE, 0)
-    frame.items([(Fraction(1, 2), 3)], ids=[5])
-    p = (7, Fraction(3, 2))
-    (U, V, _, _), = frame.items([p], ids=[-7])
-    assert frame.split(U) == ucoord(frame, p, -6)
-    assert frame.split(V) == vcoord(frame, p, -6)
-    with pytest.raises(ValueError):
-        frame.items([(Fraction(1, 3), 0)], ids=[0])
-    with pytest.raises(ValueError):
-        frame.items([(0, 0)], ids=[10 ** 6])
 
 
 @pytest.mark.parametrize("name", ["triangle", "hexagon"])
@@ -282,12 +261,10 @@ def test_huge_translation_keeps_every_index_and_the_coloring(
     pts = gen_points(1, size=k + k // 8, span=60)
     dx, dy = 10 ** 30, -7 * 10 ** 29
     moved = [(x + dx, y + dy) for x, y in pts]
-    delta = perturbation_direction(poly)
     for i in range(poly.n):
         indexes = []
         for where in (pts, moved):
-            frame = WedgeFrame(poly, i, delta)
-            items = frame.items(where)
+            frame, items = frame_items(poly, i, where)
             indexes.append(position_index_ranges(LevelCurve(frame, k, items),
                                                  items)[0])
         (positions, ranges), (moved_positions, moved_ranges) = indexes

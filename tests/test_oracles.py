@@ -20,6 +20,7 @@ its curve's 1-D instance.
 import random
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,7 +35,7 @@ from coverplex.generate import (POLYGONS, gen_planar, gen_points, gen_rsc,
 from coverplex.geometry import (ConvexPolygon, GridSpec, cross, grid_spec,
                                 perturbation_direction, reflect,
                                 strict_support_edges, sub)
-from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
+from coverplex.levelcurve import (LevelCurve, canonical_positions,
                                   min_load_on_curve, position_index_ranges,
                                   vertex_items)
 from coverplex.planar import (PlanarInstance, PlanarSchedule,
@@ -193,19 +194,18 @@ def test_reserved_filter_several_directions_matches_direct_oracle(case):
     check_reserved_filter(case)
 
 
-def u_orders(poly, delta, pts, weights, ids):
+def u_orders(poly, pts, weights, ids):
     """Every frame's items sorted by U: the order the filter ranks by."""
-    return [sorted(WedgeFrame(poly, j, delta).items(pts, weights, ids))
-            for j in range(poly.n)]
+    return list(map(sorted, vertex_items(poly, pts, weights, ids)[1]))
 
 
 def check_reserved_filter(case):
     poly, i, pts, weights, ids, level, target = case
     delta = perturbation_direction(poly)
-    frame = WedgeFrame(poly, i, delta)
-    items = frame.items(pts, weights=weights, ids=ids)
+    frame, items = reference.frame_items(poly, i, pts, weights=weights,
+                                         ids=ids)
     curve = LevelCurve(frame, level, items)
-    got = _reserved_filter(poly, i, u_orders(poly, delta, pts, weights, ids),
+    got = _reserved_filter(poly, i, u_orders(poly, pts, weights, ids),
                            position_index_ranges(curve, items)[0], items,
                            target)
     assert got == reference.reserved_ref(poly, i, delta, curve, items, pts,
@@ -258,11 +258,11 @@ def test_reserved_filter_sweep_several_directions_matches_both_oracles(case):
 def check_sweep(case):
     poly, i, pts, weights, ids, m, level, target, late = case
     delta = perturbation_direction(poly)
-    frame = WedgeFrame(poly, i, delta)
-    items = frame.items(pts, weights=weights, ids=ids)
+    frame, items = reference.frame_items(poly, i, pts, weights=weights,
+                                         ids=ids)
     curve = LevelCurve(frame, level, items[:m])
     index = position_index_ranges(curve, items)[0]
-    orders = u_orders(poly, delta, pts, weights, ids)
+    orders = u_orders(poly, pts, weights, ids)
     ends = [rng[1] for rng in map(index[1].get, ids) if rng is not None]
     if late and ends:
         # the index of all items answers for any subset of them
@@ -329,8 +329,8 @@ def clique_filter_cases(draw, family, kite_apex=False):
     if family == "whole":
         level = near_total(draw, weights)
     delta = perturbation_direction(poly)
-    frame = WedgeFrame(poly, i, delta)
-    items = frame.items(pts, weights=weights, ids=ids)
+    frame, items = reference.frame_items(poly, i, pts, weights=weights,
+                                         ids=ids)
     curve = LevelCurve(frame, level, items)
     index = position_index_ranges(curve, items)[0]
     ranges = index[1]
@@ -352,7 +352,7 @@ def clique_filter_cases(draw, family, kite_apex=False):
         target = top + draw(st.integers(1, 3))
     else:
         target = draw(st.integers(0, sum(w for *_, w in sub) + 1))
-    orders = u_orders(poly, delta, pts, weights, ids)
+    orders = u_orders(poly, pts, weights, ids)
     return poly, i, delta, curve, index, sub, sub_pts, target, orders
 
 
@@ -374,7 +374,7 @@ def test_reserved_filter_clique_families_match_direct_oracle(family,
     assert got == reference.reserved_ref(poly, i, delta, curve, sub, sub_pts,
                                          target)
     if family == "above" and strict_support_edges(poly, i):
-        assert got == set()
+        assert got == []
 
 
 @st.composite
@@ -391,10 +391,10 @@ def curve_queries(draw, whole=False):
     wide = st.tuples(st.integers(-8, 16), st.integers(-8, 16))
     extra = draw(st.lists(wide, max_size=4))
     next_id = 3 * len(pts) + 2
-    frame = WedgeFrame(poly, i)
-    # one call, so the extra points share the frame's keys
-    items = frame.items(pts + extra, weights=weights + [2] * len(extra),
-                        ids=ids + list(range(next_id, next_id + len(extra))))
+    # one vertex loop, so the extra points share the frame's keys
+    frame, items = reference.frame_items(
+        poly, i, pts + extra, weights=weights + [2] * len(extra),
+        ids=ids + list(range(next_id, next_id + len(extra))))
     curve = LevelCurve(frame, level, items[:len(pts)])
     live = [it for it, kept in zip(items, keep) if kept] + items[len(pts):]
     next_id += len(extra)
@@ -474,8 +474,8 @@ def walk_index_cases(draw):
     ids = [3 * pid + 1 for pid in draw(st.permutations(range(size)))]
     level = (near_total(draw, weights) if draw(st.booleans())
              else draw(st.integers(1, sum(weights))))
-    frame = WedgeFrame(poly, draw(st.integers(0, poly.n - 1)))
-    items = frame.items(pts, weights=weights, ids=ids)
+    frame, items = reference.frame_items(
+        poly, draw(st.integers(0, poly.n - 1)), pts, weights=weights, ids=ids)
     curve = LevelCurve(frame, level, items)
     live = [it for it in items if draw(st.booleans())]
     (head_u, head_v), (tail_u, tail_v) = curve.head, curve.tail
@@ -810,10 +810,10 @@ def level_curve_cases(draw):
     they share a main U coordinate, unit or duration weights, and a level
     of 1, the total weight or one between."""
     poly = draw(polygons())
-    frame = WedgeFrame(poly, draw(st.integers(0, poly.n - 1)))
+    i = draw(st.integers(0, poly.n - 1))
     spot = st.tuples(rationals, rationals) | st.tuples(coords, coords)
     pts = draw(st.lists(spot, min_size=1, max_size=12))
-    e2x, e2y = frame.e2
+    e2x, e2y = reference.frame_items(poly, i, [])[0].e2
     for _ in range(draw(st.integers(0, 4))):
         (x, y), s = draw(st.sampled_from(pts)), draw(st.integers(-2, 2))
         pts.append((x + s * e2x, y + s * e2y))
@@ -821,7 +821,7 @@ def level_curve_cases(draw):
                                         max_size=len(pts)))
     total = len(pts) if weights is None else sum(weights)
     level = draw(st.sampled_from([1, total]) | st.integers(1, total))
-    return frame, frame.items(pts, weights=weights), level
+    return *reference.frame_items(poly, i, pts, weights=weights), level
 
 
 @ORACLE
@@ -867,8 +867,8 @@ def test_frame_u_order_ranks_match_normal_order_reference(case):
     delta = perturbation_direction(poly)
     for i in range(poly.n):
         for j in strict_support_edges(poly, i):
-            frame = WedgeFrame(poly, j, delta)
-            curve = LevelCurve(frame, 1, frame.items(pts, ids=ids))
+            frame, items = reference.frame_items(poly, j, pts, ids=ids)
+            curve = LevelCurve(frame, 1, items)
             got = {pid: r for r, (_, _, pid, _w) in enumerate(curve.items, 1)}
             assert got == reference.order_ranks(poly, j, delta, pts, ids)
 
@@ -880,8 +880,8 @@ def test_flat_keys_order_and_decode_as_reference_pairs(case, data):
     # reference pair: of every item, of both ray representatives (main 2
     # below the head's u and the tail's v) and of every gap midpoint
     poly, pts, ids = case
-    frame = WedgeFrame(poly, data.draw(st.integers(0, poly.n - 1)))
-    items = frame.items(pts, ids=ids)
+    frame, items = reference.frame_items(
+        poly, data.draw(st.integers(0, poly.n - 1)), pts, ids=ids)
     refs = [{}, {}]  # key -> reference pair, for U and for V
     for c, coord in enumerate((reference.ucoord, reference.vcoord)):
         pairs = [coord(frame, p, pid + 1) for p, pid in zip(pts, ids)]
@@ -913,9 +913,8 @@ def test_superset_index_gives_the_subset_answers(data):
     # the vertex loop builds each curve's index once over all of the items
     # and queries it with the items still live
     poly, i, pts, weights, ids, level = data.draw(weighted_cases())
-    delta = perturbation_direction(poly)
-    frame = WedgeFrame(poly, i, delta)
-    items = frame.items(pts, weights=weights, ids=ids)
+    frame, items = reference.frame_items(poly, i, pts, weights=weights,
+                                         ids=ids)
     curve = LevelCurve(frame, level, items)
     keep = data.draw(st.lists(st.booleans(), min_size=len(items),
                               max_size=len(items)))
@@ -926,7 +925,7 @@ def test_superset_index_gives_the_subset_answers(data):
     assert reference.index_min_load(full, sub) == load
     assert min_load_on_curve(curve, sub) == load
     target = data.draw(st.integers(0, sum(weights) + 1))
-    orders = u_orders(poly, delta, pts, weights, ids)
+    orders = u_orders(poly, pts, weights, ids)
     assert _reserved_filter(poly, i, orders, full, sub, target) == \
         _reserved_filter(poly, i, orders, own, sub, target)
     t = data.draw(st.integers(0, load // 2 + 1))
@@ -968,73 +967,64 @@ def key_cases(draw):
 
 @ORACLE
 @given(key_cases())
-def test_vertex_loop_items_match_single_frames_at_the_common_base(case):
-    # the loop keys each edge once: frame i's U column is frame i + 1's V
+def test_vertex_loop_keys_match_the_sheared_coordinate_reference(case):
+    # every key is the flat key of the reference (main, eps) pair at the
+    # loop's D and B, B the least power of two above twice the largest
+    # |eps| of any frame; the loop keys each edge once, so frame i's U
+    # column is frame i + 1's V
     poly, pts, weights, ids = case
     frames, items = vertex_items(poly, pts, weights=weights, ids=ids)
-    delta = perturbation_direction(poly)
-    bases = []
-    for i, (frame, its) in enumerate(zip(frames, items)):
-        own = WedgeFrame(poly, i, delta)
-        own.items(pts, weights=weights, ids=ids)
-        bases.append(own.base)
-        assert own.scale == frame.scale
-        single = WedgeFrame(poly, i, delta)
-        single.scale, single.base = frame.scale, frame.base
-        assert single.items(pts, weights=weights, ids=ids) == its
-    assert {f.base for f in frames} == {max(bases)}
+    scale = lcm(*(Fraction(c).denominator for p in pts for c in p))
+    largest = 0
+    for frame, its in zip(frames, items):
+        assert (frame.scale, frame.base) == (scale, frames[0].base)
+        want = []
+        for p, pid, w in zip(pts, ids, weights):
+            u = reference.ucoord(frame, p, pid + 1)
+            v = reference.vcoord(frame, p, pid + 1)
+            largest = max(largest, abs(u[1]), abs(v[1]))
+            want.append((reference.flat_key(frame, u),
+                         reference.flat_key(frame, v), pid, w))
+        assert its == want
+    assert frames[0].base == 1 << (2 * largest).bit_length()
     for i in range(poly.n):
         nxt = items[(i + 1) % poly.n]
         assert [U for U, *_ in items[i]] == [V for _, V, *_ in nxt]
 
 
-def loop_through_filter(*args, **kwargs):
-    """_iterate_vertices with every vertex sent through _reserved_filter,
-    and the vertex of each filter call."""
-    calls = []
-
-    def counted(*filter_args):
-        calls.append(filter_args[1])
-        return _reserved_filter(*filter_args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cover, "strict_support_edges",
-                   lambda poly, i: reference.EmptyYetTruthy())
-        mp.setattr(cover, "_reserved_filter", counted)
-        return _iterate_vertices(*args, **kwargs), calls
+@st.composite
+def unreserved_filter_cases(draw):
+    """filter_cases at a vertex with no strict support edge: any vertex of
+    the square or of a parallelogram with maybe rational vertices, or one
+    of the two such hexagon vertices; keyed_points' points, weights and
+    ids."""
+    shape = draw(st.sampled_from(["square", "parallelogram", "hexagon"]))
+    if shape == "parallelogram":
+        a = draw(st.tuples(coords, coords))
+        b = draw(st.tuples(coords, coords))
+        assume(cross(a, b) != 0)
+        if cross(a, b) < 0:
+            a, b = b, a
+        q = draw(st.integers(1, 3))
+        poly = ConvexPolygon([(Fraction(x, q), Fraction(y, q)) for x, y in
+                              [(0, 0), a, (a[0] + b[0], a[1] + b[1]), b]])
+    else:
+        poly = ConvexPolygon(POLYGONS[shape])
+    free = [i for i in range(poly.n) if not strict_support_edges(poly, i)]
+    assert len(free) == (2 if shape == "hexagon" else 4)
+    pts, weights, ids = draw(keyed_points(min_size=1))
+    level = draw(st.integers(1, sum(weights)))
+    target = draw(st.integers(0, sum(weights) + 1))
+    return poly, draw(st.sampled_from(free)), pts, weights, ids, level, target
 
 
 @ORACLE
-@given(st.data())
-def test_vertex_loop_without_reserved_directions_skips_the_filter(data):
-    # on a parallelogram no vertex strictly supports an edge normal, so the
-    # loop hands the live ranged items straight to the block solver
-    a = data.draw(st.tuples(coords, coords))
-    b = data.draw(st.tuples(coords, coords))
-    assume(cross(a, b) != 0)
-    if cross(a, b) < 0:
-        a, b = b, a
-    q = data.draw(st.integers(1, 3))
-    poly = ConvexPolygon([(Fraction(x, q), Fraction(y, q)) for x, y in
-                          [(0, 0), a, (a[0] + b[0], a[1] + b[1]), b]])
-    assert not any(strict_support_edges(poly, i) for i in range(4))
-    pts, weights, ids = data.draw(keyed_points(min_size=1))
-    weights = [64 * poly.n * w for w in weights]
-    level = data.draw(st.integers(1, sum(weights)))
-    pick = set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
-    blocks = []
-
-    def solve_block(index, items, t):
-        blocks.append(items)
-        return {pid: t for (_, _, pid, _w) in items if pid in pick}
-
-    want = _iterate_vertices(poly, pts, level, solve_block, weights=weights,
-                             ids=ids)
-    direct, blocks[:] = blocks[:], []
-    got, calls = loop_through_filter(poly, pts, level, solve_block,
-                                     weights=weights, ids=ids)
-    assert got == want and blocks == direct
-    assert calls == [r.i for r in want[1] if r.t]
+@given(unreserved_filter_cases())
+def test_reserved_filter_without_reserved_directions_matches_direct_oracle(
+        case):
+    # the loop calls the filter at every vertex; with no reserved direction
+    # every member of some position survives
+    check_reserved_filter(case)
 
 
 @ORACLE
@@ -1055,9 +1045,7 @@ def test_vertex_loop_loads_match_fresh_loads_of_the_live_items(data):
 
     _, records = _iterate_vertices(poly, pts, level, solve_block,
                                    weights=weights, ids=ids)
-    delta = perturbation_direction(poly)
-    frames = [WedgeFrame(poly, z, delta) for z in range(poly.n)]
-    items = [f.items(pts, weights=weights, ids=ids) for f in frames]
+    frames, items = vertex_items(poly, pts, weights=weights, ids=ids)
     curves = [LevelCurve(f, level, its) for f, its in zip(frames, items)]
     gone = set()
     for (i, L, t, _x_size, _chosen) in records:
@@ -1086,8 +1074,8 @@ def test_compute_cover_matches_union_find_oracle(data):
     # high levels and few dropped items keep most positions deep enough
     poly, i, pts, weights, ids, _ = data.draw(weighted_cases())
     level = data.draw(st.integers(max(1, sum(weights) // 2), sum(weights)))
-    frame = WedgeFrame(poly, i)
-    items = frame.items(pts, weights=weights, ids=ids)
+    frame, items = reference.frame_items(poly, i, pts, weights=weights,
+                                         ids=ids)
     curve = LevelCurve(frame, level, items)
     keep = data.draw(st.lists(st.sampled_from([True, True, True, False]),
                               min_size=len(items), max_size=len(items)))
@@ -1109,8 +1097,8 @@ def test_compute_cover_whole_curve_family_matches_union_find_oracle(data):
     # most items hold the whole curve, and t sits at half their count, so
     # the whole-range intervals fill every round or run out
     poly, i, pts, weights, ids, _ = data.draw(weighted_cases())
-    frame = WedgeFrame(poly, i)
-    items = frame.items(pts, weights=weights, ids=ids)
+    frame, items = reference.frame_items(poly, i, pts, weights=weights,
+                                         ids=ids)
     curve = LevelCurve(frame, near_total(data.draw, weights), items)
     index = position_index_ranges(curve, items)[0]
     full = (0, len(index[0]) - 1)
@@ -1266,7 +1254,7 @@ def test_verify_coloring_matches_all_points_oracle(case):
     assert (w["i"], w["color"]) == (r["i"], r["color"])
     c = by_curve.checks[0].witness
     assert (w["i"], w["color"]) == (c["i"], c["color"])
-    frame = WedgeFrame(poly, w["i"])
+    frame, _ = reference.frame_items(poly, w["i"], pts)
     inside = [pid for pid, p in enumerate(pts)
               if reference.ucoord(frame, p, pid + 1) >= w["apex_u"]
               and reference.vcoord(frame, p, pid + 1) >= w["apex_v"]]

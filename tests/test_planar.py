@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from coverplex import levelcurve
+from coverplex import cover
 from coverplex.cover import decompose_translates
 from coverplex.generate import gen_planar, polygon
-from coverplex.geometry import perturbation_direction, reflect
-from coverplex.levelcurve import (LevelCurve, WedgeFrame, canonical_positions,
+from coverplex.geometry import reflect
+from coverplex.levelcurve import (LevelCurve, canonical_positions,
                                   position_index_ranges)
 from coverplex.planar import (PlanarInstance, PlanarSchedule,
                               curve_rsc_instance, plan_schedule, planar_load,
                               verify_planar)
+from reference import frame_items
 
 TRIANGLE = polygon("triangle")
 
@@ -51,11 +52,9 @@ def test_curve_rsc_instance_membership():
     # position's wedge contains the sensor's center
     rng = random.Random(1)
     refl = reflect(TRIANGLE)
-    delta = perturbation_direction(refl)
     centers = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(20)]
     durs = [rng.randint(1, 4) for _ in range(20)]
-    frame = WedgeFrame(refl, 0, delta)
-    items = frame.items(centers, weights=durs)
+    frame, items = frame_items(refl, 0, centers, weights=durs)
     curve = LevelCurve(frame, 10, items)
     rinst = curve_rsc_instance(position_index_ranges(curve, items)[0], items)
     positions = canonical_positions(curve, items)
@@ -80,6 +79,33 @@ def test_plan_schedule_trivial_low_load():
     report = verify_planar(inst, sched)
     assert report.ok()
     assert report.stats["M_achieved"] == 2
+
+
+@pytest.mark.parametrize("seed, n_sensors, spread, universe_size, d_max", [
+    (1, 4000, 20, 50, 4),    # k_cell 8
+    (1, 8000, 60, 200, 4),   # k_cell 1
+    (1, 600, 6, 30, 4),      # k_cell 9
+    (1, 400, 2, 5, 7),       # the golden plan-solve-1-small instance
+    (0, 400, 2, 5, 7),       # the benchmark self-test's planar size
+    (3, 400, 2, 5, 7),
+])
+def test_plan_schedule_with_nothing_assigned_is_the_trivial_schedule(
+        seed, n_sensors, spread, universe_size, d_max):
+    # k_cell >= 1, but every block's t is 0, so no block assigns a sensor:
+    # the schedule starts every sensor at t = 1, never below that baseline
+    inst = gen_planar(seed, n_sensors=n_sensors, d_max=d_max, spread=spread,
+                      universe_size=universe_size)
+    sched = plan_schedule(inst)
+    assert sched.info["k_cell"] >= 1
+    assert not any(it["assigned"] for c in sched.info["cells"].values()
+                   for it in c.get("iterations", ()))
+    assert sched.trivial
+    assert sched.start == {s.id: 1 for s in inst.sensors}
+    report = verify_planar(inst, sched)
+    baseline = verify_planar(
+        inst, PlanarSchedule(start={s.id: 1 for s in inst.sensors}))
+    assert report.ok()
+    assert report.stats["M_achieved"] >= baseline.stats["M_achieved"] >= 4
 
 
 def test_plan_schedule_identical_sensors():
@@ -145,13 +171,13 @@ def test_unit_duration_agrees_with_point_decomposition():
 
 def test_plan_schedule_builds_each_curve_index_once_per_cell(monkeypatch):
     builds = []
-    real = levelcurve._positions_and_ends
+    real = cover.position_index_ranges
 
     def counted(curve, items):
         builds.append(len(items))
         return real(curve, items)
 
-    monkeypatch.setattr(levelcurve, "_positions_and_ends", counted)
+    monkeypatch.setattr(cover, "position_index_ranges", counted)
     inst = gen_planar(0, n_sensors=2600, d_max=7, spread=2, universe_size=5)
     sched = plan_schedule(inst)
     cells = [c for c in sched.info["cells"].values() if not c["skipped"]]
