@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -362,12 +363,27 @@ def _parse_args(argv):
 
 
 def main(argv=None):
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    """Run one command; returns its exit code.
+
+    The cyclic garbage collector is paused from parsing to the last
+    write: a command's readers build thousands of dicts and tuples with
+    no cycles, which would start collector passes that free nothing, as
+    reference counting frees them.  On the way out, by any return or
+    exception (argparse's SystemExit too), it is enabled again if it was
+    enabled on entry.  Only this entry point touches gc; the library
+    functions leave the process-wide setting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.fn(args)
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        try:
+            return args.fn(args)
+        except InputError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

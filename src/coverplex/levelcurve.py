@@ -79,8 +79,10 @@ def vertex_items(poly, points, weights=None, ids=None):
     the edge vector e: frame j's U and frame j + 1's V, whose -e1 is the
     same e.  Frame i's items zip the columns of edges i and i - 1 with the
     ids and the weights.  D clears the points' denominators, 1 when every
-    coordinate is an int, and B is the least power of two above twice the
-    largest |epsilon term| of any frame."""
+    coordinate is an int; points with any other coordinate are rescaled
+    to ints, also when D is 1 (whole Fractions), so every key is an int.
+    B is the least power of two above twice the largest |epsilon term| of
+    any frame."""
     delta = perturbation_direction(poly)
     edges = [int_scaled(*poly.edge_vec(j)) for j in range(poly.n)]
     if ids is None:
@@ -93,8 +95,7 @@ def vertex_items(poly, points, weights=None, ids=None):
     if not all(map(int.__instancecheck__, chain.from_iterable(points))):
         scale = lcm(*set(map(attrgetter("denominator"),
                              chain.from_iterable(points))))
-        if scale != 1:
-            points = [(int(x * scale), int(y * scale)) for x, y in points]
+        points = [(int(x * scale), int(y * scale)) for x, y in points]
     frames = [WedgeFrame(poly, i, delta, scale, base) for i in range(poly.n)]
     dx, dy = delta
     shifted = [(base * x + dx * s, base * y + dy * s)

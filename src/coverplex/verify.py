@@ -86,6 +86,9 @@ def rsc_opt_bruteforce(instance):
     def feasible(T):
         if T == 0:
             return True
+        # quick impossibility: some coordinate lacks total duration T
+        if any(per[x] < T for x in range(1, m + 1)):
+            return False
         full = (1 << (T + 1)) - 2  # bits 1..T
         dead = set()
 
@@ -136,10 +139,10 @@ def rsc_opt_bruteforce(instance):
             dead.add(key)
             return False
 
-        # quick impossibility: some coordinate lacks total duration T
-        if any(per[x] < T for x in range(1, m + 1)):
-            return False
-        return rec(0, tuple([0] * (m + 1)))
+        try:
+            return rec(0, tuple([0] * (m + 1)))
+        finally:  # rec's cell refers to rec: free it and `dead` by refcount
+            del rec
 
     lo, hi = 0, L
     while lo < hi:

@@ -1,7 +1,11 @@
 import argparse
 import copy
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference
 from coverplex import cli, jsonio
+from coverplex.cover import decompose_points
 from coverplex.generate import (POLYGONS, gen_planar, gen_rsc, gen_points,
                                 polygon)
+from coverplex.planar import plan_schedule
 from coverplex.rsc import Schedule, Sensor, greedy_schedule
 
 
@@ -1026,3 +1032,148 @@ def test_coordinate_beyond_floats_solves(tmp_path, capsys, argv, make, path):
     code, out, err = run(argv + ["--in", str(p)], capsys)
     assert (code, err) == (0, "")
     json.loads(out)
+
+
+# -- the collector pause ----------------------------------------------------
+
+_FAILING_COLORING = {"polygon": {"vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]},
+                     "points": [[2, 6], [7, 10], [9, 1]], "k": 1,
+                     "colors": [1, 2, None], "T": 2}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, doc, want", [
+    (["gen", "rsc", "--n", "3"], None, 0),
+    (["decomp", "verify"], _FAILING_COLORING, 1),
+    (["rsc", "solve"], "{ this is not json", 2),
+    (["rsc", "solve", "--bogus"], None, ("exit", 2)),
+    (["rsc", "solve", "-h"], None, ("exit", 0)),
+], ids=["return-0", "return-1", "return-2", "usage-error", "help"])
+def test_main_leaves_the_collector_as_it_found_it(
+        tmp_path, capsys, monkeypatch, enabled, argv, doc, want):
+    # main pauses the collector through the whole command, the write too,
+    # and on every way out enables it again only if it was enabled
+    if doc is not None:
+        p = tmp_path / "in.json"
+        p.write_text(doc if isinstance(doc, str) else jsonio.dumps(doc))
+        argv = argv + ["--in", str(p)]
+    during = []
+    real_write = cli._write
+
+    def write(args, text):
+        during.append(gc.isenabled())
+        real_write(args, text)
+
+    monkeypatch.setattr(cli, "_write", write)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = ("exit", exc.code)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert got == want
+    assert during == ([False] if want in (0, 1) else [])
+
+
+def _command_inputs(scale):
+    """For every subcommand in cli.COMMANDS, its flags and the document
+    it reads (None for a generator), at a size that grows with scale.
+    The oracle refuses more than 8 sensors, so its size is 4 or 8."""
+    inst = gen_rsc(5, n=40 * scale, m=40 * scale)
+    rsc_both = {"instance": jsonio.rsc_instance_to_json(inst),
+                "schedule": jsonio.schedule_to_json(greedy_schedule(inst))}
+    poly = polygon("triangle")
+    points = gen_points(1, size=120 * scale, span=20)
+    points_doc = jsonio.decomp_instance_to_json(poly, points, 96)
+    asg, trace = decompose_points(poly, points, 96)
+    coloring = points_doc | jsonio.coloring_to_json(asg, len(points), trace)
+    planar = gen_planar(2, n_sensors=60 * scale)
+    n = str(20 * scale)
+    return {
+        ("rsc", "solve"): ([], rsc_both["instance"]),
+        ("rsc", "verify"): ([], rsc_both),
+        ("rsc", "oracle"): ([], jsonio.rsc_instance_to_json(gen_rsc(
+            5, n=4 * min(scale, 2), m=4 * min(scale, 2), d_max=4))),
+        ("decomp", "points"): ([], points_doc),
+        ("decomp", "translates"): ([], {"polygon": points_doc["polygon"],
+                                        "centers": points_doc["points"],
+                                        "k": 8}),
+        ("decomp", "verify"): ([], coloring),
+        ("plan", "solve"): ([], jsonio.planar_instance_to_json(planar)),
+        ("plan", "verify"): ([], {
+            "instance": jsonio.planar_instance_to_json(planar),
+            "schedule": jsonio.planar_schedule_to_json(
+                plan_schedule(planar))}),
+        ("gen", "rsc"): (["--n", n, "--m", n], None),
+        ("gen", "points"): (["--size", n], None),
+        ("gen", "planar"): (["--n", n], None),
+        ("plot", "curve"): ([], points_doc),
+        ("plot", "coloring"): ([], coloring),
+        ("plot", "schedule"): ([], rsc_both),
+    }
+
+
+# Measured: 22 to 47 objects per command (the one-command parser's own
+# cycles: 42 and 47 for the generators, whose parsers declare more
+# flags), the same at 1x and 10x.  The bound leaves 17 over the largest.
+CYCLIC_GARBAGE_BOUND = 64
+
+
+def test_paused_commands_leave_no_growing_cyclic_garbage(tmp_path):
+    # with the collector paused, what a command leaves for it is the
+    # parser's few cycles: reference counting frees the rest, so the pause
+    # holds no memory that grows with the input
+    found = {}
+    for scale in (1, 10):
+        inputs = _command_inputs(scale)
+        assert sorted(inputs) == sorted(
+            (group, name) for group, commands in cli.COMMANDS.items()
+            for name in commands)
+        for (group, name), (flags, doc) in inputs.items():
+            argv = [group, name, *flags, "--out", str(tmp_path / "out")]
+            if doc is not None:
+                (tmp_path / "in").write_text(jsonio.dumps(doc))
+                argv += ["--in", str(tmp_path / "in")]
+            was = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                assert cli.main(argv) == 0, argv
+                found.setdefault((group, name), []).append(gc.collect())
+            finally:
+                if was:
+                    gc.enable()
+    for key, (small, large) in found.items():
+        assert small == large <= CYCLIC_GARBAGE_BOUND, (key, small, large)
+
+
+def test_module_entry_point_matches_main(tmp_path, capsys):
+    # python -m coverplex.cli, in a process of its own, writes main's bytes
+    # and turns a malformed document into one error line, no traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    doc = tmp_path / "in.json"
+    doc.write_text(jsonio.dumps(jsonio.rsc_instance_to_json(
+        gen_rsc(3, n=30, m=30))))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"m": 3, "sensors": [')
+
+    def entry(path):
+        return subprocess.run(
+            [sys.executable, "-m", "coverplex.cli", "rsc", "solve",
+             "--in", str(path)], capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+
+    code, out, err = run(["rsc", "solve", "--in", str(doc)], capsys)
+    proc = entry(doc)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), err.encode()) and code == 0
+    proc = entry(bad)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")
+    assert proc.stderr.count(b"\n") == 1, proc.stderr
+    assert b"Traceback" not in proc.stderr

@@ -183,6 +183,30 @@ def test_vertex_loop_names_a_precondition_position_by_pairs():
         % (err.value.position, err.value.have, 2 * 10 ** 6)
 
 
+def test_whole_fraction_points_decompose_as_ints():
+    # Fraction(n, 1) coordinates, as "4/2" reads, alone or beside ints,
+    # give the int points' colors, trace and precondition message
+    pts = gen_points(0, size=300, span=40)
+    whole = [(Fraction(x), Fraction(y)) for x, y in pts]
+    mixed = [(Fraction(x), y) for x, y in pts]
+    asg, trace = decompose_points(TRIANGLE, pts, 256)
+    assert asg.T >= 1
+    for other in (whole, mixed):
+        assert decompose_points(TRIANGLE, other, 256) == (asg, trace)
+
+    def greedy_cover(index, items, t):
+        return compute_cover(index, items, 10 ** 6)
+
+    messages = set()
+    for p in (pts, whole, mixed):
+        with pytest.raises(CoverPreconditionError) as err:
+            cover._iterate_vertices(polygon("square"), p, 300, greedy_cover)
+        messages.add(str(err.value))
+        assert all(type(c) is int for pair in err.value.position
+                   for c in pair)
+    assert len(messages) == 1
+
+
 def test_decompose_points_on_the_square_keeps_every_ranged_item(
         monkeypatch):
     # no square vertex strictly supports an edge normal: the filter, which

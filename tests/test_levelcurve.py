@@ -9,7 +9,8 @@ from coverplex.generate import POLYGONS, gen_points, polygon
 from coverplex.geometry import ConvexPolygon, reflect
 from coverplex.levelcurve import (NEG_INF, EmptyLevelCurveError, LevelCurve,
                                   build_level_curve, canonical_positions,
-                                  min_load_on_curve, position_index_ranges)
+                                  min_load_on_curve, position_index_ranges,
+                                  vertex_items)
 from reference import (dominance_loads, flat_key, frame_items, tuple_ends,
                        tuple_positions_and_ends, ucoord, vcoord, walk_key,
                        wedge_contains, wedge_load)
@@ -211,6 +212,29 @@ def test_every_gap_gets_a_representative(rational_share):
             [k % 2 == 0 for k in range(len(positions))]
         keys = [walk_key(pos) for pos in positions]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("layout", ["int", "whole-fraction", "mixed",
+                                    "rational"])
+def test_vertex_items_keys_are_ints(layout):
+    # every key is an int, whatever type the coordinates have: a point set
+    # with any non-int coordinate is rescaled, also when D is 1 ("4/2"
+    # reads as Fraction(2, 1)), and the int and whole-Fraction sets give
+    # the same keys
+    ints = gen_points(3, size=40, span=30)
+    pts = {"int": ints,
+           "whole-fraction": [(Fraction(x), Fraction(y)) for x, y in ints],
+           "mixed": [(Fraction(x), y) if j % 2 else (x, Fraction(y))
+                     for j, (x, y) in enumerate(ints)],
+           "rational": [(Fraction(x, 3), y) for x, y in ints]}[layout]
+    for name in sorted(POLYGONS):
+        poly = polygon(name)
+        frames, items = vertex_items(poly, pts)
+        assert all(type(key) is int for column in items for it in column
+                   for key in it[:2]), (layout, name)
+        if layout != "rational":
+            assert items == vertex_items(poly, ints)[1]
+            assert {frame.scale for frame in frames} == {1}
 
 
 def test_min_load_on_curve_examples():
