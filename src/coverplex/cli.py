@@ -40,6 +40,8 @@ def _read_doc(args):
                          % (exc.lineno, exc.colno, exc.msg))
     except ValueError as exc:  # undecodable bytes, over-long integer literal
         raise InputError("unreadable JSON: %s" % exc)
+    except RecursionError as exc:
+        raise InputError("JSON nested too deeply: %s" % exc)
 
 
 def _read_pair(args, read_instance, read_schedule, **kwargs):
@@ -62,8 +64,11 @@ def _at_least(args, **least):
 
 def _write(args, text):
     if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # missing directory, a directory, no access
+            raise InputError(str(exc))
     else:
         sys.stdout.write(text)
 

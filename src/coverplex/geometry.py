@@ -70,7 +70,8 @@ class GridSpec:
 
 
 class ConvexPolygon:
-    """Strictly convex polygon with integer vertices in CCW order.
+    """Strictly convex polygon with rational vertices in CCW order: every
+    turn is strictly left and the edges turn around once.
 
     Vertex index arithmetic is modulo n.  ``centroid`` is the exact rational
     area centroid, used as the reference point for translates.
@@ -78,18 +79,26 @@ class ConvexPolygon:
 
     def __init__(self, vertices):
         vs = [(_norm(x), _norm(y)) for x, y in vertices]
-        if len(vs) < 3:
-            raise GeometryError("polygon needs at least 3 vertices")
-        if len(set(vs)) != len(vs):
-            raise GeometryError("repeated vertex")
         n = len(vs)
+        if n < 3:
+            raise GeometryError("polygon needs at least 3 vertices")
+        # every turn strictly left, and the edge directions, each turning
+        # less than a half-turn, cross from the lower half-plane (y < 0, or
+        # y = 0 and x < 0) into the upper one once per revolution: once
+        # for a convex polygon, more often for a star (a repeated vertex
+        # makes a zero edge or a second revolution)
+        windings = 0
         for i in range(n):
-            a, b, c = vs[i - 1], vs[i], vs[(i + 1) % n]
-            turn = cross(sub(b, a), sub(c, b))
+            a, b = sub(vs[i], vs[i - 1]), sub(vs[(i + 1) % n], vs[i])
+            turn = cross(a, b)
             if turn == 0:
                 raise GeometryError("three collinear vertices at index %d" % i)
             if turn < 0:
                 raise GeometryError("vertices not in CCW order")
+            windings += (a[1], a[0]) < (0, 0) <= (b[1], b[0])
+        if windings != 1:
+            raise GeometryError("not a convex polygon: its edges turn "
+                                "around %d times, not once" % windings)
         self.vertices = vs
         self.n = n
         self.centroid = _area_centroid(vs)
@@ -148,18 +157,16 @@ class ConvexPolygon:
     @cached_property
     def _support_edges(self):
         """Per vertex, the edges whose inward normal it strictly maximizes
-        (strict_support_edges)."""
-        table = []
-        for i, pi in enumerate(self.vertices):
-            out = []
-            for j in range(self.n):
-                nj = self.inward_normal(j)
-                best = dot(pi, nj)
-                if all(dot(v, nj) < best for k, v in enumerate(self.vertices)
-                       if k != i):
-                    out.append(j)
-            table.append(tuple(out))
-        return tuple(table)
+        (strict_support_edges): edge j goes to its highest vertex along
+        inward_normal(j), if only one vertex is highest."""
+        table = [[] for _ in range(self.n)]
+        for j in range(self.n):
+            nj = self.inward_normal(j)
+            heights = [dot(v, nj) for v in self.vertices]
+            top = max(heights)
+            if heights.count(top) == 1:
+                table[heights.index(top)].append(j)
+        return tuple(map(tuple, table))
 
     def bounding_box(self):
         xs = [v[0] for v in self.vertices]
@@ -222,15 +229,6 @@ def _seg_point_dist2(a, b, p):
     return d[0] * d[0] + d[1] * d[1]
 
 
-def _seg_seg_dist2(a, b, c, d):
-    # segments of a convex polygon's disjoint features never cross, so the
-    # minimum is attained at an endpoint of one of them
-    return min(
-        _seg_point_dist2(a, b, c), _seg_point_dist2(a, b, d),
-        _seg_point_dist2(c, d, a), _seg_point_dist2(c, d, b),
-    )
-
-
 def _rational_sqrt_lower(d2: Fraction, scale: int = 1 << 24) -> Fraction:
     """Largest-enough rational lower bound on sqrt(d2); exact when d2 is the
     square of a rational."""
@@ -240,29 +238,16 @@ def _rational_sqrt_lower(d2: Fraction, scale: int = 1 << 24) -> Fraction:
 
 def grid_spec(poly: ConvexPolygon) -> GridSpec:
     """Cell side = half the minimum clearance between non-adjacent features
-    of the polygon (non-consecutive edge pairs plus vertex/non-incident-edge
-    pairs -- the latter is what keeps triangles honest, where every edge pair
-    is consecutive).  beta is a safe upper bound on the number of cells any
+    of the polygon, the least distance from a vertex to an edge not incident
+    to it: two non-adjacent edges are closest at an endpoint of one of them,
+    so their distance is one of these.  A strictly convex polygon keeps
+    every vertex off the line of each such edge, so the clearance is
+    positive.  beta is a safe upper bound on the number of cells any
     translate can intersect, from the bounding box."""
     n = poly.n
-    best = None
-    for i in range(n):
-        a, b = poly.vertex(i), poly.vertex(i + 1)
-        for j in range(n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # consecutive edges share a vertex
-            c, d = poly.vertex(j), poly.vertex(j + 1)
-            d2 = _seg_seg_dist2(a, b, c, d)
-            if best is None or d2 < best:
-                best = d2
-        for k in range(n):
-            if k == i or k == (i + 1) % n:
-                continue  # vertex on this edge
-            d2 = _seg_point_dist2(a, b, poly.vertex(k))
-            if best is None or d2 < best:
-                best = d2
-    if best is None or best == 0:
-        raise GeometryError("degenerate polygon")
+    best = min(_seg_point_dist2(poly.vertex(i), poly.vertex(i + 1),
+                                poly.vertex(k))
+               for i in range(n) for k in range(i + 2, i + n))
     cell = _rational_sqrt_lower(best) / 2
     x0, y0, x1, y1 = poly.bounding_box()
     w, h = Fraction(x1 - x0), Fraction(y1 - y0)
@@ -281,15 +266,11 @@ def cell_partition(points, grid: GridSpec):
 
 
 def perturbation_direction(poly: ConvexPolygon):
-    """Integer direction delta not parallel to any edge and not orthogonal to
-    any edge normal; used as the symbolic general-position shift: point with
-    id t is treated as shifted by t*eps*delta for an infinitesimal eps > 0."""
-    dirs = [poly.edge_vec(i) for i in range(poly.n)]
-    normals = [poly.inward_normal(i) for i in range(poly.n)]
+    """Integer direction delta not parallel to any edge, so not orthogonal to
+    any edge normal either (dot(delta, inward_normal(j)) is -cross(delta,
+    e_j)); used as the symbolic general-position shift: point with id t is
+    treated as shifted by t*eps*delta for an infinitesimal eps > 0."""
     lam = 1
-    while True:
-        delta = (1, lam)
-        if all(cross(delta, e) != 0 for e in dirs) and \
-           all(dot(delta, nrm) != 0 for nrm in normals):
-            return delta
+    while any(cross((1, lam), poly.edge_vec(j)) == 0 for j in range(poly.n)):
         lam += 1
+    return (1, lam)

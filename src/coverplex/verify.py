@@ -77,18 +77,13 @@ def rsc_opt_bruteforce(instance):
     for s in instance.sensors:
         for x in range(s.l, s.r + 1):
             per[x] += s.d
-    L = min(per[1:]) if m else 0
+    L = min(per[1:])
     if L > BRUTEFORCE_MAX_LOAD:
         raise ValueError("brute-force oracle limited to load L <= %d"
                          % BRUTEFORCE_MAX_LOAD)
     sensors = sorted(instance.sensors, key=lambda s: (s.l, s.r, s.d, s.id))
 
-    def feasible(T):
-        if T == 0:
-            return True
-        # quick impossibility: some coordinate lacks total duration T
-        if any(per[x] < T for x in range(1, m + 1)):
-            return False
+    def feasible(T):  # 1 <= T <= L, so every coordinate has duration T
         full = (1 << (T + 1)) - 2  # bits 1..T
         dead = set()
 

@@ -9,7 +9,8 @@ from itertools import accumulate
 from operator import itemgetter
 
 from coverplex.cover import CoverPreconditionError
-from coverplex.geometry import cross, dot, int_scaled, strict_support_edges
+from coverplex.geometry import (GridSpec, _rational_sqrt_lower, cross, dot,
+                                int_scaled, strict_support_edges, sub)
 from coverplex.jsonio import InputError, int_from_json, num_to_json
 from coverplex.levelcurve import (NEG_INF, LevelCurve, _Fenwick,
                                   canonical_positions, vertex_items)
@@ -43,6 +44,75 @@ def rsc_instance_from_json(doc):
         return RscInstance(int_from_json(doc["m"], "m"), sensors)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad scheduling instance: %s" % exc) from exc
+
+
+# ---------------------------------------------------------------------------
+# polygon tables, each by a pass over every pair or triple of features
+
+
+def seg_point_dist2(a, b, p):
+    """Exact squared distance from point p to segment ab."""
+    ab = sub(b, a)
+    ap = sub(p, a)
+    t = min(max(Fraction(dot(ap, ab), dot(ab, ab)), Fraction(0)), Fraction(1))
+    d = (p[0] - a[0] - t * ab[0], p[1] - a[1] - t * ab[1])
+    return d[0] * d[0] + d[1] * d[1]
+
+
+def grid_spec(poly):
+    """geometry.grid_spec with the clearance over non-consecutive edge pairs
+    as well as vertex/non-incident-edge pairs."""
+    n = poly.n
+    best = None
+    for i in range(n):
+        a, b = poly.vertex(i), poly.vertex(i + 1)
+        for j in range(n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue  # consecutive edges share a vertex
+            c, d = poly.vertex(j), poly.vertex(j + 1)
+            d2 = min(seg_point_dist2(a, b, c), seg_point_dist2(a, b, d),
+                     seg_point_dist2(c, d, a), seg_point_dist2(c, d, b))
+            if best is None or d2 < best:
+                best = d2
+        for k in range(n):
+            if k == i or k == (i + 1) % n:
+                continue  # vertex on this edge
+            d2 = seg_point_dist2(a, b, poly.vertex(k))
+            if best is None or d2 < best:
+                best = d2
+    cell = _rational_sqrt_lower(best) / 2
+    x0, y0, x1, y1 = poly.bounding_box()
+    w, h = Fraction(x1 - x0), Fraction(y1 - y0)
+    beta = (int(w / cell // 1) + 2) * (int(h / cell // 1) + 2)
+    return GridSpec(cell_side=cell, beta=beta)
+
+
+def support_edges(poly):
+    """Per vertex i, the ascending edges j whose inward normal vertex i
+    maximizes strictly over every other vertex."""
+    table = []
+    for i, pi in enumerate(poly.vertices):
+        out = []
+        for j in range(poly.n):
+            nj = poly.inward_normal(j)
+            if all(dot(v, nj) < dot(pi, nj)
+                   for k, v in enumerate(poly.vertices) if k != i):
+                out.append(j)
+        table.append(tuple(out))
+    return tuple(table)
+
+
+def perturbation_direction(poly):
+    """The first (1, lam) that is parallel to no edge and orthogonal to no
+    edge normal, each tested on its own."""
+    lam = 1
+    while True:
+        delta = (1, lam)
+        if all(cross(delta, poly.edge_vec(j)) != 0 for j in range(poly.n)) \
+           and all(dot(delta, poly.inward_normal(j)) != 0
+                   for j in range(poly.n)):
+            return delta
+        lam += 1
 
 
 # ---------------------------------------------------------------------------

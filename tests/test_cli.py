@@ -1177,3 +1177,63 @@ def test_module_entry_point_matches_main(tmp_path, capsys):
     assert proc.stderr.startswith(b"error: ")
     assert proc.stderr.count(b"\n") == 1, proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+# every turn strictly left, but the edges turn around twice
+PENTAGRAM = [[0, 0], [5, 3], [-1, 3], [4, 0], [2, 5]]
+POLYGON_READERS = [
+    (["decomp", "points"], _points_doc, ("polygon", "vertices")),
+    (["decomp", "translates"], _translates_doc, ("polygon", "vertices")),
+    (["decomp", "verify"], _coloring_doc, ("polygon", "vertices")),
+    (["plan", "solve"], _planar_doc, ("polygon", "vertices")),
+    (["plan", "verify"], _plan_both, ("instance", "polygon", "vertices")),
+    (["plot", "curve"], _points_doc, ("polygon", "vertices")),
+]
+
+
+@pytest.mark.parametrize("argv, make, path", POLYGON_READERS,
+                         ids=["-".join(argv) for argv, _, _ in POLYGON_READERS])
+def test_star_polygon_exit_2(tmp_path, capsys, argv, make, path):
+    _check_exit_2(tmp_path, capsys, argv, make, path, PENTAGRAM)
+
+
+def _reads_a_document(flags):
+    return any("--in" in names for names, _ in flags)
+
+
+def _one_error_line(code, out, err):
+    return (code == 2 and out == "" and err.startswith("error: ")
+            and err.count("\n") == 1 and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200000 + "]" * 200000,
+    '{"a": ' * 100000 + "1" + "}" * 100000,
+    '{"m": 3, "sensors": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["arrays", "objects", "inside-a-document"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    readers = [[group, name] for group, commands in cli.COMMANDS.items()
+               for name, (_, flags) in commands.items()
+               if _reads_a_document(flags)]
+    assert len(readers) == 11
+    for argv in readers:
+        result = run(argv + ["--in", str(p)], capsys)
+        assert _one_error_line(*result), (argv, result)
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    # every subcommand writes --out, after its work succeeds on good input
+    (tmp_path / "dir").mkdir()
+    for (group, name), (flags, doc) in _command_inputs(1).items():
+        argv = [group, name, *flags]
+        if doc is not None:
+            (tmp_path / "in").write_text(jsonio.dumps(doc))
+            argv += ["--in", str(tmp_path / "in")]
+        for out in (tmp_path / "missing" / "out.json", tmp_path / "dir"):
+            result = run(argv + ["--out", str(out)], capsys)
+            assert _one_error_line(*result), (argv, out, result)
+            assert str(out) in result[2]
+    assert not (tmp_path / "missing").exists()
+    assert list((tmp_path / "dir").iterdir()) == []

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from coverplex.generate import polygon
 from coverplex.geometry import (ConvexPolygon, GeometryError, GridSpec,
-                                cell_partition, grid_spec, reflect,
+                                cell_partition, grid_spec,
+                                perturbation_direction, reflect,
                                 strict_support_edges)
+import reference
 from reference import order_key, wedge_contains
 
 SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -20,6 +23,47 @@ def test_polygon_rejects_collinear():
 def test_polygon_rejects_clockwise():
     with pytest.raises(GeometryError):
         ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])
+
+
+# every turn strictly left, but the edges turn around twice
+PENTAGRAM = [(0, 0), (5, 3), (-1, 3), (4, 0), (2, 5)]
+
+
+@pytest.mark.parametrize("vertices, message", [
+    (PENTAGRAM, "not a convex polygon: its edges turn around 2 times"),
+    (PENTAGRAM[2:] + PENTAGRAM[:2], "turn around 2 times"),
+    ([(0, 0), (1, 0), (1, 1), (0, 0), (1, 0), (1, 1)], "turn around 2 times"),
+    ([(0, 0), (1, 0), (1, 0), (0, 1)], "three collinear vertices at index 1"),
+])
+def test_polygon_rejects_stars_and_repeated_vertices(vertices, message):
+    with pytest.raises(GeometryError, match=message):
+        ConvexPolygon(vertices)
+
+
+# cell side, beta, support edges per vertex and perturbation direction, as
+# the pairwise tables in reference.py give them
+NAMED_TABLES = {
+    "triangle": (Fraction(11863283, 8388608), 16, [[1], [2], [0]], (1, 1)),
+    "square": (Fraction(1), 16, [[], [], [], []], (1, 1)),
+    "hexagon": (Fraction(37514995, 33554432), 49,
+                [[2], [4], [5], [], [], [1]], (1, 1)),
+}
+REFLECTED_SUPPORT = {"triangle": [[1], [2], [0]], "square": [[], [], [], []],
+                     "hexagon": [[], [], [4], [5], [1], [2]]}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_TABLES))
+def test_named_polygon_tables_keep_their_values(name):
+    cell, beta, support, delta = NAMED_TABLES[name]
+    for poly, rows in ((polygon(name), support),
+                       (reflect(polygon(name)), REFLECTED_SUPPORT[name])):
+        assert grid_spec(poly) == reference.grid_spec(poly) == GridSpec(
+            cell_side=cell, beta=beta)
+        assert [sorted(strict_support_edges(poly, i))
+                for i in range(poly.n)] == rows
+        assert poly._support_edges == reference.support_edges(poly)
+        assert perturbation_direction(poly) == \
+            reference.perturbation_direction(poly) == delta
 
 
 def test_centroid_triangle():

@@ -20,7 +20,7 @@ its curve's 1-D instance.
 import random
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,9 +32,9 @@ from coverplex.cover import (ColorAssignment, CoverPreconditionError,
                              compute_cover, decompose_points)
 from coverplex.generate import (POLYGONS, gen_planar, gen_points, gen_rsc,
                                 polygon)
-from coverplex.geometry import (ConvexPolygon, GridSpec, cross, grid_spec,
-                                perturbation_direction, reflect,
-                                strict_support_edges, sub)
+from coverplex.geometry import (ConvexPolygon, GeometryError, GridSpec,
+                                cross, grid_spec, perturbation_direction,
+                                reflect, strict_support_edges, sub)
 from coverplex.levelcurve import (LevelCurve, canonical_positions,
                                   min_load_on_curve, position_index_ranges,
                                   vertex_items)
@@ -137,6 +137,66 @@ def test_contains_integer_kernel_on_integer_polygons(points, center, p):
     poly = ConvexPolygon(vs)
     assert all(type(x) is int for hp in poly._halfplanes for x in hp)
     assert poly.contains(p, center=center) == contains_ref(poly, p, center)
+
+
+@st.composite
+def vertex_lists(draw):
+    """Points with int or rational coordinates: as drawn, or their strict
+    hull from any vertex, in order, turned clockwise, or as a star (a step
+    s coprime to its size n with 1 < s < n - 1: every turn is left for
+    s < n / 2), or the hull with one of its vertices repeated."""
+    coord = draw(st.sampled_from([coords, rationals]))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12))
+    shape = draw(st.sampled_from(["drawn", "hull", "star", "repeat"]))
+    vs = hull(pts)
+    n = len(vs)
+    if shape == "drawn" or n < 3:
+        return pts
+    if shape == "repeat":
+        at = draw(st.integers(0, n))
+        return vs[:at] + [draw(st.sampled_from(vs))] + vs[at:]
+    steps = [s for s in range(2, n - 1) if gcd(s, n) == 1]
+    step = draw(st.sampled_from(steps if shape == "star" and steps
+                                else [1, n - 1]))
+    start = draw(st.integers(0, n - 1))
+    return [vs[(start + step * i) % n] for i in range(n)]
+
+
+@ORACLE
+@given(vertex_lists())
+def test_polygon_accepts_exactly_the_rotations_of_its_strict_hull(vs):
+    ref = hull(vs)
+    want = len(vs) == len(ref) and any(vs[k:] + vs[:k] == ref
+                                       for k in range(len(vs)))
+    try:
+        ConvexPolygon(vs)
+    except GeometryError:
+        assert not want, vs
+    else:
+        assert want, vs
+
+
+@st.composite
+def strict_hulls(draw):
+    """A polygon on the strict hull of int or rational points, maybe
+    reflected through its centroid."""
+    coord = draw(st.sampled_from([coords, rationals]))
+    vs = hull(draw(st.lists(st.tuples(coord, coord), min_size=3,
+                            max_size=9)))
+    assume(len(vs) >= 3)
+    poly = ConvexPolygon(vs)
+    return reflect(poly) if draw(st.booleans()) else poly
+
+
+@ORACLE
+@given(strict_hulls())
+def test_polygon_tables_match_the_pairwise_references(poly):
+    assert grid_spec(poly) == reference.grid_spec(poly)
+    assert poly._support_edges == reference.support_edges(poly)
+    assert [strict_support_edges(poly, i) for i in range(poly.n)] == [
+        set(row) for row in reference.support_edges(poly)]
+    assert perturbation_direction(poly) == \
+        reference.perturbation_direction(poly)
 
 
 @st.composite
