@@ -1191,14 +1191,11 @@ POLYGON_READERS = [
 ]
 
 
-@pytest.mark.parametrize("argv, make, path", POLYGON_READERS,
-                         ids=["-".join(argv) for argv, _, _ in POLYGON_READERS])
+@pytest.mark.parametrize(
+    "argv, make, path", POLYGON_READERS,
+    ids=["-".join(argv) for argv, _, _ in POLYGON_READERS])
 def test_star_polygon_exit_2(tmp_path, capsys, argv, make, path):
     _check_exit_2(tmp_path, capsys, argv, make, path, PENTAGRAM)
-
-
-def _reads_a_document(flags):
-    return any("--in" in names for names, _ in flags)
 
 
 def _one_error_line(code, out, err):
@@ -1216,7 +1213,7 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, text):
     p.write_text(text)
     readers = [[group, name] for group, commands in cli.COMMANDS.items()
                for name, (_, flags) in commands.items()
-               if _reads_a_document(flags)]
+               if any("--in" in names for names, _ in flags)]
     assert len(readers) == 11
     for argv in readers:
         result = run(argv + ["--in", str(p)], capsys)

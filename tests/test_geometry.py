@@ -40,23 +40,24 @@ def test_polygon_rejects_stars_and_repeated_vertices(vertices, message):
         ConvexPolygon(vertices)
 
 
-# cell side, beta, support edges per vertex and perturbation direction, as
-# the pairwise tables in reference.py give them
+# cell side, beta, support edges per vertex of the polygon and of its
+# reflection, and perturbation direction, as the pairwise tables in
+# reference.py give them
 NAMED_TABLES = {
-    "triangle": (Fraction(11863283, 8388608), 16, [[1], [2], [0]], (1, 1)),
-    "square": (Fraction(1), 16, [[], [], [], []], (1, 1)),
+    "triangle": (Fraction(11863283, 8388608), 16, [[1], [2], [0]],
+                 [[1], [2], [0]], (1, 1)),
+    "square": (Fraction(1), 16, [[], [], [], []], [[], [], [], []], (1, 1)),
     "hexagon": (Fraction(37514995, 33554432), 49,
-                [[2], [4], [5], [], [], [1]], (1, 1)),
+                [[2], [4], [5], [], [], [1]], [[], [], [4], [5], [1], [2]],
+                (1, 1)),
 }
-REFLECTED_SUPPORT = {"triangle": [[1], [2], [0]], "square": [[], [], [], []],
-                     "hexagon": [[], [], [4], [5], [1], [2]]}
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_TABLES))
 def test_named_polygon_tables_keep_their_values(name):
-    cell, beta, support, delta = NAMED_TABLES[name]
+    cell, beta, support, reflected_support, delta = NAMED_TABLES[name]
     for poly, rows in ((polygon(name), support),
-                       (reflect(polygon(name)), REFLECTED_SUPPORT[name])):
+                       (reflect(polygon(name)), reflected_support)):
         assert grid_spec(poly) == reference.grid_spec(poly) == GridSpec(
             cell_side=cell, beta=beta)
         assert [sorted(strict_support_edges(poly, i))
