@@ -18,6 +18,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 
 from . import cover, generate, jsonio, planar, rsc, svgplot, verify
@@ -70,7 +71,14 @@ def _write(args, text):
         except OSError as exc:  # missing directory, a directory, no access
             raise InputError(str(exc))
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a full device, a closed pipe
+            # the exit flush of what is still buffered goes nowhere
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise InputError(str(exc))
 
 
 def _emit_json(args, doc):
@@ -334,37 +342,19 @@ def build_parser():
     return ap
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """Raises on every error, also those argparse reports through error()
-    rather than ArgumentError (an ambiguous abbreviation), so that main
-    can hand the command line to the whole parser."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-def _one_command_args(argv):
-    """Arguments from the parser of the one subcommand that argv[:2]
-    names, or None when it has none or that parser does not accept the
-    rest whole: an error, a leftover argument, or -h, which it does not
-    declare."""
-    entry = COMMANDS.get(argv[0], {}).get(argv[1]) if len(argv) > 1 else None
-    if entry is None:
-        return None
-    parser = _declare(_OneCommandParser(prog="coverplex %s %s" % (
-        argv[0], argv[1]), add_help=False, exit_on_error=False), *entry)
-    try:
-        args, rest = parser.parse_known_args(argv[2:])
-    except argparse.ArgumentError:
-        return None
-    return None if rest else args
-
-
 def _parse_args(argv):
-    """The parsed command line.  A valid one is parsed by its subcommand's
-    parser alone; anything else by the whole parser, which prints the
-    help, usage and error text."""
-    return _one_command_args(argv) or build_parser().parse_args(argv)
+    """The parsed command line.  A parser of the one subcommand that
+    argv[:2] names, whose usage, help and error text are the whole
+    parser's, parses the rest; leftovers, which are reported at the top
+    level, and command lines naming no subcommand go to the whole parser."""
+    entry = COMMANDS.get(argv[0], {}).get(argv[1]) if len(argv) > 1 else None
+    if entry is not None:
+        args, rest = _declare(argparse.ArgumentParser(
+            prog="coverplex %s %s" % tuple(argv[:2])), *entry
+        ).parse_known_args(argv[2:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -24,15 +24,17 @@ from typing import NamedTuple
 
 from .geometry import (ConvexPolygon, cell_partition, grid_spec, reflect,
                        strict_support_edges)
-from .levelcurve import (LevelCurve, _Fenwick, position_index_ranges,
-                         vertex_items)
+from .levelcurve import (LevelCurve, _Fenwick, canonical_positions,
+                         position_index_ranges, vertex_items)
 
 # unused here; perfbench/tracer.py patches this name in this module
 from .levelcurve import min_load_on_curve  # noqa: F401
 
 
 class CoverPreconditionError(ValueError):
-    """Some curve position has fewer than 2t candidate points."""
+    """Some curve position has fewer than 2t candidate points.  Its
+    ``position`` is an index into the curve's canonical positions, or, from
+    the vertex loop, the position there as (main, eps) pairs."""
 
     def __init__(self, position, have, need):
         super().__init__(position, have, need)
@@ -70,15 +72,16 @@ class DecompositionTrace:
 def compute_cover(index, items, t: int):
     """Color generating points of curve intervals with rounds 1..t.
 
-    ``index`` is position_index_ranges(curve, A)[0] for any item set A that
-    holds ``items``: A's positions only split the stretches between those
-    of ``items``, on which the wedge content of ``items`` is constant, so
-    the colors are the same.  Every position must be contained in at least
-    2t of the items' wedges.  The intervals are sorted once, by start and
-    then containing intervals first; each round keeps an interval iff it
-    covers a still-uncovered position, prunes redundant kept intervals, and
-    colors the survivors' points with the round number.  Returns {point id:
-    round}.
+    ``index`` is (K, ranges) = position_index_ranges(curve, A)[0] for any
+    item set A that holds ``items``: A's positions only split the
+    stretches between those of ``items``, on which the wedge content of
+    ``items`` is constant, so the colors are the same.  Every position
+    must be contained in at least 2t of the items' wedges, or a
+    CoverPreconditionError names the first index k below that.  The
+    intervals are sorted once, by start and then containing intervals
+    first; each round keeps an interval iff it covers a still-uncovered
+    position, prunes redundant kept intervals, and colors the survivors'
+    points with the round number.  Returns {point id: round}.
 
     Every earlier kept interval starts no later, so the covered part of
     [lo, K) is [lo, reach] with reach the largest kept end: an interval is
@@ -94,8 +97,7 @@ def compute_cover(index, items, t: int):
     """
     if t <= 0:
         return {}
-    positions, ranges = index
-    K = len(positions)
+    K, ranges = index
     full = (0, K - 1)
     whole, intervals = [], []
     for (_, _, pid, _w) in items:
@@ -115,7 +117,7 @@ def compute_cover(index, items, t: int):
     if min(accumulate(depth[:K])) < 2 * t:
         idx, have = next((idx, run) for idx, run
                          in enumerate(accumulate(depth)) if run < 2 * t)
-        raise CoverPreconditionError(positions[idx], have, 2 * t)
+        raise CoverPreconditionError(idx, have, 2 * t)
 
     colors = dict(zip(whole, range(1, t + 1)))
     remaining = intervals
@@ -149,14 +151,15 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
     """The items that survive the extreme-prefix reservation, in the order
     of ``items``.
 
-    ``index`` is position_index_ranges(curve, A)[0] for an item set A that
-    holds ``items``, as for compute_cover.  At each curve position, the
-    minimal prefix of current wedge members in decreasing order along every
-    reserved direction whose total weight reaches ``target`` is reserved; a
-    point survives if some position has it as a non-reserved member.  With
-    unit weights the prefix is simply the first ``target`` points.  With no
-    reserved direction (no strict support edge at vertex i), no target or
-    no member, every item with a range survives.
+    ``index`` is (K, ranges) = position_index_ranges(curve, A)[0] for an
+    item set A that holds ``items``, as for compute_cover.  At each curve
+    position, the minimal prefix of current wedge members in decreasing
+    order along every reserved direction whose total weight reaches
+    ``target`` is reserved; a point survives if some position has it as a
+    non-reserved member.  With unit weights the prefix is simply the first
+    ``target`` points.  With no reserved direction (no strict support edge
+    at vertex i), no target or no member, every item with a range
+    survives.
 
     Frame j's U is the key along edge j's inward normal, ties broken by the
     general-position shift, times a positive constant, so the ranks come
@@ -179,13 +182,12 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
     once: O((items + cliques) log items) with one direction, any weights.
     """
     support = sorted(strict_support_edges(poly, i))
-    positions, ranges = index
+    K, ranges = index
     if not support or target <= 0:
         return [it for it in items if ranges[it[2]] is not None]
     weight = {pid: w for (_, _, pid, w) in items if ranges[pid] is not None}
     if not weight:
         return []
-    K = len(positions)
     # each direction ranks the items with a range 1..n in its U order;
     # ranks[d][r] is the rank along direction d + 1 of the first's rank r
     orders = [[pid for (_, _, pid, _w) in u_sorted[j] if pid in weight]
@@ -291,9 +293,11 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
     nothing is chosen, every item is live.  Each curve's load is one
     difference array over its index, built in the walk that builds the
     index; a block's chosen items are subtracted from the curves still to
-    come.  Curve i's index and load are dropped at vertex i.  Returns the
-    chosen map and one IterationRecord per vertex, whose last field counts
-    the chosen items.
+    come.  Curve i's index and load are dropped at vertex i, and no curve
+    is held: a block solver's CoverPreconditionError has its position
+    index decoded to (main, eps) pairs on curve i built anew, the only
+    decoding of a position.  Returns the chosen map and one
+    IterationRecord per vertex, whose last field counts the chosen items.
     """
     n = poly.n
     frames, all_items = vertex_items(poly, points, weights=weights, ids=ids)
@@ -323,7 +327,9 @@ def _iterate_vertices(poly, points, level, solve_block, weights=None,
         try:
             block = solve_block(index, x_items, t_i)
         except CoverPreconditionError as exc:  # name the position by pairs
-            exc.position = tuple(map(frames[i].split, exc.position))
+            curve = LevelCurve(frames[i], level, all_items[i])
+            exc.position = tuple(map(frames[i].split, canonical_positions(
+                curve, all_items[i])[exc.position]))
             raise
         chosen.update(block)
         # the chosen items leave the loads of the curves still to come

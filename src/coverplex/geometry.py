@@ -15,8 +15,6 @@ from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 
-Vec = tuple  # (x, y) with int or Fraction entries
-
 
 def cross(a, b):
     return a[0] * b[1] - a[1] * b[0]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from math import lcm
@@ -119,7 +118,6 @@ class LevelCurve:
         if level <= 0:
             raise ValueError("level must be positive")
         self.frame = frame
-        self.level = level
         self.items = items = sorted(items, key=itemgetter(0))
         # suffix weights, tail first: the shortest U-sorted suffix whose
         # weight reaches the level starts at last_j, the tail's u
@@ -162,21 +160,22 @@ class LevelCurve:
         self._steps_v = steps_v = [drops[0][1], *map(itemgetter(2), drops)]
         self._steps_v_rev = steps_v[::-1]
         self._us_rev = [None, *reversed(us), NEG_INF]
-        # walk coordinates of each drop's top and bottom corner, head to
-        # tail; the tail drop's bottom is +inf
-        self._tops = list(map(sub, us, steps_v))
-        self._bottoms = [*map(sub, us, steps_v[1:-1]), INF]
         self.head = (drops[0][0], drops[0][1])
 
-    def _base_walk(self):
-        """Walk coordinates of the head-ray representative, the tail, the
-        tail-ray representative and every staircase corner, the head
-        among them, and +inf."""
+    def _walk(self, ends):
+        """Sorted walk coordinates of the head-ray representative, the
+        tail, the tail-ray representative, every staircase corner (each
+        drop's top, the head among them, and each bottom but the tail
+        drop's, out at +inf) and the finite interval ``ends``."""
         ray = 2 * self.frame.scale * self.frame.base  # main - 2
         head_u, head_level = self.head
         tail_u, tail_v = self.tail
-        return [head_u - head_level - ray, tail_u - tail_v,
-                tail_u - tail_v + ray, *self._tops, *self._bottoms]
+        us, steps_v = self._us, self._steps_v
+        walk = {head_u - head_level - ray, tail_u - tail_v,
+                tail_u - tail_v + ray, *map(sub, us, steps_v),
+                *map(sub, us, steps_v[1:-1]), *ends}
+        walk -= {NEG_INF, INF}
+        return sorted(walk)
 
     # -- queries ---------------------------------------------------------
 
@@ -204,80 +203,53 @@ def build_level_curve(poly, i, points, level, weights=None):
     return LevelCurve(frames[i], level, items[i])
 
 
-class WalkPositions(Sequence):
-    """The canonical positions of a level curve, head to tail, as a
-    read-only sequence of (u, v) flat-key pairs.
-
-    It holds only the walk coordinates of the even-indexed positions, in
-    increasing order; position 2r + 1 is the midpoint of positions 2r and
-    2r + 2, strictly inside their gap.  D*main and every epsilon term are
-    even, so every walk coordinate is even and the midpoint is exact.  A
-    position is decoded from its walk coordinate s when read: on drop j's
-    vertical segment u is the drop's u and v = u - s; on the horizontal
-    segment after it (or the head ray) v is its v_below (or the head
-    level) and u = s + v.
-    """
-
-    __slots__ = ("_walk", "_tops", "_bottoms", "_us", "_steps_v")
-
-    def __init__(self, curve: LevelCurve, walk):
-        self._walk = walk
-        self._tops, self._bottoms = curve._tops, curve._bottoms
-        self._us, self._steps_v = curve._us, curve._steps_v
-
-    def __len__(self):
-        return 2 * len(self._walk) - 1
-
-    def __getitem__(self, k):
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("curve position index out of range")
-        walk, r = self._walk, k >> 1
-        s = walk[r] if k % 2 == 0 else (walk[r] + walk[r + 1]) // 2
-        j = bisect_right(self._tops, s) - 1
-        if j >= 0 and s <= self._bottoms[j]:
-            return self._us[j], self._us[j] - s
-        v = self._steps_v[j + 1]  # the head level when j is -1
-        return s + v, v
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-
 def canonical_positions(curve: LevelCurve, q_items):
-    """Finitely many curve positions such that the wedge content from the
-    given points is constant strictly between consecutive ones.
-
-    Includes every interval endpoint, every staircase corner, head and tail,
-    one representative out on each infinite ray, and one representative
-    strictly inside each remaining gap; a WalkPositions sequence of (u, v)
-    pairs.
+    """The K positions that position_index_ranges(curve, q_items) indexes,
+    head to tail, as (u, v) flat-key pairs; the wedge content of q_items
+    is constant strictly between consecutive ones.  Position 2r is at the
+    r-th walk coordinate s of LevelCurve._walk, and 2r + 1 at the
+    midpoint of 2r and 2r + 2, exact as D*main and every epsilon term are
+    even.  On drop j's vertical segment u is the drop's u and v = u - s;
+    on the horizontal one after it (or the head ray) v is its v_below (or
+    the head level) and u = s + v.
     """
-    return position_index_ranges(curve, q_items)[0][0]
+    ends = map(curve._ends, map(itemgetter(0), q_items),
+               map(itemgetter(1), q_items))
+    walk = curve._walk(chain.from_iterable(filter(None, ends)))
+    seq = [0] * (2 * len(walk) - 1)
+    seq[::2] = walk
+    seq[1::2] = [(a + b) // 2 for a, b in zip(walk, walk[1:])]
+    us, steps_v = curve._us, curve._steps_v
+    tops, last = list(map(sub, us, steps_v)), len(us) - 1
+    positions = []
+    for s in seq:
+        j = bisect_right(tops, s) - 1
+        if j >= 0 and (j == last or s <= us[j] - steps_v[j + 1]):
+            positions.append((us[j], us[j] - s))
+        else:
+            v = steps_v[j + 1]  # the head level when j is -1
+            positions.append((s + v, v))
+    return positions
 
 
 def position_index_ranges(curve: LevelCurve, items):
-    """Canonical positions of the curve plus, per item, the closed index
-    range of positions whose wedge contains it (None when empty), and the
-    items' load difference array over those positions, one entry past the
-    last, from the same walk: ((positions, ranges), diff).
+    """The number K of canonical positions of the curve plus, per item,
+    the closed index range of positions whose wedge contains it (None when
+    empty), and the items' load difference array over those positions, one
+    entry past the last, from the same walk: ((K, ranges), diff).  No
+    position is decoded; canonical_positions names them.
 
     An item with U >= tail u and V >= head level holds both rays, so every
     position: one pass splits these whole-curve items off, settled without
     an interval query.  Each other item's interval ends are walk
     coordinates from LevelCurve._ends.  They, the staircase corners, head,
     tail and the two ray representatives are the positions at even
-    indexes, so one sort of ints orders them and an end's index is twice
-    its rank; a ray end, -inf or +inf, indexes the ray representative at
-    that end.  Interval endpoints are themselves canonical, so the
-    snapping is exact.  Items with the same interval share one range
-    tuple, so an index held through a whole vertex loop stays small.
+    indexes (LevelCurve._walk), so one sort of ints orders them and an
+    end's index is twice its rank; a ray end, -inf or +inf, indexes the
+    ray representative at that end.  Interval endpoints are themselves
+    canonical, so the snapping is exact.  Items with the same interval
+    share one range tuple, so an index held through a whole vertex loop
+    stays small.
     """
     head_level, tail_u = curve.drops[0][1], curve.drops[-1][0]
     whole, part = {}, []
@@ -290,10 +262,7 @@ def position_index_ranges(curve: LevelCurve, items):
     ends = list(map(curve._ends, Us, Vs))
     hits = list(filter(None, ends))
     los, his = [*zip(*hits)] or [(), ()]
-    walk = {*curve._base_walk(), *los, *his}
-    walk.discard(NEG_INF)
-    walk.discard(INF)
-    walk = sorted(walk)
+    walk = curve._walk(chain(los, his))
     K = 2 * len(walk) - 1
     index_of = dict(zip(walk, range(0, K + 1, 2)))
     index_of[NEG_INF], index_of[INF] = 0, K - 1
@@ -308,7 +277,7 @@ def position_index_ranges(curve: LevelCurve, items):
     for (lo, hi), w in zip(filter(None, spans), compress(ws, spans)):
         diff[lo] += w
         diff[hi + 1] -= w
-    return (WalkPositions(curve, walk), ranges), diff
+    return (K, ranges), diff
 
 
 class _Fenwick:

@@ -75,8 +75,9 @@ def planar_load(instance: PlanarInstance):
 
 
 def curve_rsc_instance(index, items):
-    """1-D scheduling instance over the canonical positions of ``index``,
-    position_index_ranges(curve, A)[0] for an item set A that holds ``items``.
+    """1-D scheduling instance over the K canonical positions of ``index``,
+    (K, ranges) = position_index_ranges(curve, A)[0] for an item set A that
+    holds ``items``.
 
     Each item (a sensor's center in sheared coordinates, weight = duration)
     becomes a 1-D sensor, with the same id, whose range is the index range
@@ -86,14 +87,14 @@ def curve_rsc_instance(index, items):
     chooses the same starts.  ``_schedule_block`` schedules this instance
     without building it; the tests use this one as its oracle.
     """
-    positions, ranges = index
+    K, ranges = index
     sensors = []
     for (_, _, pid, w) in items:
         rng = ranges[pid]
         if rng is None:
             continue
         sensors.append(Sensor(pid, rng[0] + 1, rng[1] + 1, w))
-    return RscInstance(len(positions), sensors)
+    return RscInstance(K, sensors)
 
 
 def _schedule_block(index, items, t: int):
@@ -101,12 +102,12 @@ def _schedule_block(index, items, t: int):
     curve_rsc_instance(index, items), stopped once it covers t; {sensor id:
     start}.  The rows go to the greedy's pick loop straight from the index
     ranges, at 0-based positions (a shift moves no start), so no 1-D
-    instance is built: the ranges lie within 0..K-1 and a cell's ids are
-    unique by construction."""
-    positions, ranges = index
+    instance is built: the ranges lie within 0..K-1 of index (K, ranges)
+    and a cell's ids are unique by construction."""
+    K, ranges = index
     rows = [(pid, rng[0], rng[1], w) for (_, _, pid, w) in items
             if (rng := ranges[pid]) is not None]
-    return _greedy(rows, segment_cuts(rows, 0, len(positions)), t)[0]
+    return _greedy(rows, segment_cuts(rows, 0, K), t)[0]
 
 
 def plan_schedule(instance: PlanarInstance) -> PlanarSchedule:

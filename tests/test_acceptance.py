@@ -182,8 +182,8 @@ def test_criterion_7_curve_coloring_contract():
         except CoverPreconditionError:
             continue
         done += 1
-        positions, ranges = position_index_ranges(curve, items)[0]
-        for idx in range(len(positions)):
+        K, ranges = position_index_ranges(curve, items)[0]
+        for idx in range(K):
             present = set()
             count = 0
             for (_, _, pid, _w) in items:

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import errno
 import gc
 import json
 import os
@@ -908,19 +909,22 @@ def _parse_outcome(parse, argv, capsys):
 
 
 @pytest.mark.parametrize("key", sorted(FLAGS), ids="-".join)
-def test_one_command_parser_matches_full_parser(key, capsys):
-    """main parses a valid command line with its subcommand's parser alone
-    and anything else with the whole parser: the arguments, exit code,
-    usage, help and error text are those of build_parser()."""
+def test_one_command_parser_matches_full_parser(key, capsys, monkeypatch):
+    """main parses a command line with its subcommand's parser alone, and
+    only leftover arguments with the whole parser: the arguments, exit
+    code, usage, help and error text are those of build_parser(), and a
+    valid command line never builds the whole parser."""
+    calls = []
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: calls.append(1) or whole())
     for argv, valid in _argv_corpus(*key, FLAGS[key]):
+        calls.clear()
         got = _parse_outcome(cli._parse_args, argv, capsys)
-        want = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        if valid:
+            assert not calls and type(got[0]) is dict, argv
+        want = _parse_outcome(whole().parse_args, argv, capsys)
         assert got == want, argv
-        one = cli._one_command_args(argv)
-        if valid is not None:
-            assert (one is not None) == valid, argv
-        if one is not None:
-            assert type(got[0]) is dict, argv
 
 
 def _paths(node, path=()):
@@ -1234,3 +1238,30 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
             assert str(out) in result[2]
     assert not (tmp_path / "missing").exists()
     assert list((tmp_path / "dir").iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full device")
+def test_full_stdout_exit_2(tmp_path):
+    # a failed write to stdout, in the command's write or in the exit
+    # flush of a small output, is one error line and exit 2; stdout is
+    # block-buffered, as by default, so some output waits for that flush
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    inputs = _command_inputs(1)
+    for key, extra in ((("rsc", "solve"), []), (("plot", "schedule"), []),
+                       (("gen", "rsc"), ["--n", "3", "--m", "3"]),
+                       (("gen", "rsc"), ["--n", "3000"])):
+        flags, doc = inputs[key]
+        argv = [*key, *flags, *extra]
+        if doc is not None:
+            (tmp_path / "in").write_text(jsonio.dumps(doc))
+            argv += ["--in", str(tmp_path / "in")]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "coverplex.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, timeout=60,
+                env=dict(env, PYTHONPATH=src))
+        err = proc.stderr.decode()
+        assert _one_error_line(proc.returncode, "", err), (argv, err)
+        assert "[Errno %d]" % errno.ENOSPC in err, (argv, err)

@@ -13,7 +13,7 @@ from coverplex.geometry import (ConvexPolygon, cell_partition, grid_spec,
                                 reflect, strict_support_edges)
 from coverplex.levelcurve import (LevelCurve, _Fenwick,
                                   canonical_positions,
-                                  position_index_ranges)
+                                  position_index_ranges, vertex_items)
 from coverplex.planar import plan_schedule
 
 SQUARE = ConvexPolygon([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -57,9 +57,9 @@ def test_compute_cover_precondition_error():
 
 
 def _cover_postconditions(frame, curve, items, t, colors):
-    positions, ranges = position_index_ranges(curve, items)[0]
+    K, ranges = position_index_ranges(curve, items)[0]
     by_pid = {pid: rng for pid, rng in ranges.items()}
-    for idx in range(len(positions)):
+    for idx in range(K):
         present = set()
         colored_here = 0
         for (_, _, pid, _w) in items:
@@ -93,11 +93,11 @@ def assert_round_chains(index, colors, t):
     increasing starts and ends) from position 0 to the last position in
     which consecutive survivors meet and survivors two apart are
     disjoint, so every position lies in one or two of them."""
-    positions, ranges = index
+    K, ranges = index
     for round_no in range(1, t + 1):
         spans = sorted(ranges[pid] for pid, c in colors.items()
                        if c == round_no)
-        assert spans[0][0] == 0 and spans[-1][1] == len(positions) - 1
+        assert spans[0][0] == 0 and spans[-1][1] == K - 1
         for a, b in zip(spans, spans[1:]):
             assert a[0] < b[0] and a[1] < b[1] and b[0] <= a[1] + 1
         for a, c in zip(spans, spans[2:]):
@@ -109,7 +109,7 @@ def sliding_windows(K, W, copies):
     [lo, lo + W] inside it; every window joins a round's kept chain."""
     ranges = {copy * K + lo: (lo, lo + W)
               for copy in range(copies) for lo in range(K - W)}
-    return (list(range(K)), ranges), [(None, None, pid, 1) for pid in ranges]
+    return (K, ranges), [(None, None, pid, 1) for pid in ranges]
 
 
 def test_compute_cover_rounds_are_chains():
@@ -227,10 +227,16 @@ def test_decompose_points_on_the_square_keeps_every_ranged_item(
     monkeypatch.setattr(cover, "_reserved_filter", recorded)
     asg, _ = decompose_points(poly, pts, k)
     assert [args[1] for args, _ in calls] == [0, 1, 2, 3] and asg.T >= 1
+    frames, all_items = vertex_items(poly, pts)
     for args, out in calls:
-        (_, ranges), live = args[3], args[4]
+        (K, ranges), live = args[3], args[4]
         assert out == [it for it in live if ranges[it[2]] is not None]
-        assert out == reference.reserved_filter(*args)
+        i = args[1]
+        positions = canonical_positions(
+            LevelCurve(frames[i], k, all_items[i]), all_items[i])
+        assert len(positions) == K
+        assert out == reference.reserved_filter(
+            *args[:3], (positions, ranges), *args[4:])
 
 
 def test_decompose_points_coincident_cluster():
@@ -453,15 +459,15 @@ def maximal_member_sets(index, items):
     of positions with one member set, kept when the set is not empty and
     not a proper subset of a neighbouring run's (for ranges, a set inside
     another's is inside a neighbour's)."""
-    positions, ranges = index
-    joins = [[] for _ in positions]
-    leaves = [[] for _ in positions]
+    K, ranges = index
+    joins = [[] for _ in range(K)]
+    leaves = [[] for _ in range(K)]
     for (_, _, pid, _w) in items:
         if ranges[pid] is not None:
             joins[ranges[pid][0]].append(pid)
             leaves[ranges[pid][1]].append(pid)
     runs, members = [], set()
-    for c in range(len(positions)):
+    for c in range(K):
         members.update(joins[c])
         here = frozenset(members)
         if not runs or runs[-1] != here:
@@ -490,7 +496,7 @@ def test_reserved_filter_descends_once_per_clique_and_direction(
         directions = len(strict_support_edges(poly, i))
         calls.append((len(descents) - before,
                       maximal_member_sets(index, items) * directions,
-                      len(index[0]) * directions))
+                      index[0] * directions))
         return out
 
     monkeypatch.setattr(_Fenwick, "longest_prefix_within", counted)
@@ -522,7 +528,7 @@ def heavy_light_family(n, target):
     order = filler + light + heavy  # increasing U along every direction
     items = [(u, 0, pid, w) for u, (pid, w, _) in enumerate(order)]
     ranges = {pid: rng for pid, _, rng in order}
-    return [items] * 3, (range(K), ranges), items, items[:2 * n - 1]
+    return [items] * 3, (K, ranges), items, items[:2 * n - 1]
 
 
 def test_reserved_filter_cost_does_not_grow_with_the_weights():
@@ -533,10 +539,12 @@ def test_reserved_filter_cost_does_not_grow_with_the_weights():
     assert strict_support_edges(TRIANGLE, 0)
     best = {}
     for _ in range(3):
-        for name, fn in (("sweep", cover._reserved_filter),
-                         ("oracle", reference.reserved_filter)):
+        for name, fn, idx in (
+                ("sweep", cover._reserved_filter, index),
+                ("oracle", reference.reserved_filter,
+                 (range(index[0]), index[1]))):
             start = time.perf_counter()
-            got = fn(TRIANGLE, 0, u_sorted, index, items, n // 2)
+            got = fn(TRIANGLE, 0, u_sorted, idx, items, n // 2)
             spent = time.perf_counter() - start
             best[name] = min(best.get(name, spent), spent)
             assert got == want

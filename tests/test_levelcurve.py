@@ -149,7 +149,9 @@ def test_position_index_ranges_match_membership():
     Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(18)]
     frame, items = frame_items(SQUARE, 0, Y)
     curve = LevelCurve(frame, 3, items)
-    positions, ranges = position_index_ranges(curve, items)[0]
+    K, ranges = position_index_ranges(curve, items)[0]
+    positions = canonical_positions(curve, items)
+    assert len(positions) == K
     for (U, V, pid, _w) in items:
         member = [idx for idx, (u, v) in enumerate(positions)
                   if u <= U and v <= V]
@@ -291,8 +293,8 @@ def test_huge_translation_keeps_every_index_and_the_coloring(
             frame, items = frame_items(poly, i, where)
             indexes.append(position_index_ranges(LevelCurve(frame, k, items),
                                                  items)[0])
-        (positions, ranges), (moved_positions, moved_ranges) = indexes
-        assert len(moved_positions) == len(positions)
+        (K, ranges), (moved_K, moved_ranges) = indexes
+        assert moved_K == K
         assert moved_ranges == ranges
     outputs = []
     for where in (pts, moved):

@@ -320,6 +320,7 @@ def check_sweep(case):
                                          ids=ids)
     curve = LevelCurve(frame, level, items[:m])
     index = position_index_ranges(curve, items)[0]
+    positions = canonical_positions(curve, items)
     orders = u_orders(poly, pts, weights, ids)
     ends = [rng[1] for rng in map(index[1].get, ids) if rng is not None]
     if late and ends:
@@ -330,7 +331,8 @@ def check_sweep(case):
         items = list(compress(items, keep))
         pts = list(compress(pts, keep))
     got = _reserved_filter(poly, i, orders, index, items, target)
-    assert got == reference.reserved_filter(poly, i, orders, index, items,
+    assert got == reference.reserved_filter(poly, i, orders,
+                                            (positions, index[1]), items,
                                             target)
     assert got == reference.reserved_ref(poly, i, delta, curve, items, pts,
                                          target)
@@ -340,14 +342,20 @@ def test_reserved_filter_matches_threshold_passes_on_criterion_runs(
         monkeypatch):
     # every filter call of plan_schedule on criterion-10 instances and of
     # decompose_points on criterion-8 instances
-    calls = []
-    real = cover._reserved_filter
+    calls, built = [], {}
+    real, real_index = cover._reserved_filter, cover.position_index_ranges
+
+    def indexed(curve, items):
+        out = real_index(curve, items)
+        built[id(out[0])] = curve, items
+        return out
 
     def recorded(*args):
         out = real(*args)
-        calls.append((args, out))
+        calls.append((args, canonical_positions(*built[id(args[3])]), out))
         return out
 
+    monkeypatch.setattr(cover, "position_index_ranges", indexed)
     monkeypatch.setattr(cover, "_reserved_filter", recorded)
     for seed in (0, 1):
         plan_schedule(gen_planar(seed, n_sensors=2600, d_max=7, spread=2,
@@ -358,8 +366,11 @@ def test_reserved_filter_matches_threshold_passes_on_criterion_runs(
         k = 256 * poly.n
         decompose_points(poly, gen_points(seed, size=k + k // 8, span=60), k)
     assert planar_calls >= 8 and len(calls) >= planar_calls + 8
-    for args, out in calls:
-        assert out == reference.reserved_filter(*args)
+    for args, positions, out in calls:
+        K, ranges = args[3]
+        assert len(positions) == K
+        assert out == reference.reserved_filter(
+            *args[:3], (positions, ranges), *args[4:])
 
 
 FAMILIES = ("colocated", "disjoint", "above", "whole")
@@ -483,8 +494,9 @@ def test_position_index_whole_curve_family_matches_membership_oracle(case):
 
 def check_position_index(case):
     curve, items = case
-    positions, ranges = position_index_ranges(curve, items)[0]
-    assert positions == canonical_positions(curve, items)
+    K, ranges = position_index_ranges(curve, items)[0]
+    positions = canonical_positions(curve, items)
+    assert len(positions) == K
     for (U, V, pid, _w) in items:
         member = [idx for idx, (u, v) in enumerate(positions)
                   if u <= U and v <= V]
@@ -553,28 +565,25 @@ def walk_index_cases(draw):
 @ORACLE
 @given(walk_index_cases())
 def test_walk_index_matches_pair_built_reference(case):
-    # the index of one int per position gives the K, decoded positions,
-    # ranges and load differences of the index built from (u, v) pairs
-    # with explicit gap midpoints, and compute_cover names the same
-    # failing position through either
+    # the walk-coordinate index gives the K, ranges and load differences
+    # of the index built from (u, v) pairs with explicit gap midpoints,
+    # canonical_positions decodes the same positions, and compute_cover
+    # names the same failing position through either
     curve, items, t = case
-    (positions, ranges), diff = position_index_ranges(curve, items)
+    index, diff = position_index_ranges(curve, items)
     (ref_positions, ref_ranges), ref_diff = reference.tuple_position_index(
         curve, items)
-    K = len(ref_positions)
-    assert len(positions) == K
-    assert list(positions) == ref_positions
-    assert [positions[k - K] for k in range(K)] == ref_positions
-    assert canonical_positions(curve, items) == ref_positions
-    with pytest.raises(IndexError):
-        positions[K]
+    K, ranges = index
+    assert index[0] == len(ref_positions)
+    positions = canonical_positions(curve, items)
+    assert positions == ref_positions
     assert ranges == ref_ranges
     assert diff == ref_diff
     shared = {}
     assert all(shared.setdefault(rng, rng) is rng
                for rng in ranges.values() if rng is not None)
-    assert cover_answer(compute_cover, (positions, ranges), items, t) == \
-        cover_answer(compute_cover, (ref_positions, ref_ranges), items, t)
+    assert cover_answer(compute_cover, index, items, t, positions) == \
+        cover_answer(compute_cover, (K, ref_ranges), items, t, ref_positions)
 
 
 @st.composite
@@ -979,8 +988,10 @@ def test_superset_index_gives_the_subset_answers(data):
     sub = [it for it, kept in zip(items, keep) if kept]
     full, own = (position_index_ranges(curve, items)[0],
                  position_index_ranges(curve, sub)[0])
-    load = reference.index_min_load(own, sub)
-    assert reference.index_min_load(full, sub) == load
+    load = reference.index_min_load(
+        (canonical_positions(curve, sub), own[1]), sub)
+    assert reference.index_min_load(
+        (canonical_positions(curve, items), full[1]), sub) == load
     assert min_load_on_curve(curve, sub) == load
     target = data.draw(st.integers(0, sum(weights) + 1))
     orders = u_orders(poly, pts, weights, ids)
@@ -1116,13 +1127,15 @@ def test_vertex_loop_loads_match_fresh_loads_of_the_live_items(data):
     assert not blocks
 
 
-def cover_answer(solver, index, items, t):
+def cover_answer(solver, index, items, t, positions=None):
     """A cover solver's colors in insertion order, or the position, count
-    and need of its precondition failure."""
+    and need of its precondition failure; with ``positions``, the solver
+    names the position by its index into them."""
     try:
         return list(solver(index, items, t).items())
     except CoverPreconditionError as err:
-        return ("precondition", err.position, err.have, err.need)
+        at = err.position if positions is None else positions[err.position]
+        return ("precondition", at, err.have, err.need)
 
 
 @ORACLE
@@ -1142,11 +1155,14 @@ def test_compute_cover_matches_union_find_oracle(data):
     # mostly within the precondition, one round past it at the most
     spans = [own[1][pid] for (_, _, pid, _w) in sub]
     fewest = min(sum(1 for rng in spans if rng and rng[0] <= idx <= rng[1])
-                 for idx in range(len(own[0])))
+                 for idx in range(own[0]))
     t = data.draw(st.integers(1, min(4, fewest // 2 + 1)))
-    for index in (own, position_index_ranges(curve, items)[0]):
-        assert cover_answer(compute_cover, index, sub, t) == \
-            cover_answer(reference.compute_cover, index, sub, t)
+    for A in (sub, items):
+        index = position_index_ranges(curve, A)[0]
+        positions = canonical_positions(curve, A)
+        assert cover_answer(compute_cover, index, sub, t, positions) == \
+            cover_answer(reference.compute_cover, (positions, index[1]), sub,
+                         t)
 
 
 @ORACLE
@@ -1159,11 +1175,44 @@ def test_compute_cover_whole_curve_family_matches_union_find_oracle(data):
                                          ids=ids)
     curve = LevelCurve(frame, near_total(data.draw, weights), items)
     index = position_index_ranges(curve, items)[0]
-    full = (0, len(index[0]) - 1)
+    positions = canonical_positions(curve, items)
+    full = (0, index[0] - 1)
     whole = sum(1 for (_, _, pid, _w) in items if index[1][pid] == full)
     t = max(1, whole // 2 + data.draw(st.integers(0, 1)))
-    assert cover_answer(compute_cover, index, items, t) == \
-        cover_answer(reference.compute_cover, index, items, t)
+    assert cover_answer(compute_cover, index, items, t, positions) == \
+        cover_answer(reference.compute_cover, (positions, index[1]), items, t)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["any", "whole"])
+@ORACLE
+@given(data=st.data())
+def test_compute_cover_error_carries_the_failing_index(whole, data):
+    # one round past the precondition, on an index of the live items and
+    # on one of all of them: compute_cover names the failing position by
+    # its index k, and the union-find oracle, handed the decoded
+    # positions, names canonical_positions(curve, A)[k]
+    poly, i, pts, weights, ids, level = data.draw(weighted_cases())
+    if whole:
+        level = near_total(data.draw, weights)
+    frame, items = reference.frame_items(poly, i, pts, weights=weights,
+                                         ids=ids)
+    curve = LevelCurve(frame, level, items)
+    sub = [it for it in items if data.draw(st.booleans())]
+    for A in (sub, items):
+        K, ranges = index = position_index_ranges(curve, A)[0]
+        t = 1 + min(sum(1 for (_, _, pid, _w) in sub
+                        if (rng := ranges[pid]) and rng[0] <= k <= rng[1])
+                    for k in range(K)) // 2
+        with pytest.raises(CoverPreconditionError) as err:
+            compute_cover(index, sub, t)
+        positions = canonical_positions(curve, A)
+        with pytest.raises(CoverPreconditionError) as ref:
+            reference.compute_cover((positions, ranges), sub, t)
+        k = err.value.position
+        assert type(k) is int and 0 <= k < K == len(positions)
+        assert positions[k] == ref.value.position
+        assert (err.value.have, err.value.need) == (ref.value.have,
+                                                    ref.value.need)
 
 
 COVER_FAMILIES = ("identical", "nested", "sliding", "random", "whole-many",
@@ -1220,7 +1269,7 @@ def synthetic_covers(draw, family):
     ranges[3 * len(spans) + 1] = None  # an item in no wedge on the curve
     items = [(None, None, pid, 1)
              for pid in draw(st.permutations(sorted(ranges)))]
-    return (list(range(K)), ranges), items, t
+    return (K, ranges), items, t
 
 
 @pytest.mark.parametrize("family", COVER_FAMILIES)
@@ -1228,8 +1277,9 @@ def synthetic_covers(draw, family):
 @given(data=st.data())
 def test_compute_cover_families_match_union_find_oracle(family, data):
     index, items, t = data.draw(synthetic_covers(family))
+    positions = list(range(index[0]))  # position k is named k
     assert cover_answer(compute_cover, index, items, t) == \
-        cover_answer(reference.compute_cover, index, items, t)
+        cover_answer(reference.compute_cover, (positions, index[1]), items, t)
 
 
 @st.composite
