@@ -7,10 +7,9 @@ from .geometry import (ConvexPolygon, GeometryError, GridSpec,
                        cell_partition, grid_spec, reflect,
                        strict_support_edges)
 from .levelcurve import (EmptyLevelCurveError, LevelCurve, WedgeFrame,
-                         build_level_curve, canonical_positions,
-                         min_load_on_curve)
+                         build_level_curve, canonical_positions)
 from .planar import (PlanarInstance, PlanarSchedule, PlanarSensor,
-                     curve_rsc_instance, plan_schedule, planar_load)
+                     plan_schedule, planar_load)
 from .rsc import (RscInstance, Schedule, Sensor, duration, greedy_schedule,
                   load)
 from .verify import (VerificationReport, rsc_opt_bruteforce, verify_coloring,

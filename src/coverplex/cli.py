@@ -141,13 +141,8 @@ def cmd_decomp_points(args):
 
 
 def cmd_decomp_translates(args):
-    doc = _read_doc(args)
-    try:
-        poly = jsonio.polygon_from_json(doc["polygon"])
-        centers = [jsonio.point_from_json(p) for p in doc["centers"]]
-        k = jsonio.int_from_json(doc["k"], "k")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("expected {polygon, centers, k}: %s" % exc)
+    poly, centers, k = jsonio.decomp_instance_from_json(_read_doc(args),
+                                                        "centers")
     try:
         classes, info = cover.decompose_translates(poly, centers, k)
     except ValueError as exc:
@@ -157,23 +152,10 @@ def cmd_decomp_translates(args):
     return 0
 
 
-def _coloring_of(doc, points):
-    """The coloring of ``doc``, whose colors list names each point once."""
-    if len(doc["colors"]) != len(points):
-        raise InputError("%d colors for %d points"
-                         % (len(doc["colors"]), len(points)))
-    return jsonio.coloring_from_json(doc)
-
-
 def cmd_decomp_verify(args):
     doc = _read_doc(args)
-    try:
-        poly = jsonio.polygon_from_json(doc["polygon"])
-        points = [jsonio.point_from_json(p) for p in doc["points"]]
-        k = jsonio.int_from_json(doc["k"], "k")
-        asg = _coloring_of(doc, points)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("expected {polygon, points, k, colors, T}: %s" % exc)
+    poly, points, k = jsonio.decomp_instance_from_json(doc)
+    asg = jsonio.coloring_from_json(doc, len(points))
     try:
         report = verify.verify_coloring(poly, points, asg, k)
     except ValueError as exc:  # level not positive or above the total load
@@ -254,10 +236,10 @@ def cmd_plot_coloring(args):
     doc = _read_doc(args)
     try:
         points = [jsonio.point_from_json(p) for p in doc["points"]]
-        asg = _coloring_of(doc, points)
     except (KeyError, TypeError) as exc:
         raise InputError("expected {points, colors, T}: %s" % exc)
-    _plot(args, svgplot.svg_coloring, points, asg)
+    _plot(args, svgplot.svg_coloring, points,
+          jsonio.coloring_from_json(doc, len(points)))
     return 0
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .geometry import (ConvexPolygon, cell_partition, grid_spec, reflect,
                        strict_support_edges)
-from .levelcurve import (LevelCurve, _Fenwick, canonical_positions,
+from .levelcurve import (LevelCurve, canonical_positions,
                          position_index_ranges, vertex_items)
 
 # unused here; perfbench/tracer.py patches this name in this module
@@ -147,6 +147,29 @@ def compute_cover(index, items, t: int):
     return colors
 
 
+class _Fenwick:
+    def __init__(self, values):
+        """Tree over slots 0..n-1 holding the n ``values``, built in O(n)."""
+        self.n = n = len(values)
+        self.t = t = [0, *values]
+        for i in range(1, n + 1):
+            if (j := i + (i & -i)) <= n:
+                t[j] += t[i]
+
+    def longest_prefix_within(self, rem):
+        """Largest x with prefix(x) <= rem, for non-negative weights."""
+        t = self.t
+        pos = 0
+        step = 1 << self.n.bit_length()
+        while step:
+            nxt = pos + step
+            if nxt <= self.n and t[nxt] <= rem:
+                rem -= t[nxt]
+                pos = nxt
+            step >>= 1
+        return pos
+
+
 def _reserved_filter(poly, i, u_sorted, index, items, target):
     """The items that survive the extreme-prefix reservation, in the order
     of ``items``.
@@ -214,7 +237,7 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
         slots = [0] * n
         for (_, _, r, w) in adds[:a]:
             slots[rank[r] - 1] = w
-        trees.append(_Fenwick(n, slots))
+        trees.append(_Fenwick(slots))
     tree, t = trees[0], trees[0].t
     others = [(tr.t, rank) for tr, rank in zip(trees[1:], ranks)]
     kept = []  # ranks, along the first direction, of the survivors

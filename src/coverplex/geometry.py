@@ -137,14 +137,12 @@ class ConvexPolygon:
         p = self.vertex(i)
         return sub(self.vertex(i - 1), p), sub(self.vertex(i + 1), p)
 
-    def contains(self, p, center=None):
+    def contains(self, p, center):
         """Exact closed membership of p in the translate centered at `center`
-        (defaults to the polygon as given, i.e. centered at its centroid).
+        (the polygon as given is centered at its centroid).
 
         Coordinates are ints or Fractions; with ints the test is pure
         integer arithmetic."""
-        if center is None:
-            center = self.centroid
         dx = p[0] - center[0]
         dy = p[1] - center[1]
         for a, b, off in self._halfplanes:

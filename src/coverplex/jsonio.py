@@ -249,10 +249,12 @@ def decomp_instance_to_json(poly, points, k):
             "k": k}
 
 
-def decomp_instance_from_json(doc):
+def decomp_instance_from_json(doc, key="points"):
+    """(polygon, points, k) of a {polygon, points, k} document, or of a
+    translate document {polygon, centers, k} with key "centers"."""
     try:
         poly = polygon_from_json(doc["polygon"])
-        points = [point_from_json(p) for p in doc["points"]]
+        points = [point_from_json(p) for p in doc[key]]
         k = int_from_json(doc["k"], "k")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad decomposition instance: %s" % exc) from exc
@@ -267,8 +269,13 @@ def coloring_to_json(assignment, n_points, trace=None):
     return doc
 
 
-def coloring_from_json(doc):
+def coloring_from_json(doc, n_points):
+    """The coloring of ``doc``, whose colors list names each of the
+    n_points points once."""
     try:
+        if len(doc["colors"]) != n_points:
+            raise InputError("%d colors for %d points"
+                             % (len(doc["colors"]), n_points))
         asg = ColorAssignment(T=int_from_json(doc["T"], "T"))
         if asg.T < 0:
             raise InputError("T must be at least 0, got %d" % asg.T)

@@ -198,8 +198,8 @@ class LevelCurve:
                 for v in (v_hi, v_lo) if v != NEG_INF]
 
 
-def build_level_curve(poly, i, points, level, weights=None):
-    frames, items = vertex_items(poly, points, weights)
+def build_level_curve(poly, i, points, level):
+    frames, items = vertex_items(poly, points)
     return LevelCurve(frames[i], level, items[i])
 
 
@@ -278,32 +278,6 @@ def position_index_ranges(curve: LevelCurve, items):
         diff[lo] += w
         diff[hi + 1] -= w
     return (K, ranges), diff
-
-
-class _Fenwick:
-    def __init__(self, n, values=None):
-        """Tree over slots 0..n-1, all zero or holding ``values`` (n
-        numbers), built in O(n)."""
-        self.n = n
-        self.t = t = [0] * (n + 1)
-        if values is not None:
-            t[1:] = values
-            for i in range(1, n + 1):
-                if (j := i + (i & -i)) <= n:
-                    t[j] += t[i]
-
-    def longest_prefix_within(self, rem):
-        """Largest x with prefix(x) <= rem, for non-negative weights."""
-        t = self.t
-        pos = 0
-        step = 1 << self.n.bit_length()
-        while step:
-            nxt = pos + step
-            if nxt <= self.n and t[nxt] <= rem:
-                rem -= t[nxt]
-                pos = nxt
-            step >>= 1
-        return pos
 
 
 def min_load_on_curve(curve: LevelCurve, q_items):

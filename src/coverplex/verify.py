@@ -510,9 +510,10 @@ def verify_rsc(instance, schedule):
             break
     report.add("stopped-load-bound", witness is None, witness)
 
-    # closing semantics: replay the event log, merged spans per stretch; a
-    # coordinate outside 1..m is never covered.  A schedule read without
-    # its log has nothing to replay, so the check is listed as not run.
+    # closing semantics: replay the event log, merged spans per stretch; an
+    # event of a sensor the instance lacks fails, and a coordinate outside
+    # 1..m is never covered.  A schedule read without its log has nothing
+    # to replay, so the check is listed as not run.
     if schedule.start and not schedule.events:
         report.not_run.append("closing-semantics")
     else:
@@ -520,12 +521,13 @@ def verify_rsc(instance, schedule):
         replay = [[] for _ in cuts]  # the last list stays empty
         sensor_of = {s.id: s for s in instance.sensors}
         for ev in schedule.events:
-            s = sensor_of[ev.id]
+            s = sensor_of.get(ev.id)
             closes = replay[bisect_right(cuts, ev.closes) - 1
                             if 1 <= ev.closes <= m else -1]
-            if _holds(closes, ev.t):
+            if s is None or _holds(closes, ev.t):
                 witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
-                           "reason": "already covered"}
+                           "reason": "unknown sensor" if s is None
+                           else "already covered"}
                 break
             for k in range(seg[s.l], seg[s.r + 1]):
                 _add_span(replay[k], ev.t, ev.t + s.d - 1)

@@ -8,12 +8,12 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
 
-from coverplex.cover import CoverPreconditionError
+from coverplex.cover import CoverPreconditionError, _Fenwick
 from coverplex.geometry import (GridSpec, _rational_sqrt_lower, cross, dot,
                                 int_scaled, strict_support_edges, sub)
 from coverplex.jsonio import InputError, int_from_json, num_to_json
-from coverplex.levelcurve import (NEG_INF, LevelCurve, _Fenwick,
-                                  canonical_positions, vertex_items)
+from coverplex.levelcurve import (NEG_INF, LevelCurve, canonical_positions,
+                                  vertex_items)
 from coverplex.rsc import INF, Assignment, RscInstance, Schedule, Sensor
 from coverplex.verify import (VerificationReport, _add_span, _holds,
                               _nested_violation, _prefix_end,
@@ -370,7 +370,7 @@ def dominance_loads(positions, items):
     list parallel to positions.
     """
     vs = sorted(it[1] for it in items)
-    fw = _PrefixFenwick(len(vs))
+    fw = _PrefixFenwick([0] * len(vs))
     by_u = sorted(range(len(items)), key=lambda k: items[k][0], reverse=True)
     order = sorted(range(len(positions)), key=lambda k: positions[k][0],
                    reverse=True)
@@ -456,7 +456,7 @@ def reserved_filter(poly, i, u_sorted, index, items, target):
         slots = [0] * len(rank)
         for (_, _, pid, w) in adds[:a]:
             slots[rank[pid] - 1] = w
-        tree = _PrefixFenwick(len(rank), slots)
+        tree = _PrefixFenwick(slots)
         total = sum(slots)
         thr = []
         e = 0
@@ -990,7 +990,11 @@ def verify_rsc(instance, schedule):
         replay = [set() for _ in range(m + 1)]
         sensor_of = {s.id: s for s in instance.sensors}
         for ev in schedule.events:
-            s = sensor_of[ev.id]
+            s = sensor_of.get(ev.id)
+            if s is None:
+                witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
+                           "reason": "unknown sensor"}
+                break
             if ev.t in replay[ev.closes]:
                 witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
                            "reason": "already covered"}
@@ -1120,12 +1124,13 @@ def verify_rsc_by_spans(instance, schedule):
         replay = [[] for _ in cuts]  # the last list stays empty
         sensor_of = {s.id: s for s in instance.sensors}
         for ev in schedule.events:
-            s = sensor_of[ev.id]
+            s = sensor_of.get(ev.id)
             closes = replay[bisect_right(cuts, ev.closes) - 1
                             if 1 <= ev.closes <= m else -1]
-            if _holds(closes, ev.t):
+            if s is None or _holds(closes, ev.t):
                 witness = {"id": ev.id, "t": ev.t, "closes": ev.closes,
-                           "reason": "already covered"}
+                           "reason": "unknown sensor" if s is None
+                           else "already covered"}
                 break
             for k in range(seg[s.l], seg[s.r + 1]):
                 _add_span(replay[k], ev.t, ev.t + s.d - 1)

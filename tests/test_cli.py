@@ -588,6 +588,32 @@ def test_colors_not_one_per_point_exit_2(tmp_path, capsys, argv, colors):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+READER_ERRORS = [
+    (["decomp", "translates"],
+     {k: v for k, v in _translates_doc().items() if k != "centers"},
+     "bad decomposition instance: 'centers'"),
+    (["decomp", "translates"], _with(_translates_doc(), ("centers", 0),
+                                     [1.5, 1]),
+     "bad decomposition instance: number must be an integer or a \"p/q\" "
+     "string with q != 0, got 1.5"),
+    (["decomp", "verify"], dict(_coloring_doc(), colors=[1] * 29),
+     "bad coloring: 29 colors for 30 points"),
+    (["plot", "coloring"], dict(_coloring_doc(), colors=[1] * 29),
+     "bad coloring: 29 colors for 30 points"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, message", READER_ERRORS,
+                         ids=["translates-no-centers",
+                              "translates-float-center",
+                              "verify-colors-short", "plot-colors-short"])
+def test_reader_error_names_the_reader(tmp_path, capsys, argv, doc, message):
+    p = tmp_path / "in.json"
+    p.write_text(jsonio.dumps(doc))
+    code, out, err = run(argv + ["--in", str(p)], capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_rational_center_accepted(tmp_path, capsys):
     doc = _with(_planar_doc(), ("sensors", 0, "center"), ["21/2", "-3/1"])
     p = tmp_path / "in.json"

@@ -6,13 +6,12 @@ import pytest
 
 import reference
 from coverplex import cover
-from coverplex.cover import (CoverPreconditionError, compute_cover,
+from coverplex.cover import (CoverPreconditionError, _Fenwick, compute_cover,
                              decompose_points, decompose_translates)
 from coverplex.generate import gen_planar, gen_points, polygon
 from coverplex.geometry import (ConvexPolygon, cell_partition, grid_spec,
                                 reflect, strict_support_edges)
-from coverplex.levelcurve import (LevelCurve, _Fenwick,
-                                  canonical_positions,
+from coverplex.levelcurve import (LevelCurve, canonical_positions,
                                   position_index_ranges, vertex_items)
 from coverplex.planar import plan_schedule
 

@@ -259,7 +259,8 @@ def test_weighted_matches_counted_with_unit_weights():
     rng = random.Random(8)
     Y = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(15)]
     a = build_level_curve(SQUARE, 0, Y, 5)
-    b = build_level_curve(SQUARE, 0, Y, 5, weights=[1] * len(Y))
+    frame, items = frame_items(SQUARE, 0, Y, weights=[1] * len(Y))
+    b = LevelCurve(frame, 5, items)
     assert a.drops == b.drops
     assert a.head == b.head and a.tail == b.tail
 

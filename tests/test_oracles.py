@@ -118,7 +118,7 @@ def test_contains_matches_fraction_formula(data):
     p = data.draw(st.tuples(rationals, rationals) | st.tuples(coords,
                                                              coords))
     assert poly.contains(p, center=center) == contains_ref(poly, p, center)
-    assert poly.contains(p) == contains_ref(poly, p)
+    assert poly.contains(p, center=poly.centroid) == contains_ref(poly, p)
     q, nudge = data.draw(boundary_points(poly, center))
     got = poly.contains(q, center=center)
     assert got == contains_ref(poly, q, center)
@@ -713,7 +713,8 @@ def perturbed_schedules(draw, inst):
     assignments dropped and unassigned sensors started, or every sensor of
     a random subset started at t <= 3 (which stacks them); then unknown ids
     added, and the event log kept, emptied, one event's time moved, or
-    replaced by random events."""
+    replaced by random events, and maybe an event of an unknown id put
+    into it."""
     stop_at = draw(stop_values(inst))
     sched = rsc.greedy_schedule(inst, stop_at=stop_at)
     start = {}
@@ -747,6 +748,12 @@ def perturbed_schedules(draw, inst):
             t=draw(st.integers(1, 10)), closes=c, direction="right",
             interval=(c, c))
             for c in draw(st.lists(st.integers(1, inst.m), max_size=8))]
+    if draw(st.integers(0, 3)) == 0:
+        c = draw(st.integers(1, inst.m))
+        events = [*events]
+        events.insert(draw(st.integers(0, len(events))), rsc.Assignment(
+            id=10 ** 6, t=draw(st.integers(1, 6)), closes=c,
+            direction="right", interval=(c, c)))
     return rsc.Schedule(start=start, events=events,
                         stop_at=draw(st.sampled_from([None, stop_at])))
 

@@ -96,6 +96,18 @@ def test_verify_rsc_catches_bad_closing_event():
     assert not names["closing-semantics"]
 
 
+def test_verify_rsc_fails_closing_semantics_on_an_unknown_sensor():
+    from coverplex.rsc import Assignment
+    inst = RscInstance(3, [(0, 1, 3, 2)])
+    sched = Schedule(start={0: 1}, events=[Assignment(7, 1, 1, "right",
+                                                      (1, 3))])
+    check = {c.name: c for c in verify_rsc(inst, sched).checks}[
+        "closing-semantics"]
+    assert not check.passed
+    assert check.witness == {"id": 7, "t": 1, "closes": 1,
+                             "reason": "unknown sensor"}
+
+
 def test_verify_rsc_reports_stats_and_ratio():
     inst = RscInstance(4, [(0, 1, 4, 5)])
     sched = greedy_schedule(inst)
