@@ -233,13 +233,8 @@ def cmd_plot_curve(args):
 
 
 def cmd_plot_coloring(args):
-    doc = _read_doc(args)
-    try:
-        points = [jsonio.point_from_json(p) for p in doc["points"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError("expected {points, colors, T}: %s" % exc)
-    _plot(args, svgplot.svg_coloring, points,
-          jsonio.coloring_from_json(doc, len(points)))
+    _plot(args, svgplot.svg_coloring,
+          *jsonio.colored_points_from_json(_read_doc(args)))
     return 0
 
 

@@ -92,22 +92,23 @@ def compute_cover(index, items, t: int):
     survivor starts by kept[j - 1]'s end + 1.  kept[0] alone covers
     position 0 and the last alone reaches K - 1, so both survive.  A
     whole-range interval sorts first and alone covers every position, so
-    the first rounds take those by id, one each.  Each call costs
-    O(n log n + K + t n) for n intervals over K positions.
+    the first rounds take those by id, one each.  With at least 2t of them
+    every position has 2t candidates and the answer is the first t whole
+    ids, returned before any interval is sorted or depth counted: O(n log
+    n).  Otherwise each call costs O(n log n + K + t n) for n intervals
+    over K positions.
     """
     if t <= 0:
         return {}
     K, ranges = index
     full = (0, K - 1)
-    whole, intervals = [], []
-    for (_, _, pid, _w) in items:
-        rng = ranges[pid]
-        if rng == full:
-            whole.append(pid)
-        elif rng is not None:
-            intervals.append((rng[0], rng[1], pid))
-    whole.sort()
-    intervals.sort(key=lambda iv: (iv[0], -iv[1], iv[2]))
+    whole = sorted([pid for (_, _, pid, _w) in items if ranges[pid] == full])
+    if len(whole) >= 2 * t:  # every position lies in 2t whole ranges
+        return dict(zip(whole, range(1, t + 1)))
+    intervals = sorted(
+        [(rng[0], rng[1], pid) for (_, _, pid, _w) in items
+         if (rng := ranges[pid]) is not None and rng != full],
+        key=lambda iv: (iv[0], -iv[1], iv[2]))
 
     depth = [0] * (K + 1)
     depth[0], depth[K] = len(whole), -len(whole)
@@ -196,13 +197,26 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
     so a member that survives anywhere in its range survives at a clique
     inside it.
 
-    One sweep over the cliques keeps a Fenwick tree of member weights by
-    rank per reserved direction; one descent per clique and direction finds
-    the rank from which members are reserved.  A min-heap holds the first
-    direction's ranks of the members not yet kept; a clique pops those
-    below its threshold and keeps a popped member unless another direction
-    reserves it (then it goes back).  Each item joins, leaves and is kept
-    once: O((items + cliques) log items) with one direction, any weights.
+    Whole-curve items (range every position) are members of every clique.
+    Along a reserved direction, the items from the top down to the one
+    where the whole items' weight reaches ``target`` form that direction's
+    band; no lower rank is ever reserved there, since at every position the
+    band's whole items are members and already reach ``target``.  An item
+    below every direction's band survives, and only the band, the union of
+    the directions' bands, is swept.  The argument above applies to the
+    band's own cliques: whether a band item is reserved along a direction
+    depends only on the members above it, which lie in that direction's
+    band, and every band clique's total reaches ``target``.  When the whole
+    items fall short of ``target``, the band is every item with a range.
+
+    One sweep over the band's cliques keeps a Fenwick tree of member
+    weights by rank per reserved direction; one descent per clique and
+    direction finds the rank from which members are reserved.  A min-heap
+    holds the first direction's ranks of the members not yet kept; a
+    clique pops those below its threshold and keeps a popped member unless
+    another direction reserves it (then it goes back).  Each band item
+    joins, leaves and is kept once: O(items) set-up plus O((band + band
+    cliques) log band) with one direction, any weights.
     """
     support = sorted(strict_support_edges(poly, i))
     K, ranges = index
@@ -211,10 +225,27 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
     weight = {pid: w for (_, _, pid, w) in items if ranges[pid] is not None}
     if not weight:
         return []
-    # each direction ranks the items with a range 1..n in its U order;
-    # ranks[d][r] is the rank along direction d + 1 of the first's rank r
     orders = [[pid for (_, _, pid, _w) in u_sorted[j] if pid in weight]
               for j in support]
+    # whole-curve items are members of every clique: along a direction, no
+    # rank below the one where their weight from the top reaches target is
+    # reserved, so the items below every direction's band survive and only
+    # the band is swept
+    keep = set()  # ids of the survivors
+    band = weight
+    full = (0, K - 1)
+    if sum([w for pid, w in weight.items() if ranges[pid] == full]) >= target:
+        band = set()
+        for order in orders:
+            need = target
+            for pid in reversed(order):
+                band.add(pid)
+                if ranges[pid] == full and (need := need - weight[pid]) <= 0:
+                    break
+        keep = weight.keys() - band
+        orders = [[pid for pid in order if pid in band] for order in orders]
+    # each direction ranks the band 1..n in its U order; ranks[d][r] is the
+    # rank along direction d + 1 of the first's rank r
     n = len(orders[0])
     ranks = [[0, *map(dict(zip(order, range(1, n + 1))).__getitem__,
                       orders[0])] for order in orders[1:]]
@@ -276,7 +307,7 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
                     else:
                         heappush(heap, r)
         if (x := add_at[a]) == K:
-            keep = {orders[0][r - 1] for r in kept}
+            keep.update(orders[0][r - 1] for r in kept)
             return [it for it in items if it[2] in keep]
         # the next clique is the first end at or after the next start
         while leave_at[e] < x:

@@ -289,6 +289,15 @@ def coloring_from_json(doc, n_points):
         raise InputError("bad coloring: %s" % exc) from exc
 
 
+def colored_points_from_json(doc):
+    """(points, coloring) of a {points, colors, T} document."""
+    try:
+        points = [point_from_json(p) for p in doc["points"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError("bad coloring: %s" % exc) from exc
+    return points, coloring_from_json(doc, len(points))
+
+
 # -- planar -----------------------------------------------------------------
 
 def planar_instance_to_json(inst: PlanarInstance):

@@ -600,13 +600,25 @@ READER_ERRORS = [
      "bad coloring: 29 colors for 30 points"),
     (["plot", "coloring"], dict(_coloring_doc(), colors=[1] * 29),
      "bad coloring: 29 colors for 30 points"),
+    (["plot", "coloring"],
+     {k: v for k, v in _coloring_doc().items() if k != "points"},
+     "bad coloring: 'points'"),
+    (["plot", "coloring"], dict(_coloring_doc(), points=5),
+     "bad coloring: 'int' object is not iterable"),
+    (["plot", "coloring"], _with(_coloring_doc(), ("points", 0), [1]),
+     "bad coloring: point must be a [x, y] pair, got [1]"),
+    (["plot", "coloring"], _with(_coloring_doc(), ("points", 0), [1.5, 1]),
+     "bad coloring: number must be an integer or a \"p/q\" string with "
+     "q != 0, got 1.5"),
 ]
 
 
 @pytest.mark.parametrize("argv, doc, message", READER_ERRORS,
                          ids=["translates-no-centers",
                               "translates-float-center",
-                              "verify-colors-short", "plot-colors-short"])
+                              "verify-colors-short", "plot-colors-short",
+                              "plot-no-points", "plot-points-not-list",
+                              "plot-short-pair", "plot-float-point"])
 def test_reader_error_names_the_reader(tmp_path, capsys, argv, doc, message):
     p = tmp_path / "in.json"
     p.write_text(jsonio.dumps(doc))

@@ -548,3 +548,60 @@ def test_reserved_filter_cost_does_not_grow_with_the_weights():
             best[name] = min(best.get(name, spent), spent)
             assert got == want
     assert best["sweep"] <= 3 * best["oracle"], best
+
+
+def band_above_whole_family(n, m, target):
+    """Filter input with a fixed band above n whole unit items: m unit
+    items of the top ranks, each alone at one of m positions, and below
+    them the n whole items, of which the top ``target`` complete the band.
+    Each position reserves its one top item and the top target - 1 whole
+    items.  Returns the filter's (u_sorted, index, items) for any vertex of
+    the triangle."""
+    whole = [(pid, (0, m - 1)) for pid in range(n)]
+    top = [(n + k, (k, k)) for k in range(m)]
+    order = whole + top  # increasing U along every direction
+    items = [(u, 0, pid, 1) for u, (pid, _) in enumerate(order)]
+    return [items] * 3, (m, dict(order)), items
+
+
+def test_reserved_filter_trees_do_not_grow_with_the_whole_items(
+        monkeypatch):
+    # the whole items below the band survive without entering a tree
+    sizes = []
+
+    class Recorded(cover._Fenwick):
+        def __init__(self, values):
+            sizes.append(len(values))
+            super().__init__(values)
+
+    monkeypatch.setattr(cover, "_Fenwick", Recorded)
+    largest = []
+    for n in (10 ** 2, 10 ** 3, 10 ** 4):
+        u_sorted, index, items = band_above_whole_family(n, 20, 5)
+        sizes.clear()
+        got = cover._reserved_filter(TRIANGLE, 0, u_sorted, index, items, 5)
+        assert got == reference.reserved_filter(
+            TRIANGLE, 0, u_sorted, (range(index[0]), index[1]), items, 5)
+        assert got == items[:n - 4]
+        largest.append(max(sizes))
+    assert largest == [25] * 3
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_compute_cover_takes_2t_whole_items_alone(t):
+    # ids out of order; one partial item covers positions 0 and 1, so
+    # with 2t - 1 whole items position 2 has 2t - 1 candidates
+    K = 3
+    ranges = {100: (0, 1)}
+    items = [(0, 0, 100, 1)]
+    for pid in range(2 * t, 0, -1):
+        ranges[pid * 7 % 11 + 11 * pid] = (0, K - 1)
+    whole = list(ranges)[1:]
+    items += [(0, 0, pid, 1) for pid in whole]
+    with pytest.raises(CoverPreconditionError) as err:
+        compute_cover((K, ranges), items[:-1], t)
+    assert (err.value.position, err.value.have, err.value.need) == (
+        2, 2 * t - 1, 2 * t)
+    colors = compute_cover((K, ranges), items, t)
+    assert list(colors.items()) == list(zip(sorted(whole)[:t],
+                                            range(1, t + 1)))

@@ -447,6 +447,71 @@ def test_reserved_filter_clique_families_match_direct_oracle(family,
 
 
 @st.composite
+def band_cases(draw, shape):
+    """Filter inputs whose whole-curve items reach the target: a core spot
+    of up to 12 points, which most levels put in every wedge on the curve,
+    and up to 16 points scattered around it, whose ranges are partial and
+    whose ranks fall above the band and below it; unit or mixed weights; a
+    target from 1 to the whole-curve items' weight.  "triangle" and
+    "hexagon" take a vertex with one reserved direction, "kite" the kite
+    vertex with two."""
+    if shape == "kite":
+        poly, i = ConvexPolygon(KITE), 3
+        if draw(st.booleans()):
+            poly, i = reflect(poly), 0
+    else:
+        poly = ConvexPolygon(POLYGONS[shape])
+        i = draw(st.sampled_from([v for v in range(poly.n)
+                                  if len(strict_support_edges(poly, v)) == 1]))
+    spot = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    pts = [draw(spot)] * draw(st.integers(1, 12)) + draw(
+        st.lists(spot, min_size=1, max_size=16))
+    size = len(pts)
+    weight = st.integers(1, 4) if draw(st.booleans()) else st.just(1)
+    weights = draw(st.lists(weight, min_size=size, max_size=size))
+    ids = [3 * pid + 1 for pid in draw(st.permutations(range(size)))]
+    frame, items = reference.frame_items(poly, i, pts, weights=weights,
+                                         ids=ids)
+    curve = LevelCurve(frame, draw(st.integers(1, sum(weights))), items)
+    K, ranges = index = position_index_ranges(curve, items)[0]
+    whole = sum(w for (_, _, pid, w) in items if ranges[pid] == (0, K - 1))
+    assume(whole >= 1)
+    return (poly, i, pts, items, curve, index, draw(st.integers(1, whole)),
+            u_orders(poly, pts, weights, ids))
+
+
+@pytest.mark.parametrize("shape", ["triangle", "hexagon", "kite"])
+def test_reserved_filter_band_matches_both_oracles(shape, monkeypatch):
+    # the filter's trees hold the band alone; in most draws it is shorter
+    # than the items with a range, so the band path runs
+    sizes, short = [], []
+
+    class Recorded(cover._Fenwick):
+        def __init__(self, values):
+            sizes.append(len(values))
+            super().__init__(values)
+
+    monkeypatch.setattr(cover, "_Fenwick", Recorded)
+
+    @ORACLE
+    @given(band_cases(shape))
+    def check(case):
+        poly, i, pts, items, curve, index, target, orders = case
+        sizes.clear()
+        got = _reserved_filter(poly, i, orders, index, items, target)
+        assert got == reference.reserved_filter(
+            poly, i, orders, (canonical_positions(curve, items), index[1]),
+            items, target)
+        assert got == reference.reserved_ref(
+            poly, i, perturbation_direction(poly), curve, items, pts, target)
+        ranged = sum(1 for it in items if index[1][it[2]] is not None)
+        short.append(max(sizes) < ranged)
+
+    check()
+    assert 2 * sum(short) > len(short), (sum(short), len(short))
+
+
+@st.composite
 def curve_queries(draw, whole=False):
     """A level curve and query items: a random live subset of the curve's
     own items, extra points from a wider box, maybe an item outside every
