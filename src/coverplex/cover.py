@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .geometry import (ConvexPolygon, cell_partition, grid_spec, reflect,
@@ -148,27 +148,112 @@ def compute_cover(index, items, t: int):
     return colors
 
 
-class _Fenwick:
-    def __init__(self, values):
-        """Tree over slots 0..n-1 holding the n ``values``, built in O(n)."""
-        self.n = n = len(values)
-        self.t = t = [0, *values]
-        for i in range(1, n + 1):
-            if (j := i + (i & -i)) <= n:
-                t[j] += t[i]
+class _RankTable:
+    """The members of a clique ranked 1..n along one direction, and the
+    boundary of their reserved run: ``thr``, the lowest reserved rank, and
+    ``S``, the weight of the members ranked ``thr`` and up.
 
-    def longest_prefix_within(self, rem):
-        """Largest x with prefix(x) <= rem, for non-negative weights."""
-        t = self.t
-        pos = 0
-        step = 1 << self.n.bit_length()
+    ``weights[r - 1]`` is the weight of the item of rank r.  A join or a
+    leave sets one bit and moves ``total``, and ``S`` when its rank is at
+    or above ``thr``: O(1).  ``settle`` moves the boundary from where the
+    last one left it, one member looked at per step, and reads a Fenwick
+    tree of the member weights only when it has not settled within WALK
+    steps (AFTER_TREE right after a tree read).  The tree is built from
+    the slots at its first read; later reads replay the joins and leaves
+    since the last one, or build it again when more than n are pending.
+    """
+
+    WALK = 16
+    AFTER_TREE = 2
+
+    def __init__(self, weights, members):
+        """A table of the ranks 1..len(weights) whose ``members`` join
+        first."""
+        self.n = n = len(weights)
+        self.w = w = [0, *weights]
+        self.bits = bits = bytearray(n + 1)
+        for r in members:
+            bits[r] = 1
+        self.total = sum(map(w.__getitem__, members))
+        self.thr, self.S = n + 1, 0
+        self.walk = self.WALK
+        self.tree = self.pending = None
+
+    def join(self, r):
+        self.bits[r] = 1
+        w = self.w[r]
+        self.total += w
+        if r >= self.thr:
+            self.S += w
+        if self.pending is not None:
+            self.pending.append(r)
+
+    def leave(self, r):
+        self.bits[r] = 0
+        w = self.w[r]
+        self.total -= w
+        if r >= self.thr:
+            self.S -= w
+        if self.pending is not None:
+            self.pending.append(-r)
+
+    def settle(self, target):
+        """The lowest reserved rank: the largest member rank whose members
+        from it up weigh at least ``target``, for 0 < target <= total."""
+        bits, w = self.bits, self.w
+        thr, S, steps = self.thr, self.S, self.walk
+        if S < target:  # take in members from below until S reaches target
+            while steps:
+                thr = bits.rfind(1, 0, thr)
+                S += w[thr]
+                if S >= target:
+                    break
+                steps -= 1
+            else:
+                return self.descend(target)
+        else:  # let the lowest reserved member go while the rest suffice
+            while steps:
+                thr = bits.find(1, thr)
+                if S - w[thr] < target:
+                    break
+                S -= w[thr]
+                thr += 1
+                steps -= 1
+            else:
+                return self.descend(target)
+        self.thr, self.S, self.walk = thr, S, self.WALK
+        return thr
+
+    def descend(self, target):
+        """``settle`` by one descent of the Fenwick tree, brought up to
+        date first."""
+        t, pending, n = self.tree, self.pending, self.n
+        if t is None or len(pending) > n:
+            self.tree = t = [*map(mul, self.w, self.bits)]
+            for i in range(1, n + 1):
+                if (j := i + (i & -i)) <= n:
+                    t[j] += t[i]
+            self.pending = []
+        else:
+            w = self.w
+            for r in pending:
+                d = w[r] if r > 0 else -w[-r]
+                r = abs(r)
+                while r <= n:
+                    t[r] += d
+                    r += r & -r
+            pending.clear()
+        # the largest x whose prefix weight is at most total - target
+        rem = self.total - target
+        x = 0
+        step = 1 << n.bit_length()
         while step:
-            nxt = pos + step
-            if nxt <= self.n and t[nxt] <= rem:
-                rem -= t[nxt]
-                pos = nxt
+            if (y := x + step) <= n and t[y] <= rem:
+                rem -= t[y]
+                x = y
             step >>= 1
-        return pos
+        self.thr, self.S, self.walk = x + 1, target + rem, self.AFTER_TREE
+        return x + 1
 
 
 def _reserved_filter(poly, i, u_sorted, index, items, target):
@@ -209,14 +294,22 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
     band, and every band clique's total reaches ``target``.  When the whole
     items fall short of ``target``, the band is every item with a range.
 
-    One sweep over the band's cliques keeps a Fenwick tree of member
-    weights by rank per reserved direction; one descent per clique and
-    direction finds the rank from which members are reserved.  A min-heap
-    holds the first direction's ranks of the members not yet kept; a
-    clique pops those below its threshold and keeps a popped member unless
-    another direction reserves it (then it goes back).  Each band item
-    joins, leaves and is kept once: O(items) set-up plus O((band + band
-    cliques) log band) with one direction, any weights.
+    One sweep over the band's cliques keeps a _RankTable of member weights
+    by rank per reserved direction, and settles each table once per
+    clique for the rank from which members are reserved.  A join or a
+    leave is O(1).  A settle moves the previous clique's boundary: O(1)
+    while it moves by fewer than WALK members (its scan skips non-members
+    at C speed), and otherwise one Fenwick descent after the deferred
+    joins and leaves are replayed, O(log band) plus O(log band) per
+    deferred event, so a clique never costs more than a descent per
+    direction on a tree updated at every event.  A min-heap holds the
+    first direction's ranks of the members not yet kept; a clique pops
+    those below its threshold and keeps a popped member unless another
+    direction reserves it (then it goes back).  Each band item joins,
+    leaves and is kept once: O(items) set-up plus O((band + band cliques)
+    log band) with one direction, any weights, of which the tables take
+    O(band + band cliques) while no boundary moves by WALK members or
+    more.
     """
     support = sorted(strict_support_edges(poly, i))
     K, ranges = index
@@ -249,35 +342,29 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
     n = len(orders[0])
     ranks = [[0, *map(dict(zip(order, range(1, n + 1))).__getitem__,
                       orders[0])] for order in orders[1:]]
-    spans = [(lo, hi, r, weight[pid]) for r, pid in enumerate(orders[0], 1)
-             for lo, hi in (ranges[pid],)]
+    spans = [(*ranges[pid], r) for r, pid in enumerate(orders[0], 1)]
     # members join at the first position of their range and leave after the
     # last; the order within one position changes no sum and no member set
     adds = sorted(spans, key=itemgetter(0))
     leaves = sorted(spans, key=itemgetter(1))
     add_at = [*map(itemgetter(0), adds), K]
     leave_at = [*map(itemgetter(1), leaves)]
-    # the first clique ends at the first leave; its members enter each tree
-    # in one build and are the sorted candidates
+    # the first clique ends at the first leave; its members are the sorted
+    # candidates
     c = leave_at[0]
     a = bisect_right(add_at, c)
     heap = sorted(map(itemgetter(2), adds[:a]))
-    total = sum(map(itemgetter(3), adds[:a]))
-    trees = []
-    for rank in (range(n + 1), *ranks):
-        slots = [0] * n
-        for (_, _, r, w) in adds[:a]:
-            slots[rank[r] - 1] = w
-        trees.append(_Fenwick(slots))
-    tree, t = trees[0], trees[0].t
-    others = [(tr.t, rank) for tr, rank in zip(trees[1:], ranks)]
+    first = _RankTable([*map(weight.__getitem__, orders[0])], heap)
+    join, leave, settle = first.join, first.leave, first.settle
+    others = [(_RankTable([*map(weight.__getitem__, order)],
+                          [*map(rank.__getitem__, heap)]), rank)
+              for order, rank in zip(orders[1:], ranks)]
     kept = []  # ranks, along the first direction, of the survivors
     a2, e, e2 = a, 0, 0
     while True:
-        if total >= target:
-            # largest rank x with prefix(x) <= total - target; members from
-            # rank x + 1 up are reserved
-            thr = tree.longest_prefix_within(total - target) + 1
+        if first.total >= target:
+            # members from rank thr up are reserved
+            thr = settle(target)
             k = len(kept)
             if e:
                 while heap and heap[0] < thr:
@@ -288,21 +375,20 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
                 j = bisect_left(heap, thr)
                 kept, heap[:j] = heap[:j], []
             if others:
-                # the other trees catch up on the events since their last
-                # descent; a member they reserve stays a candidate
-                for t2, rank in others:
-                    for events, sign in ((leaves[e2:e], -1), (adds[a2:a], 1)):
-                        for (_, _, r, w) in events:
-                            r = rank[r]
-                            while r <= n:
-                                t2[r] += sign * w
-                                r += r & -r
+                # the other tables catch up on the events since their last
+                # settle, joins first: an item may join and leave between
+                # two settles; a member they reserve stays a candidate
+                for table, rank in others:
+                    for (_, _, r) in adds[a2:a]:
+                        table.join(rank[r])
+                    for (_, _, r) in leaves[e2:e]:
+                        table.leave(rank[r])
                 a2, e2 = a, e
-                thrs = [tr.longest_prefix_within(total - target) + 1
-                        for tr in trees[1:]]
+                thrs = [table.settle(target) for table, _ in others]
                 popped, kept[k:] = kept[k:], []
                 for r in popped:
-                    if all(rank[r] < th for rank, th in zip(ranks, thrs)):
+                    if all(rank[r] < th for (_, rank), th in zip(others,
+                                                                 thrs)):
                         kept.append(r)
                     else:
                         heappush(heap, r)
@@ -311,20 +397,13 @@ def _reserved_filter(poly, i, u_sorted, index, items, target):
             return [it for it in items if it[2] in keep]
         # the next clique is the first end at or after the next start
         while leave_at[e] < x:
-            _, _, r, w = leaves[e]
-            while r <= n:
-                t[r] -= w
-                r += r & -r
-            total -= w
+            leave(leaves[e][2])
             e += 1
         c = leave_at[e]
         while add_at[a] <= c:
-            _, _, r, w = adds[a]
+            r = adds[a][2]
             heappush(heap, r)
-            while r <= n:
-                t[r] += w
-                r += r & -r
-            total += w
+            join(r)
             a += 1
 
 

@@ -60,6 +60,14 @@ def int_from_json(v, name):
     raise InputError("%s must be an integer, got %r" % (name, v))
 
 
+def _list_from_json(doc, key):
+    """doc[key], which must be a JSON array."""
+    v = doc[key]
+    if not isinstance(v, list):
+        raise InputError("%s must be a list, got %s" % (key, type(v).__name__))
+    return v
+
+
 def point_to_json(p):
     return [num_to_json(p[0]), num_to_json(p[1])]
 
@@ -195,9 +203,10 @@ _SENSOR_FIELDS = itemgetter("id", "l", "r", "d")
 
 def rsc_instance_from_json(doc):
     try:
+        rows = _list_from_json(doc, "sensors")
         # each row's four fields in order, as a Sensor, at C speed
         sensors = list(map(tuple.__new__, repeat(Sensor),
-                           map(_SENSOR_FIELDS, doc["sensors"])))
+                           map(_SENSOR_FIELDS, rows)))
         # one test of every value's type at C speed; walk the sensors again
         # only to name the first bad field
         if not set(map(type, chain.from_iterable(sensors))) <= {int}:
@@ -217,7 +226,7 @@ def _assignments_from_json(doc):
     """The {id: t} start times of a schedule document's assignments, which
     name each sensor at most once."""
     start = {}
-    for a in doc["assignments"]:
+    for a in _list_from_json(doc, "assignments"):
         sid = int_from_json(a["id"], "id")
         if sid in start:
             raise InputError("sensor %d assigned twice" % sid)
@@ -254,7 +263,7 @@ def decomp_instance_from_json(doc, key="points"):
     translate document {polygon, centers, k} with key "centers"."""
     try:
         poly = polygon_from_json(doc["polygon"])
-        points = [point_from_json(p) for p in doc[key]]
+        points = [point_from_json(p) for p in _list_from_json(doc, key)]
         k = int_from_json(doc["k"], "k")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad decomposition instance: %s" % exc) from exc
@@ -273,13 +282,14 @@ def coloring_from_json(doc, n_points):
     """The coloring of ``doc``, whose colors list names each of the
     n_points points once."""
     try:
-        if len(doc["colors"]) != n_points:
+        colors = _list_from_json(doc, "colors")
+        if len(colors) != n_points:
             raise InputError("%d colors for %d points"
-                             % (len(doc["colors"]), n_points))
+                             % (len(colors), n_points))
         asg = ColorAssignment(T=int_from_json(doc["T"], "T"))
         if asg.T < 0:
             raise InputError("T must be at least 0, got %d" % asg.T)
-        for pid, c in enumerate(doc["colors"]):
+        for pid, c in enumerate(colors):
             if c is not None:
                 asg.colors[pid] = int_from_json(c, "color")
                 if asg.colors[pid] < 1:
@@ -292,7 +302,7 @@ def coloring_from_json(doc, n_points):
 def colored_points_from_json(doc):
     """(points, coloring) of a {points, colors, T} document."""
     try:
-        points = [point_from_json(p) for p in doc["points"]]
+        points = [point_from_json(p) for p in _list_from_json(doc, "points")]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad coloring: %s" % exc) from exc
     return points, coloring_from_json(doc, len(points))
@@ -311,7 +321,7 @@ def planar_instance_from_json(doc):
     try:
         polygon = polygon_from_json(doc["polygon"])
         sensors = []
-        for s in doc["sensors"]:
+        for s in _list_from_json(doc, "sensors"):
             # integer ids, centers and durations pass one inline test; the
             # rest (rational centers, errors) go through the readers
             try:
@@ -324,7 +334,8 @@ def planar_instance_from_json(doc):
                                         point_from_json(s["center"]),
                                         int_from_json(s["d"], "d")))
         return PlanarInstance(polygon, sensors,
-                              [point_from_json(u) for u in doc["universe"]])
+                              [point_from_json(u)
+                               for u in _list_from_json(doc, "universe")])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad planar instance: %s" % exc) from exc
 

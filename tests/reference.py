@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
 
-from coverplex.cover import CoverPreconditionError, _Fenwick
+from coverplex.cover import CoverPreconditionError
 from coverplex.geometry import (GridSpec, _rational_sqrt_lower, cross, dot,
                                 int_scaled, strict_support_edges, sub)
 from coverplex.jsonio import InputError, int_from_json, num_to_json
@@ -34,10 +34,13 @@ def dumps(obj):
 def rsc_instance_from_json(doc):
     """jsonio.rsc_instance_from_json one sensor at a time: each row's
     fields read by key in the order id, l, r, d, and each value's type
-    tested in that order."""
+    tested in that order, once the sensors are known to be a list."""
     try:
-        sensors = [Sensor(s["id"], s["l"], s["r"], s["d"])
-                   for s in doc["sensors"]]
+        rows = doc["sensors"]
+        if type(rows) is not list:
+            raise InputError("sensors must be a list, got %s"
+                             % type(rows).__name__)
+        sensors = [Sensor(s["id"], s["l"], s["r"], s["d"]) for s in rows]
         for s in sensors:
             for key in ("id", "l", "r", "d"):
                 int_from_json(getattr(s, key), key)
@@ -347,7 +350,31 @@ def index_min_load(index, items):
                for k in range(len(positions)))
 
 
-class _PrefixFenwick(_Fenwick):
+class _PrefixFenwick:
+    """A Fenwick tree over slots 0..n-1 with prefix sums and a descent,
+    kept apart from the reservation's rank table that it checks."""
+
+    def __init__(self, values):
+        """Tree over slots 0..n-1 holding the n ``values``, built in O(n)."""
+        self.n = n = len(values)
+        self.t = t = [0, *values]
+        for i in range(1, n + 1):
+            if (j := i + (i & -i)) <= n:
+                t[j] += t[i]
+
+    def longest_prefix_within(self, rem):
+        """Largest x with prefix(x) <= rem, for non-negative weights."""
+        t = self.t
+        pos = 0
+        step = 1 << self.n.bit_length()
+        while step:
+            nxt = pos + step
+            if nxt <= self.n and t[nxt] <= rem:
+                rem -= t[nxt]
+                pos = nxt
+            step >>= 1
+        return pos
+
     def add(self, i, w):
         i += 1
         while i <= self.n:

@@ -604,7 +604,7 @@ READER_ERRORS = [
      {k: v for k, v in _coloring_doc().items() if k != "points"},
      "bad coloring: 'points'"),
     (["plot", "coloring"], dict(_coloring_doc(), points=5),
-     "bad coloring: 'int' object is not iterable"),
+     "bad coloring: points must be a list, got int"),
     (["plot", "coloring"], _with(_coloring_doc(), ("points", 0), [1]),
      "bad coloring: point must be a [x, y] pair, got [1]"),
     (["plot", "coloring"], _with(_coloring_doc(), ("points", 0), [1.5, 1]),
@@ -624,6 +624,44 @@ def test_reader_error_names_the_reader(tmp_path, capsys, argv, doc, message):
     p.write_text(jsonio.dumps(doc))
     code, out, err = run(argv + ["--in", str(p)], capsys)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+# a list field holding an empty string or an empty object once read as an
+# empty list and gave a result
+NOT_LISTS = [
+    (argv, make, path, prefix, value)
+    for argv, make, path, prefix in [
+        (["rsc", "solve"], _rsc_doc, ("sensors",), "bad scheduling instance"),
+        (["rsc", "oracle"], _rsc_doc, ("sensors",),
+         "bad scheduling instance"),
+        (["rsc", "verify"], _rsc_both, ("schedule", "assignments"),
+         "bad schedule"),
+        (["plan", "solve"], _planar_doc, ("sensors",), "bad planar instance"),
+        (["plan", "solve"], _planar_doc, ("universe",),
+         "bad planar instance"),
+        (["plan", "verify"], _plan_both, ("schedule", "assignments"),
+         "bad planar schedule"),
+        (["decomp", "points"], _points_doc, ("points",),
+         "bad decomposition instance"),
+        (["decomp", "translates"], _translates_doc, ("centers",),
+         "bad decomposition instance"),
+        (["decomp", "verify"], _coloring_doc, ("colors",), "bad coloring"),
+        (["plot", "coloring"], _coloring_doc, ("points",), "bad coloring"),
+        (["plot", "coloring"], _coloring_doc, ("colors",), "bad coloring")]
+    for value in ("", {})]
+
+
+@pytest.mark.parametrize(
+    "argv, make, path, prefix, value", NOT_LISTS,
+    ids=["%s:%s=%s" % ("-".join(argv), ".".join(path), json.dumps(value))
+         for argv, _, path, _, value in NOT_LISTS])
+def test_list_field_not_a_list_exit_2(tmp_path, capsys, argv, make, path,
+                                      prefix, value):
+    p = tmp_path / "in.json"
+    p.write_text(jsonio.dumps(_with(make(), path, value)))
+    code, out, err = run(argv + ["--in", str(p)], capsys)
+    assert (code, out, err) == (2, "", "error: %s: %s must be a list, got %s\n"
+                                % (prefix, path[-1], type(value).__name__))
 
 
 def test_rational_center_accepted(tmp_path, capsys):

@@ -6,8 +6,9 @@ import pytest
 
 import reference
 from coverplex import cover
-from coverplex.cover import (CoverPreconditionError, _Fenwick, compute_cover,
-                             decompose_points, decompose_translates)
+from coverplex.cover import (CoverPreconditionError, _RankTable,
+                             compute_cover, decompose_points,
+                             decompose_translates)
 from coverplex.generate import gen_planar, gen_points, polygon
 from coverplex.geometry import (ConvexPolygon, cell_partition, grid_spec,
                                 reflect, strict_support_edges)
@@ -480,11 +481,11 @@ def maximal_member_sets(index, items):
 def test_reserved_filter_descends_once_per_clique_and_direction(
         monkeypatch):
     descents = []
-    real_descent = _Fenwick.longest_prefix_within
+    real_settle = _RankTable.settle
 
-    def counted(tree, rem):
-        descents.append(rem)
-        return real_descent(tree, rem)
+    def counted(table, target):
+        descents.append(target)
+        return real_settle(table, target)
 
     calls = []
     real_filter = cover._reserved_filter
@@ -498,10 +499,10 @@ def test_reserved_filter_descends_once_per_clique_and_direction(
                       index[0] * directions))
         return out
 
-    monkeypatch.setattr(_Fenwick, "longest_prefix_within", counted)
+    monkeypatch.setattr(_RankTable, "settle", counted)
     monkeypatch.setattr(cover, "_reserved_filter", recorded)
     # a criterion-10 instance: t = 1 at every vertex of its cells, so every
-    # clique's load reaches the target and each one makes a descent
+    # clique's load reaches the target and each one settles every table
     plan_schedule(gen_planar(0, n_sensors=2600, d_max=7, spread=2,
                              universe_size=5))
     assert len(calls) >= 4
@@ -511,19 +512,23 @@ def test_reserved_filter_descends_once_per_clique_and_direction(
 
 
 
-def heavy_light_family(n, target):
+def heavy_light_family(n, target, scale=1, short=False):
     """Filter input on which the reserved group swings at every clique: n
     unit light items over the whole curve, n heavy items of weight
     ``target`` at the top ranks, heavy item k alone beside the lights at
     position 2k, and between two heavy items a unit filler item of the
     lowest ranks at position 2k + 1.  A heavy item alone is its clique's
     reserved prefix; at a filler's clique the top ``target`` lights are.
-    Returns the filter's (u_sorted, index, items) for any vertex of the
-    triangle and the survivors: the fillers and the lights."""
+    Every weight is times ``scale``, so the target is target * scale.
+    With ``short`` the lights end one position before the last, so no item
+    is whole and every item is in the band.  Returns the filter's
+    (u_sorted, index, items) for any vertex of the triangle and the
+    survivors: the fillers and the lights."""
     K = 2 * n - 1
-    light = [(pid, 1, (0, K - 1)) for pid in range(n)]
-    heavy = [(n + k, target, (2 * k, 2 * k)) for k in range(n)]
-    filler = [(2 * n + k, 1, (2 * k + 1, 2 * k + 1)) for k in range(n - 1)]
+    light = [(pid, scale, (0, K - 1 - short)) for pid in range(n)]
+    heavy = [(n + k, target * scale, (2 * k, 2 * k)) for k in range(n)]
+    filler = [(2 * n + k, scale, (2 * k + 1, 2 * k + 1))
+              for k in range(n - 1)]
     order = filler + light + heavy  # increasing U along every direction
     items = [(u, 0, pid, w) for u, (pid, w, _) in enumerate(order)]
     ranges = {pid: rng for pid, _, rng in order}
@@ -550,6 +555,44 @@ def test_reserved_filter_cost_does_not_grow_with_the_weights():
     assert best["sweep"] <= 3 * best["oracle"], best
 
 
+@pytest.mark.parametrize("scale", [1, 1000])
+@pytest.mark.parametrize("n", [2000, 8000])
+def test_reserved_filter_cost_does_not_grow_when_the_boundary_jumps(
+        n, scale, monkeypatch):
+    # no light is whole, so the band is every item, and the reserved run's
+    # boundary crosses n // 2 lights at every clique: past the walk, each
+    # clique reads a tree once per direction, and the sweep costs what the
+    # oracle's per-direction tree passes cost, whatever the weights
+    target = n // 2 * scale
+    u_sorted, index, items, want = heavy_light_family(n, n // 2, scale,
+                                                      short=True)
+    best = {}
+    for _ in range(3):
+        for name, fn, idx in (
+                ("sweep", cover._reserved_filter, index),
+                ("oracle", reference.reserved_filter,
+                 (range(index[0]), index[1]))):
+            start = time.perf_counter()
+            got = fn(TRIANGLE, 0, u_sorted, idx, items, target)
+            spent = time.perf_counter() - start
+            best[name] = min(best.get(name, spent), spent)
+            assert got == want
+    assert best["sweep"] <= 3 * best["oracle"], best
+    descents = []
+    real_descend = _RankTable.descend
+
+    def counted(table, target):
+        descents.append(target)
+        return real_descend(table, target)
+
+    monkeypatch.setattr(_RankTable, "descend", counted)
+    assert cover._reserved_filter(TRIANGLE, 0, u_sorted, index, items,
+                                  target) == want
+    # every position is a clique
+    directions = len(strict_support_edges(TRIANGLE, 0))
+    assert 0 < len(descents) <= index[0] * directions
+
+
 def band_above_whole_family(n, m, target):
     """Filter input with a fixed band above n whole unit items: m unit
     items of the top ranks, each alone at one of m positions, and below
@@ -566,15 +609,15 @@ def band_above_whole_family(n, m, target):
 
 def test_reserved_filter_trees_do_not_grow_with_the_whole_items(
         monkeypatch):
-    # the whole items below the band survive without entering a tree
+    # the whole items below the band survive without entering a table
     sizes = []
 
-    class Recorded(cover._Fenwick):
-        def __init__(self, values):
-            sizes.append(len(values))
-            super().__init__(values)
+    class Recorded(cover._RankTable):
+        def __init__(self, weights, members):
+            sizes.append(len(weights))
+            super().__init__(weights, members)
 
-    monkeypatch.setattr(cover, "_Fenwick", Recorded)
+    monkeypatch.setattr(cover, "_RankTable", Recorded)
     largest = []
     for n in (10 ** 2, 10 ** 3, 10 ** 4):
         u_sorted, index, items = band_above_whole_family(n, 20, 5)

@@ -482,16 +482,16 @@ def band_cases(draw, shape):
 
 @pytest.mark.parametrize("shape", ["triangle", "hexagon", "kite"])
 def test_reserved_filter_band_matches_both_oracles(shape, monkeypatch):
-    # the filter's trees hold the band alone; in most draws it is shorter
-    # than the items with a range, so the band path runs
+    # the filter's rank tables hold the band alone; in most draws it is
+    # shorter than the items with a range, so the band path runs
     sizes, short = [], []
 
-    class Recorded(cover._Fenwick):
-        def __init__(self, values):
-            sizes.append(len(values))
-            super().__init__(values)
+    class Recorded(cover._RankTable):
+        def __init__(self, weights, members):
+            sizes.append(len(weights))
+            super().__init__(weights, members)
 
-    monkeypatch.setattr(cover, "_Fenwick", Recorded)
+    monkeypatch.setattr(cover, "_RankTable", Recorded)
 
     @ORACLE
     @given(band_cases(shape))
@@ -509,6 +509,91 @@ def test_reserved_filter_band_matches_both_oracles(shape, monkeypatch):
 
     check()
     assert 2 * sum(short) > len(short), (sum(short), len(short))
+
+
+def test_reserved_filter_forgets_an_item_that_came_and_went_unsettled():
+    # kite vertex 3 reserves along edges 0 and 1.  Item 1 alone at position
+    # 1 falls short of the target, so no table settles there: the second
+    # direction's table takes in its join and its leave at position 2, and
+    # applied leave first it would keep item 1 as a member, which would
+    # stop the second direction's run above item 3 and let item 3 survive
+    poly, i = ConvexPolygon(KITE), 3
+    assert sorted(strict_support_edges(poly, i)) == [0, 1]
+    weight = [4, 1, 3, 1, 1]
+    items = [(0, 0, pid, w) for pid, w in enumerate(weight)]
+    orders = [[items[pid] for pid in order]
+              for order in ([1, 3, 4, 2, 0], [4, 3, 1, 2, 0])]
+    index = (3, {0: (0, 0), 1: (1, 1), 2: (2, 2), 3: (2, 2), 4: (2, 2)})
+    got = _reserved_filter(poly, i, orders, index, items, 4)
+    assert got == reference.reserved_filter(
+        poly, i, orders, (range(3), index[1]), items, 4) == []
+
+
+@st.composite
+def rank_table_runs(draw):
+    """A rank table's weights (1 to 10**6), its first members, a target and
+    rounds of ranks whose membership flips.  Only some ranks ever join, so
+    the members have gaps between them, and all of those join first; the
+    target is 30 to 80 % of their weight, so the first settle passes more
+    members than the walk does.  A round flips one or two ranks, which
+    moves the reserved run's boundary a little, or many, which makes it
+    jump, or more than n, after which a tree read builds the tree anew.
+    The values come from a drawn seed: hypothesis would favour equal small
+    weights and one repeated rank."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(150, 300))
+    heaviest = draw(st.sampled_from([10 ** 6, 1, 10, 1000]))
+    weights = [rng.randint(1, heaviest) for _ in range(n)]
+    members = sorted(rng.sample(range(1, n + 1), rng.randint(n // 2, n)))
+    share = draw(st.integers(30, 80))
+    target = max(1, sum(weights[r - 1] for r in members) * share // 100)
+    flips = st.sampled_from([1, 2, 40, 400])
+    rounds = [rng.choices(members, k=draw(flips))
+              for _ in range(draw(st.integers(8, 40)))]
+    return weights, members, target, rounds
+
+
+def test_rank_table_settles_as_a_scan_from_the_top():
+    # each settle against the members scanned from the top rank down; most
+    # draws take both the walk and the tree
+    both = []
+
+    @ORACLE
+    @given(rank_table_runs())
+    def check(case):
+        weights, members, target, rounds = case
+        descents, walks = [], []
+
+        class Counted(cover._RankTable):
+            def descend(self, target):
+                descents.append(target)
+                return super().descend(target)
+
+        table = Counted(weights, members)
+        members = set(members)
+        for flips in rounds:
+            for r in flips:
+                if r in members:
+                    members.remove(r)
+                    table.leave(r)
+                else:
+                    members.add(r)
+                    table.join(r)
+            total = sum(weights[r - 1] for r in members)
+            assert table.total == total
+            if total >= target:
+                acc = 0
+                for r in sorted(members, reverse=True):
+                    acc += weights[r - 1]
+                    if acc >= target:
+                        break
+                before = len(descents)
+                assert table.settle(target) == r
+                walks.append(len(descents) == before)
+        both.append(any(walks) and bool(descents))
+
+    check()
+    assert 2 * sum(both) > len(both), (sum(both), len(both))
 
 
 @st.composite
